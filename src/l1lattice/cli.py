@@ -1,8 +1,8 @@
 """Single entry point dispatching all subcommands over the shared JSON layer.
 
-Exit codes: 0 on success, 1 when a certified mathematical check fails
-(which indicates a bug), 2 on input or usage errors.  Identical inputs and
-seeds produce byte-identical output files.
+Exit codes: 0 on success, 1 when a certified mathematical check or the LP
+solver fails (which indicates a bug), 2 on input or usage errors.
+Identical inputs and seeds produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, jsonio
+from . import acceptance, jsonio, lp
 from .core import COMPLEX, REAL, FnFamily
 from .decompose import (decompose_complex, decompose_real, eps_net_coeffs,
                         optimal_k_search, prune, refine_to_constant_coeffs,
@@ -32,13 +32,9 @@ class CheckFailed(Exception):
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="override the report tolerance")
     sub.add_argument("--out", help="path of the JSON report to write")
     sub.add_argument("--quiet", action="store_true",
                      help="suppress the human-readable summary")
-    sub.add_argument("--dump-lp", metavar="PATH",
-                     help="write the solved LP as JSON (extend only)")
 
 
 def _emit(args, doc, summary: str) -> None:
@@ -209,7 +205,7 @@ def _cmd_extend(args) -> int:
     summary = f"alpha = {result.alpha:.12g}"
     if args.verify:
         report = verify_extension_theorem(x, t, trials=args.trials,
-                                          seed=args.seed)
+                                          seed=args.seed, result=result)
         doc["verification"] = report.to_json()
         summary += f"; verification {'passed' if report.passed else 'FAILED'}"
         if not report.passed:
@@ -287,6 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also certify a step-by-step proof trace")
     p.add_argument("--eps", type=float, default=None,
                    help="net mesh for the complex trace (default 0.1)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="inequality and trace tolerance (default 1e-9)")
     _common_flags(p)
     p.set_defaults(func=_cmd_check_inequality)
 
@@ -319,6 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the end-to-end extension verification")
     p.add_argument("--trials", type=int, default=10_000,
                    help="condition (b) sample size for --verify")
+    p.add_argument("--dump-lp", metavar="PATH",
+                   help="write the extension LP as JSON")
     _common_flags(p)
     p.set_defaults(func=_cmd_extend)
 
@@ -349,6 +349,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
+        return 1
+    except lp.LPError as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
         return 1
     except (SchemaError, json.JSONDecodeError, FileNotFoundError,
             IsADirectoryError, PermissionError, ValueError) as exc:

@@ -414,9 +414,3 @@ def objective_for_basis(p: LinearProgram, basis: tuple[int, ...]) -> float:
     x = _primal_from_std(p, sf, x_std)
     return float(p.c @ x)
 
-
-def is_feasible(p: LinearProgram) -> bool:
-    """Phase-1 feasibility answer for the constraint system of ``p``."""
-    probe = LinearProgram(np.zeros(p.n_vars), p.a_eq, p.b_eq, p.g_ub, p.h_ub,
-                          p.lower, p.upper)
-    return solve(probe).status == OPTIMAL

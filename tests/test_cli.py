@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from l1lattice import jsonio
+from l1lattice import jsonio, lp
 from l1lattice.cli import main
 from l1lattice.generate import (random_family, random_operator, random_space,
                                 random_subspace, random_tensor, rng_for)
@@ -163,6 +163,33 @@ class TestExitCodes:
     def test_unknown_flag_rejected(self):
         proc = run_cli("decompose", "--nonsense")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--input", "f.json", "--tol", "1e-3"],
+        ["decompose", "--input", "f.json", "--dump-lp", "lp.json"],
+        ["extend", "--subspace", "x.json", "--images", "t.json", "--tol", "1e-3"],
+        ["check-inequality", "--op", "t.json", "--family", "f.json",
+         "--dump-lp", "lp.json"],
+    ])
+    def test_flags_only_where_honoured(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_solver_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        def failing_solve(program):
+            raise lp.LPError("simplex iteration limit exceeded")
+
+        main(["generate", "--kind", "extension", "--atoms", "3",
+              "--nu-atoms", "3", "--dim", "1", "--seed", "10",
+              "--out", str(tmp_path / "i.json"), "--quiet"])
+        capsys.readouterr()
+        monkeypatch.setattr(lp, "solve", failing_solve)
+        assert main(["extend", "--subspace", str(tmp_path / "i_subspace.json"),
+                     "--images", str(tmp_path / "i_images.json"),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == "solver failed: simplex iteration limit exceeded\n"
 
 
 class TestDeterminism:

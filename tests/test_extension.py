@@ -6,9 +6,10 @@ from l1lattice import (REAL, MeasureSpace, RestrictedOperator, SimpleFn,
                        dual_certificate, l1_norm, op_norm,
                        pair_operator_tensor, point_mass, tensor_norm,
                        verify_extension_theorem, zero_fn)
-from l1lattice.extension import certificate_family_coeffs
-from l1lattice.generate import (random_restricted, random_space,
-                                random_subspace, rng_for)
+from l1lattice import cli, extension, jsonio, lp
+from l1lattice.extension import _extension_lp, certificate_family_coeffs
+from l1lattice.generate import (generate_instance, random_restricted,
+                                random_space, random_subspace, rng_for)
 
 
 def unit_space(n, prefix="a"):
@@ -254,3 +255,105 @@ class TestVerifyExtensionTheorem:
         assert report.passed
         assert report.alpha == pytest.approx(
             op_norm(alpha_via_lp(x, t).extension), rel=1e-12)
+
+
+def reference_u_lp(x, t):
+    """The extension LP with an auxiliary bound u_ij >= |K_ij| and a free K:
+    minimize t subject to sum_i nu_i u_ij <= t, -u_ij <= K_ij <= u_ij and the
+    interpolation rows.  Variables: t, u (row-major), K (row-major)."""
+    n_mu, n_nu = x.ambient.size, t.codomain.size
+    nn = n_mu * n_nu
+    nu_w = t.codomain.weight_array
+    g_rows, a_rows = [], []
+    for j in range(n_mu):
+        row = np.zeros(1 + 2 * nn)
+        row[0] = -1.0
+        row[1 + j:1 + nn:n_mu] = nu_w
+        g_rows.append(row)
+    for e in range(nn):
+        for sign in (1.0, -1.0):
+            row = np.zeros(1 + 2 * nn)
+            row[1 + nn + e] = sign
+            row[1 + e] = -1.0
+            g_rows.append(row)
+    weighted = x.basis_matrix * x.ambient.weight_array
+    for r in range(x.dim):
+        for i in range(n_nu):
+            row = np.zeros(1 + 2 * nn)
+            row[1 + nn + i * n_mu:1 + nn + (i + 1) * n_mu] = weighted[r]
+            a_rows.append(row)
+    c = np.zeros(1 + 2 * nn)
+    c[0] = 1.0
+    return lp.LinearProgram(c, np.array(a_rows), t.image_matrix.ravel(),
+                            np.array(g_rows), np.zeros(len(g_rows)),
+                            (0.0,) * (1 + nn) + (None,) * nn, None)
+
+
+class TestExtensionLP:
+    def test_split_variable_shape(self):
+        rng = rng_for(20)
+        for n_mu, n_nu, dim in [(2, 5, 1), (5, 3, 2), (7, 7, 3)]:
+            mu = random_space(rng, n_mu)
+            nu = random_space(rng, n_nu, prefix="s")
+            x = random_subspace(rng, mu, min(dim, n_mu))
+            t = random_restricted(rng, x, nu)
+            program = _extension_lp(x, t)
+            assert program.n_ub == n_mu
+            assert program.n_eq == x.dim * n_nu
+            assert program.n_vars == 1 + 2 * n_mu * n_nu
+            assert program.lower == (0.0,) * program.n_vars
+
+    # generated instances on which the K+ columns all placed ahead of the K-
+    # columns broke Bland's rule: a spurious unbounded phase 1, or for
+    # (12, 11) an "optimal" vertex 26% above alpha
+    BLOCK_ORDER_BREAKERS = [(6, 5, 3, 1575570991), (10, 7, 3, 1575570991),
+                            (12, 11, 3, 352541269), (9, 10, 2, 1245724921)]
+
+    def instances(self):
+        rng = rng_for(21)
+        for _ in range(12):
+            mu = random_space(rng, int(rng.integers(2, 9)))
+            nu = random_space(rng, int(rng.integers(2, 9)), prefix="s")
+            x = random_subspace(rng, mu, int(rng.integers(1, 1 + min(3, mu.size))))
+            yield x, random_restricted(rng, x, nu)
+        for atoms, nu_atoms, dim, seed in self.BLOCK_ORDER_BREAKERS:
+            docs = generate_instance("extension", {"atoms": atoms,
+                                                   "nu_atoms": nu_atoms,
+                                                   "dim": dim}, seed)
+            x = jsonio.subspace_from_json(docs["subspace"])
+            yield x, jsonio.images_from_json(docs["images"], x)
+
+    def test_matches_u_formulation(self):
+        for x, t in self.instances():
+            res = alpha_via_lp(x, t)
+            ref = lp.solve(reference_u_lp(x, t))
+            assert ref.is_optimal
+            assert res.alpha == pytest.approx(ref.objective_value, rel=1e-9)
+            assert res.certificate_ratio >= res.alpha * (1.0 - 1e-6)
+
+    def test_extend_verify_solves_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return alpha_via_lp(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "alpha_via_lp", counted)
+        monkeypatch.setattr(extension, "alpha_via_lp", counted)
+        assert cli.main(["generate", "--kind", "extension", "--atoms", "5",
+                         "--nu-atoms", "4", "--dim", "2", "--seed", "3",
+                         "--out", str(tmp_path / "i.json"), "--quiet"]) == 0
+        assert cli.main(["extend", "--subspace", str(tmp_path / "i_subspace.json"),
+                         "--images", str(tmp_path / "i_images.json"),
+                         "--verify", "--trials", "1000", "--quiet"]) == 0
+        assert len(calls) == 1
+
+    def test_twenty_atoms_verified(self):
+        rng = rng_for(22)
+        mu = random_space(rng, 20)
+        nu = random_space(rng, 20, prefix="s")
+        x = random_subspace(rng, mu, 3)
+        t = random_restricted(rng, x, nu)
+        report = verify_extension_theorem(x, t, trials=2000, seed=23)
+        assert report.passed, report.failures
+        assert report.alpha <= report.certificate_ratio / (1.0 - 1e-6)
