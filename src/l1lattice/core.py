@@ -68,7 +68,10 @@ def _as_mode_array(values, mode: str, n: int) -> np.ndarray:
         v = v.astype(np.complex128)
     else:
         raise ValueError(f"mode must be {REAL!r} or {COMPLEX!r}, got {mode!r}")
-    v = np.array(v)
+    if not np.isfinite(v).all():
+        i = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ValueError(f"values must be finite, got {v[i]} at index {i}")
+    # astype copied, so freezing v leaves the caller's array writeable
     v.flags.writeable = False
     return v
 
@@ -158,8 +161,14 @@ class ArgmaxPartition:
         c.flags.writeable = False
         object.__setattr__(self, "cell_of_atom", c)
 
-    def cell_mask(self, i: int) -> np.ndarray:
-        return self.cell_of_atom == i
+
+def group_columns(keys: np.ndarray) -> list[list[int]]:
+    """Indices w of the last axis grouped by bit-identical columns
+    keys[..., w], groups and members in order of first occurrence."""
+    groups: dict[bytes, list[int]] = {}
+    for w in range(keys.shape[-1]):
+        groups.setdefault(keys[..., w].tobytes(), []).append(w)
+    return list(groups.values())
 
 
 def l1_norm(f: SimpleFn) -> float:

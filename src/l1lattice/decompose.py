@@ -11,6 +11,18 @@ unimodular coefficient fields in complex mode.  Both constructions are
 recursive on n, splitting the atoms by the lowest-index argmax of the
 moduli and recursing on the remaining functions inside each cell.
 
+Each level is assembled from whole blocks, one per argmax cell i.  In real
+mode the cell contributes the sub-decomposition's parts restricted to where
+f_i >= 0, the same parts restricted to where f_i < 0, and the two residual
+parts (+-f_i - tau_i) on those sets, where tau_i is the pointwise max of the
+remaining moduli; its sign block has +1 / -1 by orientation in row i and
+the sub-decomposition's signs (twice, then two zero columns) in the other
+rows.  In complex mode the cell contributes the sub-decomposition's parts
+and one residual part (|f_i| - tau_i); its coefficient block has the phase
+of f_i in row i and the sub-decomposition's coefficients (then 0 for the
+residual) in the other rows.  Cell refinements likewise build all
+(cell, part) products as one masked block.
+
 The recursion emits an exactly predictable number of parts before pruning:
 
     real     k(1) = 2,  k(n) = 2 n (k(n-1) + 1)   ->  2, 12, 78, 632, 6330
@@ -31,8 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from . import lp
-from .core import (COMPLEX, REAL, ArgmaxPartition, FnFamily, MeasureSpace,
-                   SimpleFn, unit_phases)
+from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
+                   group_columns, unit_phases)
 
 #: relative tolerance for the decomposition identities
 IDENTITY_TOL = 1e-10
@@ -60,16 +72,11 @@ def preprune_count(n: int, mode: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TraceNode:
-    """One level of the recursion: which argmax cells were used, the residual
-    functions inside each cell, the sign-split cells (real mode), the part
-    count emitted at this level, and the sub-traces."""
+    """One level of the recursion: the number of functions split, the part
+    count emitted at this level, and one sub-trace per argmax cell."""
 
     n_functions: int
     pre_prune_count: int
-    partition: ArgmaxPartition | None
-    residuals: tuple[np.ndarray, ...] | None      # tau_i per cell
-    pos_cells: tuple[np.ndarray, ...] | None      # real mode only
-    neg_cells: tuple[np.ndarray, ...] | None
     children: tuple["TraceNode", ...]
 
     def level_counts(self) -> list[int]:
@@ -127,14 +134,6 @@ class Decomposition:
     def parts(self) -> tuple[SimpleFn, ...]:
         return tuple(SimpleFn(self.space, REAL, row) for row in self.parts_matrix)
 
-    def coeff_fn(self, i: int, j: int) -> SimpleFn:
-        """Coefficient of part j in the recombination of function i, as a
-        function on the space (constant in real mode)."""
-        if self.signs is not None:
-            v = np.full(self.space.size, float(self.signs[i, j]))
-            return SimpleFn(self.space, REAL, v)
-        return SimpleFn(self.space, COMPLEX, self.coeffs[i, j])
-
     def recombined(self) -> np.ndarray:
         """The (n, atoms) matrix sum_j coeff_ij * h_j, one row per function."""
         if self.signs is not None:
@@ -152,94 +151,68 @@ def _split_real(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, TraceNode]:
         v = values[0]
         parts = np.vstack([np.where(v >= 0.0, v, 0.0), np.where(v >= 0.0, 0.0, -v)])
         signs = np.array([[1, -1]], dtype=np.int8)
-        return parts, signs, TraceNode(1, 2, None, None, None, None, ())
+        return parts, signs, TraceNode(1, 2, ())
 
-    moduli = np.abs(values)
-    cells = np.argmax(moduli, axis=0)
-    part_rows: list[np.ndarray] = []
-    sign_cols: list[np.ndarray] = []
+    cells = np.argmax(np.abs(values), axis=0)
+    orientation = np.array([1, -1, 1, -1], dtype=np.int8)
+    part_blocks: list[np.ndarray] = []
+    sign_blocks: list[np.ndarray] = []
     children = []
-    taus = []
-    pos_cells = []
-    neg_cells = []
     for i in range(n):
         in_cell = cells == i
-        sub = np.delete(values, i, axis=0) * in_cell
+        rest = np.arange(n) != i
+        sub = values[rest] * in_cell
         sub_parts, sub_signs, child = _split_real(sub)
         children.append(child)
         tau = np.max(np.abs(sub), axis=0)
-        pos_mask = in_cell & (values[i] >= 0.0)
-        neg_mask = in_cell & (values[i] < 0.0)
-        taus.append(tau)
-        pos_cells.append(pos_mask)
-        neg_cells.append(neg_mask)
-
-        other = np.delete(np.arange(n), i)
+        pos = in_cell & (values[i] >= 0.0)
+        neg = in_cell & (values[i] < 0.0)
+        # the sub-parts restricted to where f_i >= 0 and f_i < 0, then the
+        # two residuals; row i of the signs is +1 or -1 accordingly
+        part_blocks += [sub_parts * pos, sub_parts * neg,
+                        ((values[i] - tau) * pos)[None],
+                        ((-values[i] - tau) * neg)[None]]
         k_sub = sub_parts.shape[0]
-        # parts h_{i,l} restricted to the sign cells, then the two residual parts
-        for sign_mask, orient in ((pos_mask, 1), (neg_mask, -1)):
-            for ell in range(k_sub):
-                part_rows.append(sub_parts[ell] * sign_mask)
-                col = np.zeros(n, dtype=np.int8)
-                col[i] = orient
-                col[other] = sub_signs[:, ell]
-                sign_cols.append(col)
-        part_rows.append((values[i] - tau) * pos_mask)
-        col = np.zeros(n, dtype=np.int8)
-        col[i] = 1
-        sign_cols.append(col)
-        part_rows.append((-values[i] - tau) * neg_mask)
-        col = np.zeros(n, dtype=np.int8)
-        col[i] = -1
-        sign_cols.append(col)
+        block = np.zeros((n, 2 * k_sub + 2), dtype=np.int8)
+        block[i] = np.repeat(orientation, [k_sub, k_sub, 1, 1])
+        block[rest, :2 * k_sub] = np.hstack([sub_signs, sub_signs])
+        sign_blocks.append(block)
 
-    parts = np.vstack(part_rows)
-    signs = np.stack(sign_cols, axis=1)
-    node = TraceNode(n, parts.shape[0], ArgmaxPartition(cells), tuple(taus),
-                     tuple(pos_cells), tuple(neg_cells), tuple(children))
-    return parts, signs, node
+    parts = np.vstack(part_blocks)
+    return parts, np.hstack(sign_blocks), TraceNode(n, parts.shape[0], tuple(children))
 
 
 def _split_complex(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, TraceNode]:
-    n, n_atoms = values.shape
+    n = values.shape[0]
     if n == 1:
         v = values[0]
         coeff = unit_phases(v)[None, None, :]
-        return np.abs(v)[None, :], coeff, TraceNode(1, 1, None, None, None, None, ())
+        return np.abs(v)[None, :], coeff, TraceNode(1, 1, ())
 
     moduli = np.abs(values)
     cells = np.argmax(moduli, axis=0)
-    part_rows: list[np.ndarray] = []
-    coeff_cols: list[np.ndarray] = []   # each (n, atoms)
+    part_blocks: list[np.ndarray] = []
+    coeff_blocks: list[np.ndarray] = []   # each (n, k_sub + 1, atoms)
     children = []
-    taus = []
     for i in range(n):
         in_cell = cells == i
-        sub = np.delete(values, i, axis=0) * in_cell
+        rest = np.arange(n) != i
+        sub = values[rest] * in_cell
         sub_parts, sub_coeffs, child = _split_complex(sub)
         children.append(child)
         tau = np.max(np.abs(sub), axis=0)
-        taus.append(tau)
-        phase = unit_phases(values[i])
-
-        other = np.delete(np.arange(n), i)
+        part_blocks += [sub_parts, ((moduli[i] - tau) * in_cell)[None]]
+        # row i is the phase of f_i for the whole block; the residual part
+        # is 0 in every other row
         k_sub = sub_parts.shape[0]
-        for ell in range(k_sub):
-            part_rows.append(sub_parts[ell])
-            col = np.zeros((n, n_atoms), dtype=np.complex128)
-            col[i] = phase
-            col[other] = sub_coeffs[:, ell]
-            coeff_cols.append(col)
-        part_rows.append((moduli[i] - tau) * in_cell)
-        col = np.zeros((n, n_atoms), dtype=np.complex128)
-        col[i] = phase
-        coeff_cols.append(col)
+        block = np.zeros((n, k_sub + 1, values.shape[1]), dtype=np.complex128)
+        block[i] = unit_phases(values[i])
+        block[rest, :k_sub] = sub_coeffs
+        coeff_blocks.append(block)
 
-    parts = np.vstack(part_rows)
-    coeffs = np.stack(coeff_cols, axis=1)
-    node = TraceNode(n, parts.shape[0], ArgmaxPartition(cells), tuple(taus),
-                     None, None, tuple(children))
-    return parts, coeffs, node
+    parts = np.vstack(part_blocks)
+    coeffs = np.concatenate(coeff_blocks, axis=1)
+    return parts, coeffs, TraceNode(n, parts.shape[0], tuple(children))
 
 
 def decompose_real(fs: FnFamily) -> Decomposition:
@@ -323,7 +296,7 @@ def verify_decomposition(d: Decomposition, fs: FnFamily,
         rec_res.append(float(res[j]) / scale)
         worst.append(atoms[j])
 
-    negativity = float(min(0.0, d.parts_matrix.min()))
+    negativity = float(min(0.0, d.parts_matrix.min(initial=0.0)))
 
     violations: list[str] = []
     if d.signs is not None:
@@ -387,36 +360,17 @@ def _coeff_array(d: Decomposition) -> np.ndarray:
     return np.repeat(d.signs.astype(np.complex128)[:, :, None], n_atoms, axis=2)
 
 
-def _group_atoms(keys: np.ndarray) -> list[np.ndarray]:
-    """Partition atom indices by bit-identical key columns, ordered by first
-    occurrence."""
-    seen: dict[bytes, int] = {}
-    groups: list[list[int]] = []
-    for w in range(keys.shape[-1]):
-        b = keys[..., w].tobytes()
-        if b not in seen:
-            seen[b] = len(groups)
-            groups.append([])
-        groups[seen[b]].append(w)
-    return [np.array(g, dtype=np.int64) for g in groups]
-
-
 def _cells_to_decomposition(d: Decomposition, rounded: np.ndarray,
                             epsilon: float) -> CellDecomposition:
-    groups = _group_atoms(rounded)
-    n_atoms = d.space.size
-    part_rows = []
-    alpha_cols = []
-    for g in groups:
-        mask = np.zeros(n_atoms)
-        mask[g] = 1.0
-        rep = g[0]
-        for j in range(d.k):
-            part_rows.append(d.parts_matrix[j] * mask)
-            alpha_cols.append(rounded[:, j, rep])
-    parts = np.vstack(part_rows)
-    alphas = np.stack(alpha_cols, axis=1)
-    cells = tuple(tuple(int(w) for w in g) for g in groups)
+    groups = group_columns(rounded)
+    mask = np.zeros((len(groups), d.space.size))
+    for c, g in enumerate(groups):
+        mask[c, g] = 1.0
+    # one block of k parts per cell, each restricted to its cell
+    parts = (mask[:, None, :] * d.parts_matrix[None]).reshape(-1, d.space.size)
+    reps = [g[0] for g in groups]
+    alphas = rounded[:, :, reps].transpose(0, 2, 1).reshape(d.n, -1)
+    cells = tuple(tuple(g) for g in groups)
     return CellDecomposition(d.space, d.mode, cells, parts, alphas, epsilon)
 
 

@@ -24,6 +24,10 @@ class SchemaError(ValueError):
     """Malformed or inconsistent input document."""
 
 
+def _missing_key(kind: str, exc: KeyError) -> SchemaError:
+    return SchemaError(f"{kind}: missing key {exc.args[0]!r}")
+
+
 def dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -48,16 +52,24 @@ def _scalar_to_json(v, mode: str):
     return [float(np.real(v)), float(np.imag(v))]
 
 
+def _number(obj, field: str = "value") -> float:
+    # JSON true and false decode to bool, a subclass of int
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise SchemaError(f"{field} must be a number, got {obj!r}")
+    try:
+        return float(obj)
+    except OverflowError:
+        raise SchemaError(f"{field} must be finite, got a {len(str(obj))}-digit "
+                          "integer") from None
+
+
 def _scalar_from_json(obj, mode: str):
-    if mode == REAL:
-        if isinstance(obj, (int, float)):
-            return float(obj)
-        raise SchemaError(f"expected a number, got {obj!r}")
-    if isinstance(obj, (int, float)):
-        return complex(float(obj), 0.0)
-    if isinstance(obj, list) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    raise SchemaError(f"expected [re, im], got {obj!r}")
+    if mode == COMPLEX and isinstance(obj, list):
+        if len(obj) != 2:
+            raise SchemaError(f"expected [re, im], got {obj!r}")
+        return complex(_number(obj[0]), _number(obj[1]))
+    x = _number(obj)
+    return x if mode == REAL else complex(x, 0.0)
 
 
 def _values_to_json(values: np.ndarray, mode: str) -> list:
@@ -88,8 +100,11 @@ def space_to_json(space: MeasureSpace) -> dict:
 def space_from_json(obj) -> MeasureSpace:
     if not isinstance(obj, dict) or "atoms" not in obj or "weights" not in obj:
         raise SchemaError("a space needs 'atoms' and 'weights'")
+    if not isinstance(obj["weights"], list):
+        raise SchemaError("space weights must be a list")
     try:
-        return MeasureSpace(tuple(obj["atoms"]), tuple(obj["weights"]))
+        weights = tuple(_number(w, "space weight") for w in obj["weights"])
+        return MeasureSpace(tuple(obj["atoms"]), weights)
     except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -126,7 +141,9 @@ def fn_from_json(obj, registry: dict[str, MeasureSpace] | None = None,
         raise SchemaError("a simple function needs a 'space'")
     try:
         return SimpleFn(space, mode, _values_from_json(obj["values"], mode))
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise _missing_key("simple function", exc) from exc
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -167,7 +184,9 @@ def operator_from_json(doc) -> KernelOperator:
         mode = _mode_from_json(doc.get("mode", REAL))
         rows = [_values_from_json(r, mode) for r in doc["kernel"]]
         return KernelOperator(domain, codomain, np.vstack(rows), mode)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise _missing_key("operator", exc) from exc
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -194,7 +213,9 @@ def tensor_from_json(doc) -> TensorElement:
             phi = fn_from_json(item["phi"], registry, default_space=nu)
             terms.append((f, phi))
         return TensorElement(mu, nu, mode, tuple(terms))
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise _missing_key("tensor element", exc) from exc
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -213,7 +234,9 @@ def subspace_from_json(doc) -> Subspace:
         basis = tuple(fn_from_json(b, registry, default_space=ambient)
                       for b in doc["basis"])
         return Subspace(ambient, basis)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise _missing_key("subspace", exc) from exc
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -237,7 +260,9 @@ def images_from_json(doc, subspace: Subspace) -> RestrictedOperator:
         images = tuple(fn_from_json(y, registry, default_space=default)
                        for y in items)
         return RestrictedOperator(subspace, images)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise _missing_key("images", exc) from exc
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 

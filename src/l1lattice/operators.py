@@ -54,7 +54,11 @@ class KernelOperator:
             k = k.astype(np.complex128)
         else:
             raise ValueError(f"mode must be {REAL!r} or {COMPLEX!r}")
-        k = np.array(k)
+        if not np.isfinite(k).all():
+            i, j = np.argwhere(~np.isfinite(k))[0]
+            raise ValueError(
+                f"kernel entries must be finite, got {k[i, j]} at [{i}][{j}]")
+        # astype copied, so freezing k leaves the caller's array writeable
         k.flags.writeable = False
         object.__setattr__(self, "kernel", k)
 

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn, d_norm,
-                   unit_phases)
+                   group_columns, unit_phases)
 from .operators import (INEQ_TOL, KernelOperator, ProofTrace,
                         _check_applicable, _eq_step, _le_step, apply,
                         apply_matrix, op_norm)
@@ -86,12 +86,6 @@ class TensorElement:
         return m
 
 
-def tensor_element(mu: MeasureSpace, nu: MeasureSpace,
-                   pairs: list[tuple[SimpleFn, SimpleFn]]) -> TensorElement:
-    mode = pairs[0][0].mode if pairs else REAL
-    return TensorElement(mu, nu, mode, tuple(pairs))
-
-
 def tensor_norm(g: TensorElement) -> float:
     """Integral over mu of the sup over nu atoms of |g|."""
     sup = np.max(np.abs(g.evaluation), axis=1)
@@ -114,16 +108,7 @@ def canonical_rep(g: TensorElement) -> CanonicalRep:
     """Group nu atoms by the exact vector of right-factor values; on each cell
     the evaluation is a single function z_i of omega (a linear combination of
     the left factors)."""
-    phi = g.phi_matrix
-    seen: dict[bytes, int] = {}
-    groups: list[list[int]] = []
-    for s in range(phi.shape[1]):
-        key = phi[:, s].tobytes()
-        if key not in seen:
-            seen[key] = len(groups)
-            groups.append([])
-        groups[seen[key]].append(s)
-    cells = tuple(tuple(c) for c in groups)
+    cells = tuple(tuple(c) for c in group_columns(g.phi_matrix))
     z = tuple(SimpleFn(g.mu_space, g.mode, g.evaluation[:, c[0]]) for c in cells)
     return CanonicalRep(cells, z)
 

@@ -141,8 +141,62 @@ class TestSubcommands:
         assert main(["tensor-norm", "--input", str(g_path),
                      "--out", str(tmp_path / "tn.json"), "--quiet"]) == 0
 
+    @pytest.mark.parametrize("flags", [["--prune"], ["--prune", "--cells"],
+                                       ["--prune", "--eps", "0.1"]])
+    def test_all_zero_family_with_prune(self, tmp_path, flags):
+        fam = {"spaces": {"mu": {"atoms": ["a", "b"], "weights": [1.0, 2.0]}},
+               "members": [{"space": "mu", "mode": "real", "values": [0.0, 0.0]},
+                           {"space": "mu", "mode": "real", "values": [-0.0, 0.0]}]}
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(jsonio.dumps(fam))
+        out = tmp_path / "dec.json"
+        assert main(["decompose", "--input", str(fam_path), *flags,
+                     "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["parts"] == []
+
+
+SPACE_2 = '{"atoms": ["a", "b"], "weights": [1.0, 2.0]}'
+SPACE_1 = '{"atoms": ["a"], "weights": [1.0]}'
+
+# (subcommand, input document, text the error must contain)
+BAD_INPUTS = {
+    "nan-value": (
+        "decompose",
+        '{"spaces": {"mu": %s}, "members": [{"space": "mu", "values": [1.0, NaN]}]}'
+        % SPACE_2, "values must be finite, got nan at index 1"),
+    "nan-kernel": (
+        "modulus",
+        '{"domain": %s, "codomain": %s, "kernel": [[Infinity]]}' % (SPACE_1, SPACE_1),
+        "kernel entries must be finite, got inf at [0][0]"),
+    "bool-value": (
+        "decompose",
+        '{"spaces": {"mu": %s}, "members": [{"space": "mu", "values": [true, 0.0]}]}'
+        % SPACE_2, "value must be a number, got True"),
+    "bool-weight": (
+        "decompose",
+        '{"spaces": {"mu": {"atoms": ["a"], "weights": [true]}}, '
+        '"members": [{"space": "mu", "values": [1.0]}]}',
+        "space weight must be a number, got True"),
+    "huge-integer": (
+        "decompose",
+        '{"spaces": {"mu": %s}, "members": [{"space": "mu", "values": [1%s, 0]}]}'
+        % (SPACE_2, "0" * 400), "value must be finite, got a 401-digit integer"),
+    "missing-key": (
+        "modulus", '{"codomain": %s, "kernel": [[1.0]]}' % SPACE_1,
+        "operator: missing key 'domain'"),
+}
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_names_the_field(self, tmp_path, capsys, case):
+        command, text, message = BAD_INPUTS[case]
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        flag = "--input" if command == "decompose" else "--op"
+        assert main([command, flag, str(path), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_malformed_json_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

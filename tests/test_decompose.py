@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -11,6 +13,8 @@ from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        prune, refine_to_constant_coeffs,
                        verify_cell_decomposition, verify_decomposition,
                        verify_trace_counts, zero_fn)
+from l1lattice import jsonio
+from l1lattice.cli import main
 from l1lattice.decompose import (COMPLEX_PREPRUNE, REAL_PREPRUNE,
                                  Decomposition, circle_net)
 from l1lattice.generate import random_family, random_space, rng_for
@@ -315,3 +319,104 @@ class TestOptimalKComplexN1:
         assert res.k == 1
         recon = res.coeff.values * res.part.values
         assert np.array_equal(recon.real, [-1.0, -1.0])
+
+
+def _sha(*items) -> str:
+    """sha256 over the dtype, shape and raw bytes of each array, or the JSON
+    text of each plain value."""
+    h = hashlib.sha256()
+    for item in items:
+        if isinstance(item, np.ndarray):
+            a = np.ascontiguousarray(item)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+        else:
+            h.update(json.dumps(item).encode())
+    return h.hexdigest()
+
+
+def _decomposition_digest(d) -> str:
+    coeffs = d.signs if d.signs is not None else d.coeffs
+    return _sha(d.parts_matrix, coeffs, d.trace.level_counts())
+
+
+def _cells_digest(cd) -> str:
+    return _sha(cd.parts_matrix, cd.alphas, [list(c) for c in cd.cells],
+                cd.epsilon)
+
+
+def _ties_family(mode):
+    """Integer values with argmax ties, exact +-0.0 and all-zero atoms."""
+    values = np.array([[1.0, -2.0, 0.0, -0.0, 3.0, -3.0, 2.0, -0.0],
+                       [-1.0, 2.0, -0.0, 0.0, -3.0, 3.0, -2.0, 0.0],
+                       [2.0, 2.0, 1.0, -1.0, 0.0, -0.0, -2.0, -0.0]])
+    sp = unit_space(values.shape[1])
+    return FnFamily(tuple(SimpleFn(sp, mode, v) for v in values))
+
+
+def _golden_family(n, atoms, mode):
+    rng = rng_for(1000 * n + atoms)
+    return random_family(rng, random_space(rng, atoms), n, mode)
+
+
+class TestGoldenBytes:
+    """Outputs are pinned byte for byte: parts (including the sign of each
+    zero, which reaches the --out files), sign matrices, coefficient
+    fields, pre-prune counts, cell refinements and one CLI report."""
+
+    SEEDED = {
+        (REAL, 1): "0d85a339ed0b05dcedb0619b624b750773fb35e72fac4c7ad8a7fef4348ad5c3",
+        (REAL, 7): "5e69d329fe59d63c516b288af4ab5f97a52590939e78bca78fa0b363e057e318",
+        (REAL, 50): "1aedd81f2ca03fd026c4cf6c3e0ae480e030e1802711ef4df8a82ef4e0a14b9f",
+        (COMPLEX, 1): "b13b4c48f5aa4d3ba1a9ec7f71ac1307fe7751d288fcfcd4b7e1dcaaa8b6e7e3",
+        (COMPLEX, 7): "8436a04617cc9f91b19cd218f03e946091121b09c15422199e5d37b4389fa2b2",
+        (COMPLEX, 50): "c43242f2166ebb57ccff22744b01a4fcc9696610f16c1f2bd97166d84b5cc688",
+    }
+    TIES = {
+        "real": "e0f29a4eec9f4e92494b83e081afc5887c9b24067d1546245b023cf3d9f73fa7",
+        "complex": "d4f927c3b78dd76a4870972521a8e7a87f015d102afaa502c5cc4ab690c885f8",
+        "real-as-complex":
+            "766af2f20e4cfee7f1a4156fba7b2f7b5eff8c9a9227088f18908c4029ad1763",
+    }
+    CELLS = {
+        "real": "d49ff62b9f660d24a882d117ae8aca663ac1132565c7b7c3447237647f1ae25a",
+        "complex": "a5e2802778a35bd788d50ab20e5af6f341c33efc7a1d9d55597a6963e9c12689",
+        "ties-real": "5d94ef01ca7b606274fb1063f537fa0fa039118dac891920ae638043cd4e9afb",
+        "ties-complex":
+            "fd8938e69f93a79fda44d3e4a0a96808099fb362f6e91bec1ed42983f5bd4a36",
+    }
+    CLI_OUT = "434984d614286c805cab683c331043ac70faf52b19f5aca86b95d655df52f812"
+
+    @pytest.mark.parametrize("mode,atoms", sorted(SEEDED))
+    def test_seeded_families(self, mode, atoms):
+        split = decompose_real if mode == REAL else decompose_complex
+        digests = [_decomposition_digest(split(_golden_family(n, atoms, mode)))
+                   for n in range(1, 6)]
+        assert _sha(digests) == self.SEEDED[mode, atoms]
+
+    def test_ties_and_signed_zeros(self):
+        got = {"real": _decomposition_digest(decompose_real(_ties_family(REAL))),
+               "complex": _decomposition_digest(
+                   decompose_complex(_ties_family(COMPLEX))),
+               "real-as-complex": _decomposition_digest(
+                   decompose_complex(_golden_family(3, 7, REAL)))}
+        assert got == self.TIES
+
+    def test_cell_refinements(self):
+        cases = {"real": decompose_real(_golden_family(3, 7, REAL)),
+                 "complex": decompose_complex(_golden_family(3, 7, COMPLEX)),
+                 "ties-real": decompose_real(_ties_family(REAL)),
+                 "ties-complex": decompose_complex(_ties_family(COMPLEX))}
+        got = {name: _sha(_cells_digest(refine_to_constant_coeffs(prune(d))),
+                          _cells_digest(eps_net_coeffs(d, 0.1)))
+               for name, d in cases.items()}
+        assert got == self.CELLS
+
+    def test_decompose_out_bytes(self, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text(jsonio.dumps(jsonio.family_to_json(
+            _golden_family(3, 6, REAL))))
+        out = tmp_path / "dec.json"
+        assert main(["decompose", "--input", str(fam), "--out", str(out),
+                     "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CLI_OUT
