@@ -361,8 +361,7 @@ def random_small_lp(rng) -> lp.LinearProgram:
         b = rng.integers(-4, 5, size=m_eq).astype(float)
         h = rng.integers(-4, 5, size=m_ub).astype(float)
     return lp.LinearProgram(c, a if m_eq else None, b if m_eq else None,
-                            g if m_ub else None, h if m_ub else None,
-                            None, None)
+                            g if m_ub else None, h if m_ub else None)
 
 
 def criterion_9(seed: int, scale: float = 1.0) -> CriterionOutcome:

@@ -18,7 +18,8 @@ from .core import COMPLEX, REAL, FnFamily
 from .decompose import (decompose_complex, decompose_real, eps_net_coeffs,
                         optimal_k_search, prune, refine_to_constant_coeffs,
                         verify_cell_decomposition, verify_decomposition)
-from .extension import alpha_via_lp, verify_extension_theorem
+from .extension import (alpha_via_lp, certificate_failure,
+                        verify_extension_theorem)
 from .generate import generate_instance, rng_for
 from .jsonio import SchemaError
 from .operators import (apply_matrix, check_grothendieck, dominate, modulus,
@@ -30,8 +31,11 @@ class CheckFailed(Exception):
     """A certified mathematical check failed; maps to exit code 1."""
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _seed_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+
+
+def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="path of the JSON report to write")
     sub.add_argument("--quiet", action="store_true",
                      help="suppress the human-readable summary")
@@ -190,10 +194,12 @@ def _cmd_extend(args) -> int:
                 "b_eq": list(program.b_eq),
                 "g_ub": [list(r) for r in program.g_ub],
                 "h_ub": list(program.h_ub),
-                "lower": list(program.lower),
-                "upper": list(program.upper),
             })
     result = alpha_via_lp(x, t, dump_lp=dump)
+    if not args.verify:
+        failure = certificate_failure(result)
+        if failure is not None:
+            raise CheckFailed(failure)
     doc = {
         "alpha": result.alpha,
         "lp_objective": result.lp_objective,
@@ -296,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("dominate", help="dominating function for an order interval")
     p.add_argument("--op", required=True)
     p.add_argument("--phi", required=True, help="nonnegative SimpleFn JSON")
+    _seed_flag(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_dominate)
 
@@ -319,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="condition (b) sample size for --verify")
     p.add_argument("--dump-lp", metavar="PATH",
                    help="write the extension LP as JSON")
+    _seed_flag(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_extend)
 
@@ -331,12 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-atoms", type=int, default=None, dest="nu_atoms")
     p.add_argument("--dim", type=int, default=2, help="subspace dimension")
     p.add_argument("--mode", choices=[REAL, COMPLEX], default=REAL)
+    _seed_flag(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_generate)
 
     p = subs.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--fast", action="store_true",
                    help="scaled-down counts for smoke testing")
+    _seed_flag(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_selftest)
     return parser

@@ -17,9 +17,6 @@ import numpy as np
 REAL = "real"
 COMPLEX = "complex"
 
-# absolute tolerance for scalar comparisons that are not declared bit-exact
-SCALAR_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MeasureSpace:

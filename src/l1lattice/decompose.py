@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -129,10 +128,6 @@ class Decomposition:
     @property
     def n(self) -> int:
         return self.signs.shape[0] if self.signs is not None else self.coeffs.shape[0]
-
-    @cached_property
-    def parts(self) -> tuple[SimpleFn, ...]:
-        return tuple(SimpleFn(self.space, REAL, row) for row in self.parts_matrix)
 
     def recombined(self) -> np.ndarray:
         """The (n, atoms) matrix sum_j coeff_ij * h_j, one row per function."""
@@ -345,23 +340,21 @@ class CellDecomposition:
     def n_parts(self) -> int:
         return self.parts_matrix.shape[0]
 
-    @cached_property
-    def parts(self) -> tuple[SimpleFn, ...]:
-        return tuple(SimpleFn(self.space, REAL, row) for row in self.parts_matrix)
-
     def recombined(self) -> np.ndarray:
         return self.alphas @ self.parts_matrix.astype(np.complex128)
 
 
 def _coeff_array(d: Decomposition) -> np.ndarray:
+    """The (n, k, atoms) complex coefficients; in real mode the signs, which
+    are the same on every atom, as an (n, k, 1) array that broadcasts."""
     if d.coeffs is not None:
         return d.coeffs
-    n_atoms = d.space.size
-    return np.repeat(d.signs.astype(np.complex128)[:, :, None], n_atoms, axis=2)
+    return d.signs.astype(np.complex128)[:, :, None]
 
 
 def _cells_to_decomposition(d: Decomposition, rounded: np.ndarray,
                             epsilon: float) -> CellDecomposition:
+    rounded = np.broadcast_to(rounded, (d.n, d.k, d.space.size))
     groups = group_columns(rounded)
     mask = np.zeros((len(groups), d.space.size))
     for c, g in enumerate(groups):

@@ -32,7 +32,7 @@ from . import lp
 from .core import REAL, MeasureSpace, SimpleFn, l1_norm
 from .operators import (INEQ_TOL, KernelOperator, ProofTrace, _eq_step,
                         _le_step, apply, op_norm)
-from .tensor import TensorElement, canonical_rep, tensor_norm
+from .tensor import TensorElement, canonical_rep, integral_of_sup, tensor_norm
 
 #: atoms per side accepted by alpha_via_lp.  The cap alone does not bound the
 #: cost, which grows with dim X: at 32 atoms per side one solve took 0.18 s at
@@ -133,10 +133,9 @@ def _extension_lp(x: Subspace, t: RestrictedOperator) -> lp.LinearProgram:
     """Variables: t, then the pair K+_ij, K-_ij for each (i, j) in row-major
     order, all >= 0.
 
-    Each K+_ij sits next to its K-_ij, the order in which the solver splits a
-    free variable.  With all K+ columns ahead of all K- columns, Bland's rule
-    ended in a spurious unbounded phase 1 or at a non-optimal vertex on about
-    1 in 1000 instances with 4..12 atoms per side.
+    Each K+_ij sits next to its K-_ij.  With all K+ columns ahead of all K-
+    columns, Bland's rule ended in a spurious unbounded phase 1 or at a
+    non-optimal vertex on about 1 in 1000 instances with 4..12 atoms per side.
     """
     n_mu = x.ambient.size
     n_nu = t.codomain.size
@@ -152,7 +151,7 @@ def _extension_lp(x: Subspace, t: RestrictedOperator) -> lp.LinearProgram:
     c = np.zeros(g_ub.shape[1])
     c[0] = 1.0
     return lp.LinearProgram(c, a_eq, t.image_matrix.ravel(),
-                            g_ub, np.zeros(n_mu), None, None)
+                            g_ub, np.zeros(n_mu))
 
 
 def _certificate_from_duals(x: Subspace, t: RestrictedOperator,
@@ -198,6 +197,18 @@ def alpha_via_lp(x: Subspace, t: RestrictedOperator,
         ratio = pairing / tensor_norm(certificate)
     return ExtensionResult(extension, alpha, float(sol.objective_value),
                            certificate, ratio, sol)
+
+
+def certificate_failure(result: ExtensionResult) -> str | None:
+    """Why the dual certificate does not witness alpha, or None when its
+    pairing ratio reaches alpha (1 - CERTIFICATE_TOL) or alpha is zero.
+
+    A ratio below alpha means the LP stopped at a non-optimal vertex, so
+    alpha itself is wrong."""
+    ratio, alpha = result.certificate_ratio, result.alpha
+    if ratio is None or ratio >= alpha * (1.0 - CERTIFICATE_TOL):
+        return None
+    return f"certificate ratio {ratio:.12g} below alpha {alpha:.12g}"
 
 
 def _pair_restricted(t: RestrictedOperator, g: TensorElement) -> float:
@@ -403,10 +414,9 @@ def verify_extension_theorem(x: Subspace, t: RestrictedOperator,
         failures.append("LP objective and extension norm disagree")
 
     if alpha > 1e-12:
-        if result.certificate_ratio < alpha * (1.0 - CERTIFICATE_TOL):
-            failures.append(
-                f"certificate ratio {result.certificate_ratio:.12g} below "
-                f"alpha {alpha:.12g}")
+        failure = certificate_failure(result)
+        if failure is not None:
+            failures.append(failure)
         chain = _condition_d_chain(x, t, alpha, result.certificate, INEQ_TOL)
         if not chain.all_passed:
             failures.append("duality chain step failed")
@@ -420,18 +430,18 @@ def verify_extension_theorem(x: Subspace, t: RestrictedOperator,
     if not cond_b.passed:
         failures.append(f"{cond_b.violations} sampled families exceed alpha")
 
-    # condition (d) on random tensors in X (x) B0
+    # condition (d) on random tensors sum_i f_i (x) phi_i in X (x) B0; f is
+    # stacked from per-row products, which the (n, dim) @ basis product does
+    # not reproduce to the last bit
     rng = np.random.default_rng(np.uint64(seed) + np.uint64(0x9E3779B9))
+    mu_w = x.ambient.weight_array
     d_max = 0.0
     for _ in range(d_trials):
         n = int(rng.integers(1, 4))
         coeffs = rng.standard_normal((n, x.dim))
         phis = rng.uniform(-1.0, 1.0, size=(n, t.codomain.size))
-        g = TensorElement(
-            x.ambient, t.codomain, REAL,
-            tuple((SimpleFn(x.ambient, REAL, coeffs[i] @ x.basis_matrix),
-                   SimpleFn(t.codomain, REAL, phis[i])) for i in range(n)))
-        norm = tensor_norm(g)
+        f = np.vstack([coeffs[i] @ x.basis_matrix for i in range(n)])
+        norm = integral_of_sup(mu_w, f.T @ phis)
         if norm == 0.0:
             continue
         tf = coeffs @ t.image_matrix

@@ -10,8 +10,11 @@ Conventions
 minimize    c . x
 subject to  a_eq x == b_eq
             g_ub x <= h_ub
-            lower[j] <= x[j] <= upper[j]   (None means unbounded on that side;
-                                            the default bound is 0 <= x[j])
+            x >= 0
+
+Every variable is nonnegative, and no other bound exists: a free variable
+is the difference of two adjacent nonnegative columns, and a cap x[j] <= u
+is a row of g_ub.
 
 Duals are reported per constraint, equality rows first, then inequality
 rows.  Signs follow the convention in which the dual objective is
@@ -61,8 +64,6 @@ class LinearProgram:
     b_eq: np.ndarray
     g_ub: np.ndarray
     h_ub: np.ndarray
-    lower: tuple
-    upper: tuple
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=np.float64).ravel()
@@ -77,15 +78,6 @@ class LinearProgram:
             raise ValueError("a_eq and b_eq sizes disagree")
         if g_ub.shape[0] != h_ub.size:
             raise ValueError("g_ub and h_ub sizes disagree")
-        lower = self.lower if self.lower is not None else (0.0,) * n
-        upper = self.upper if self.upper is not None else (None,) * n
-        lower = tuple(None if lo is None else float(lo) for lo in lower)
-        upper = tuple(None if up is None else float(up) for up in upper)
-        if len(lower) != n or len(upper) != n:
-            raise ValueError("bounds must have one entry per variable")
-        for lo, up in zip(lower, upper):
-            if lo is not None and up is not None and lo > up:
-                raise ValueError("lower bound exceeds upper bound")
         for arr, name in ((c, "objective"), (a_eq, "a_eq"), (b_eq, "b_eq"),
                           (g_ub, "g_ub"), (h_ub, "h_ub")):
             if not np.all(np.isfinite(arr)):
@@ -95,8 +87,6 @@ class LinearProgram:
         object.__setattr__(self, "b_eq", b_eq)
         object.__setattr__(self, "g_ub", g_ub)
         object.__setattr__(self, "h_ub", h_ub)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def n_vars(self) -> int:
@@ -111,10 +101,9 @@ class LinearProgram:
         return self.h_ub.size
 
 
-def linear_program(c, a_eq=None, b_eq=None, g_ub=None, h_ub=None,
-                   lower=None, upper=None) -> LinearProgram:
-    """Convenience constructor with the default bound 0 <= x."""
-    return LinearProgram(c, a_eq, b_eq, g_ub, h_ub, lower, upper)
+def linear_program(c, a_eq=None, b_eq=None, g_ub=None, h_ub=None) -> LinearProgram:
+    """Convenience constructor with optional constraint blocks."""
+    return LinearProgram(c, a_eq, b_eq, g_ub, h_ub)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,96 +128,28 @@ class LPSolution:
 
 @dataclass(eq=False)
 class _StandardForm:
-    c: np.ndarray            # costs over structural columns (n_cols)
-    rows: np.ndarray         # (m, n_cols) equality system including slacks
+    c: np.ndarray            # costs over x, then one slack per inequality row
+    rows: np.ndarray         # (m, n_vars + n_ub): [a_eq 0; g_ub I]
     rhs: np.ndarray          # (m,), normalized nonnegative
     row_sign: np.ndarray     # +1/-1 applied to each original row
-    n_struct: int            # structural columns (before slacks)
-    n_slack: int
-    eq_rows: int             # leading rows that came from equalities
-    col_plus: np.ndarray     # per original var: structural column of x+
-    col_minus: np.ndarray    # per original var: column of x- or -1
-    shift: np.ndarray        # per original var: additive shift (finite lower bound)
-    offset: float            # constant added back to the objective
-    slack_basis_ok: np.ndarray  # per row: slack column usable as initial basis
 
 
 def _standard_form(p: LinearProgram) -> _StandardForm:
-    n = p.n_vars
-    col_plus = np.zeros(n, dtype=np.int64)
-    col_minus = np.full(n, -1, dtype=np.int64)
-    shift = np.zeros(n)
-    cols = []
-    for j in range(n):
-        lo = p.lower[j]
-        if lo is None:
-            col_plus[j] = len(cols)
-            cols.append(j)
-            col_minus[j] = len(cols)
-            cols.append(j)
-        else:
-            shift[j] = lo
-            col_plus[j] = len(cols)
-            cols.append(j)
-    n_struct = len(cols)
+    n, m_eq, m_ub = p.n_vars, p.n_eq, p.n_ub
+    rows = np.zeros((m_eq + m_ub, n + m_ub))
+    rows[:m_eq, :n] = p.a_eq
+    rows[m_eq:, :n] = p.g_ub
+    rows[m_eq:, n:] = np.eye(m_ub)
+    rhs = np.concatenate([p.b_eq, p.h_ub])
 
-    def expand(mat: np.ndarray) -> np.ndarray:
-        out = np.zeros((mat.shape[0], n_struct))
-        for j in range(n):
-            out[:, col_plus[j]] += mat[:, j]
-            if col_minus[j] >= 0:
-                out[:, col_minus[j]] -= mat[:, j]
-        return out
-
-    a_eq = expand(p.a_eq)
-    b_eq = p.b_eq - p.a_eq @ shift
-    # upper bounds become extra <= rows in the expanded columns
-    ub_rows = []
-    ub_rhs = []
-    for j in range(n):
-        up = p.upper[j]
-        if up is None:
-            continue
-        row = np.zeros(n_struct)
-        row[col_plus[j]] = 1.0
-        if col_minus[j] >= 0:
-            row[col_minus[j]] = -1.0
-        ub_rows.append(row)
-        ub_rhs.append(up - shift[j])
-    g_ub = expand(p.g_ub)
-    h_ub = p.h_ub - p.g_ub @ shift
-    if ub_rows:
-        g_ub = np.vstack([g_ub, np.array(ub_rows)])
-        h_ub = np.concatenate([h_ub, np.array(ub_rhs)])
-
-    m_eq, m_ub = a_eq.shape[0], g_ub.shape[0]
-    m = m_eq + m_ub
-    n_slack = m_ub
-    rows = np.zeros((m, n_struct + n_slack))
-    rhs = np.zeros(m)
-    rows[:m_eq, :n_struct] = a_eq
-    rhs[:m_eq] = b_eq
-    rows[m_eq:, :n_struct] = g_ub
-    rows[m_eq:, n_struct:] = np.eye(m_ub)
-    rhs[m_eq:] = h_ub
-
-    row_sign = np.ones(m)
     neg = rhs < 0.0
     rows[neg] *= -1.0
     rhs[neg] *= -1.0
-    row_sign[neg] = -1.0
+    row_sign = np.where(neg, -1.0, 1.0)
 
-    slack_basis_ok = np.zeros(m, dtype=bool)
-    slack_basis_ok[m_eq:] = ~neg[m_eq:]
-
-    c = np.zeros(n_struct + n_slack)
-    for j in range(n):
-        c[col_plus[j]] += p.c[j]
-        if col_minus[j] >= 0:
-            c[col_minus[j]] -= p.c[j]
-    offset = float(p.c @ shift)
-    return _StandardForm(c, rows, rhs, row_sign, n_struct, n_slack, m_eq,
-                         col_plus, col_minus, shift, offset, slack_basis_ok)
+    c = np.zeros(n + m_ub)
+    c[:n] = p.c
+    return _StandardForm(c, rows, rhs, row_sign)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -276,8 +197,10 @@ def solve(p: LinearProgram) -> LPSolution:
     art_cols = []
     basis: list[int] = []
     for i in range(m):
-        if sf.slack_basis_ok[i]:
-            basis.append(sf.n_struct + (i - sf.eq_rows))
+        # an inequality row keeps its slack as the initial basic column
+        # unless normalizing its rhs negated the slack
+        if i >= p.n_eq and sf.row_sign[i] > 0.0:
+            basis.append(p.n_vars + (i - p.n_eq))
         else:
             art_cols.append(i)
             basis.append(-1)
@@ -336,18 +259,9 @@ def solve(p: LinearProgram) -> LPSolution:
     return _finish(p, sf, row_keep_idx, basis2, x_std)
 
 
-def _primal_from_std(p: LinearProgram, sf: _StandardForm, x_std: np.ndarray) -> np.ndarray:
-    x = np.empty(p.n_vars)
-    for j in range(p.n_vars):
-        x[j] = x_std[sf.col_plus[j]] + sf.shift[j]
-        if sf.col_minus[j] >= 0:
-            x[j] -= x_std[sf.col_minus[j]]
-    return x
-
-
 def _finish(p: LinearProgram, sf: _StandardForm, row_keep_idx: np.ndarray,
             basis: list[int], x_std: np.ndarray) -> LPSolution:
-    x = _primal_from_std(p, sf, x_std)
+    x = x_std[:p.n_vars]
     objective = float(p.c @ x)
 
     # duals from the final basis: solve B^T y = c_B on the kept rows
@@ -360,12 +274,7 @@ def _finish(p: LinearProgram, sf: _StandardForm, row_keep_idx: np.ndarray,
         y_kept = np.linalg.lstsq(bmat.T, c_b, rcond=None)[0]
     y_std = np.zeros(sf.rows.shape[0])
     y_std[row_keep_idx] = y_kept
-    y_orig_rows = sf.row_sign * y_std  # undo rhs sign normalization
-
-    m_eq = sf.eq_rows
-    n_public = p.n_eq + p.n_ub
-    dual = np.concatenate([y_orig_rows[:m_eq], y_orig_rows[m_eq:m_eq + p.n_ub]])
-    assert dual.size == n_public
+    dual = sf.row_sign * y_std  # undo rhs sign normalization
 
     # residuals, in the original problem space
     feas = 0.0
@@ -373,15 +282,10 @@ def _finish(p: LinearProgram, sf: _StandardForm, row_keep_idx: np.ndarray,
         feas = max(feas, float(np.max(np.abs(p.a_eq @ x - p.b_eq))))
     if p.n_ub:
         feas = max(feas, float(np.max(p.g_ub @ x - p.h_ub, initial=0.0)))
-    for j in range(p.n_vars):
-        lo, up = p.lower[j], p.upper[j]
-        if lo is not None:
-            feas = max(feas, lo - x[j])
-        if up is not None:
-            feas = max(feas, x[j] - up)
+    feas = max(feas, float(np.max(-x)))
 
     # duality gap against the dual objective of the full standard system
-    dual_obj = float(sf.rhs @ y_std) + sf.offset
+    dual_obj = float(sf.rhs @ y_std)
     gap = abs(objective - dual_obj)
 
     # complementary slackness on the standard system
@@ -411,6 +315,5 @@ def objective_for_basis(p: LinearProgram, basis: tuple[int, ...]) -> float:
         x_b = np.linalg.lstsq(bmat, sf.rhs, rcond=None)[0]
     x_std = np.zeros(sf.rows.shape[1])
     x_std[cols] = x_b
-    x = _primal_from_std(p, sf, x_std)
-    return float(p.c @ x)
+    return float(p.c @ x_std[:p.n_vars])
 

@@ -5,9 +5,9 @@ module; it exists so the test suite and the selftest can compare simplex
 answers against exact arithmetic on small programs (a handful of variables
 and constraints; the enumeration is exponential).
 
-Only the default bounds (x >= 0) are supported, which is all the generated
-comparison programs use.  With x >= 0 the feasible set is pointed, so it is
-nonempty iff it has a vertex, and a finite minimum is attained at one.
+Every variable is nonnegative, the LP convention of :mod:`l1lattice.lp`.
+With x >= 0 the feasible set is pointed, so it is nonempty iff it has a
+vertex, and a finite minimum is attained at one.
 Unboundedness is decided exactly on the recession cone normalized by
 sum(d) = 1.
 
@@ -121,9 +121,7 @@ def _vertices(n, eq, beq, ub, hub, stop_when=None):
 
 
 def solve_exact(p: lp.LinearProgram):
-    """Exact (status, optimal value or None) for an LP with default bounds."""
-    if any(lo != 0.0 for lo in p.lower) or any(up is not None for up in p.upper):
-        raise ValueError("the oracle supports the default bounds x >= 0 only")
+    """Exact (status, optimal value or None) of the LP, with x >= 0."""
     n = p.n_vars
     c = [Fraction(float(v)) for v in p.c]
     eq = _to_fractions(p.a_eq) if p.n_eq else []

@@ -36,9 +36,6 @@ def _to_mode(f: SimpleFn, mode: str) -> SimpleFn:
         return f
     return SimpleFn(f.space, mode, f.values.astype(np.complex128))
 
-#: tolerance for bit-near comparisons of evaluations (exact in theory)
-EVAL_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class TensorElement:
@@ -86,10 +83,15 @@ class TensorElement:
         return m
 
 
+def integral_of_sup(mu_w: np.ndarray, evaluation: np.ndarray) -> float:
+    """Integral over mu of the sup over nu atoms of |g|, from the
+    (mu atoms, nu atoms) evaluation matrix F.T @ Phi of the stacked factors."""
+    return float(mu_w @ np.max(np.abs(evaluation), axis=1))
+
+
 def tensor_norm(g: TensorElement) -> float:
     """Integral over mu of the sup over nu atoms of |g|."""
-    sup = np.max(np.abs(g.evaluation), axis=1)
-    return float(g.mu_space.weight_array @ sup)
+    return integral_of_sup(g.mu_space.weight_array, g.evaluation)
 
 
 @dataclass(frozen=True, eq=False)

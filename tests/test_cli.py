@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from l1lattice import jsonio, lp
+from l1lattice import cli, jsonio, lp
 from l1lattice.cli import main
+from l1lattice.extension import alpha_via_lp
 from l1lattice.generate import (random_family, random_operator, random_space,
                                 random_subspace, random_tensor, rng_for)
 
@@ -109,7 +111,7 @@ class TestSubcommands:
         assert doc["verification"]["passed"]
         assert doc["certificate_ratio"] >= doc["alpha"] * (1 - 1e-6)
         assert sorted(json.loads(lp_dump.read_text())) == [
-            "a_eq", "b_eq", "c", "g_ub", "h_ub", "lower", "upper"]
+            "a_eq", "b_eq", "c", "g_ub", "h_ub"]
 
     def test_optimal_k(self, tmp_path):
         fam = {"spaces": {"mu": {"atoms": ["a", "b"], "weights": [1.0, 1.0]}},
@@ -224,6 +226,8 @@ class TestExitCodes:
         ["extend", "--subspace", "x.json", "--images", "t.json", "--tol", "1e-3"],
         ["check-inequality", "--op", "t.json", "--family", "f.json",
          "--dump-lp", "lp.json"],
+        ["decompose", "--input", "f.json", "--seed", "1"],
+        ["pair", "--op", "t.json", "--tensor", "g.json", "--seed", "1"],
     ])
     def test_flags_only_where_honoured(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -244,6 +248,27 @@ class TestExitCodes:
                      "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err == "solver failed: simplex iteration limit exceeded\n"
+
+    def test_low_certificate_exits_1(self, tmp_path, monkeypatch, capsys):
+        # a certificate ratio below alpha means the LP vertex is not optimal
+        def lowered(*args, **kwargs):
+            result = alpha_via_lp(*args, **kwargs)
+            return dataclasses.replace(
+                result, certificate_ratio=result.alpha * (1.0 - 1e-3))
+
+        main(["generate", "--kind", "extension", "--atoms", "3",
+              "--nu-atoms", "3", "--dim", "1", "--seed", "10",
+              "--out", str(tmp_path / "i.json"), "--quiet"])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "alpha_via_lp", lowered)
+        out = tmp_path / "res.json"
+        assert main(["extend", "--subspace", str(tmp_path / "i_subspace.json"),
+                     "--images", str(tmp_path / "i_images.json"),
+                     "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: certificate ratio ")
+        assert "below alpha" in err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -260,33 +260,36 @@ class TestVerifyExtensionTheorem:
 def reference_u_lp(x, t):
     """The extension LP with an auxiliary bound u_ij >= |K_ij| and a free K:
     minimize t subject to sum_i nu_i u_ij <= t, -u_ij <= K_ij <= u_ij and the
-    interpolation rows.  Variables: t, u (row-major), K (row-major)."""
+    interpolation rows.  Variables: t, u (row-major), then K (row-major) as
+    adjacent K+, K- column pairs, K = K+ - K-."""
     n_mu, n_nu = x.ambient.size, t.codomain.size
     nn = n_mu * n_nu
+    n_cols = 1 + 3 * nn
     nu_w = t.codomain.weight_array
+    pair = np.array([1.0, -1.0])
     g_rows, a_rows = [], []
     for j in range(n_mu):
-        row = np.zeros(1 + 2 * nn)
+        row = np.zeros(n_cols)
         row[0] = -1.0
         row[1 + j:1 + nn:n_mu] = nu_w
         g_rows.append(row)
     for e in range(nn):
         for sign in (1.0, -1.0):
-            row = np.zeros(1 + 2 * nn)
-            row[1 + nn + e] = sign
+            row = np.zeros(n_cols)
+            row[1 + nn + 2 * e:1 + nn + 2 * e + 2] = sign * pair
             row[1 + e] = -1.0
             g_rows.append(row)
     weighted = x.basis_matrix * x.ambient.weight_array
     for r in range(x.dim):
         for i in range(n_nu):
-            row = np.zeros(1 + 2 * nn)
-            row[1 + nn + i * n_mu:1 + nn + (i + 1) * n_mu] = weighted[r]
+            row = np.zeros(n_cols)
+            row[1 + nn + 2 * i * n_mu:1 + nn + 2 * (i + 1) * n_mu] = np.kron(
+                weighted[r], pair)
             a_rows.append(row)
-    c = np.zeros(1 + 2 * nn)
+    c = np.zeros(n_cols)
     c[0] = 1.0
     return lp.LinearProgram(c, np.array(a_rows), t.image_matrix.ravel(),
-                            np.array(g_rows), np.zeros(len(g_rows)),
-                            (0.0,) * (1 + nn) + (None,) * nn, None)
+                            np.array(g_rows), np.zeros(len(g_rows)))
 
 
 class TestExtensionLP:
@@ -301,7 +304,6 @@ class TestExtensionLP:
             assert program.n_ub == n_mu
             assert program.n_eq == x.dim * n_nu
             assert program.n_vars == 1 + 2 * n_mu * n_nu
-            assert program.lower == (0.0,) * program.n_vars
 
     # generated instances on which the K+ columns all placed ahead of the K-
     # columns broke Bland's rule: a spurious unbounded phase 1, or for

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from l1lattice import lp
+from l1lattice import jsonio, lp
 from l1lattice.acceptance import random_small_lp
+from l1lattice.extension import _extension_lp
+from l1lattice.generate import generate_instance
 from l1lattice.oracle import solve_exact
 
 
@@ -22,17 +26,17 @@ class TestTrivialPrograms:
         assert lp.solve(lp.linear_program([-1.0])).status == lp.UNBOUNDED
 
     def test_free_variable_split(self):
-        # minimize u with -u <= x <= u and x = -3: optimum u = 3
-        p = lp.LinearProgram([0.0, 1.0], [[1.0, 0.0]], [-3.0],
-                             [[1.0, -1.0], [-1.0, -1.0]], [0.0, 0.0],
-                             (None, 0.0), (None, None))
+        # minimize u with -u <= x <= u and x = -3: optimum u = 3, with the
+        # free x written as x+ - x- in adjacent columns (x+, x-, u)
+        p = lp.LinearProgram([0.0, 0.0, 1.0], [[1.0, -1.0, 0.0]], [-3.0],
+                             [[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0]], [0.0, 0.0])
         sol = lp.solve(p)
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-12)
 
     def test_upper_bounds(self):
-        # maximize x (min -x) with 0 <= x <= 4
-        p = lp.LinearProgram([-1.0], None, None, None, None, (0.0,), (4.0,))
+        # maximize x (min -x) with 0 <= x and the row x <= 4
+        p = lp.LinearProgram([-1.0], None, None, [[1.0]], [4.0])
         sol = lp.solve(p)
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(-4.0, abs=1e-12)
@@ -107,7 +111,40 @@ class TestOracleAgreement:
                 exact = float(value)
                 assert abs(sol.objective_value - exact) <= 1e-7 * (1.0 + abs(exact))
 
-    def test_oracle_rejects_general_bounds(self):
-        p = lp.LinearProgram([1.0], None, None, None, None, (1.0,), (None,))
-        with pytest.raises(ValueError):
-            solve_exact(p)
+
+def _solution_digest(h, sol) -> None:
+    h.update(sol.status.encode())
+    for arr in (sol.primal, sol.dual):
+        h.update(b"none" if arr is None else arr.tobytes())
+    h.update(repr(sol.basis).encode())
+    h.update(repr(sol.objective_value).encode())
+
+
+class TestGoldenBytes:
+    """Status, primal, dual, basis and objective are pinned byte for byte
+    on seeded small programs of every random_small_lp shape and on seeded
+    extension LPs."""
+
+    SMALL = (
+        "c8ad9ce7de0857bb976b0c38d22db562ded8ce73b099c1046b5bea801ca463cf")
+    EXTENSION = (
+        "019f9ab02e68c800b2561b36eaf8f844a37f9f85c6c047031b532b71159c1fbd")
+
+    def test_small_programs(self):
+        rng = np.random.default_rng(2024)
+        h = hashlib.sha256()
+        for _ in range(500):
+            _solution_digest(h, lp.solve(random_small_lp(rng)))
+        assert h.hexdigest() == self.SMALL
+
+    def test_extension_programs(self):
+        h = hashlib.sha256()
+        for atoms, nu_atoms, dim, seed in [(4, 5, 1, 1), (6, 5, 2, 2),
+                                           (8, 7, 3, 3), (12, 11, 3, 352541269)]:
+            docs = generate_instance("extension", {"atoms": atoms,
+                                                   "nu_atoms": nu_atoms,
+                                                   "dim": dim}, seed)
+            x = jsonio.subspace_from_json(docs["subspace"])
+            t = jsonio.images_from_json(docs["images"], x)
+            _solution_digest(h, lp.solve(_extension_lp(x, t)))
+        assert h.hexdigest() == self.EXTENSION
