@@ -17,16 +17,15 @@ import numpy as np
 from . import jsonio, lp, oracle
 from .core import COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn
 from .decompose import (COMPLEX_PREPRUNE, REAL_PREPRUNE, decompose_complex,
-                        decompose_real, optimal_k_complex_n1, optimal_k_search,
-                        preprune_count, verify_decomposition,
-                        verify_trace_counts)
+                        decompose_real, optimal_k_search, preprune_count,
+                        prune, verify_decomposition, verify_trace_counts)
 from .extension import verify_extension_theorem
 from .generate import (random_family, random_fn, random_operator,
                        random_restricted, random_space, random_subspace,
                        random_tensor, rng_for)
-from .operators import (apply_matrix, check_grothendieck, identity_operator,
-                        modulus, op_norm, proof_trace_complex,
-                        proof_trace_real)
+from .operators import (apply_matrix, check_domination, check_grothendieck,
+                        dominate, identity_operator, modulus, op_norm,
+                        proof_trace_complex, proof_trace_real)
 from .tensor import (TensorElement, proof_trace_tensor,
                      verify_min_representation)
 
@@ -143,7 +142,7 @@ def criterion_3(seed: int, scale: float = 1.0) -> CriterionOutcome:
     ok &= res2.feasible and res2.k == 4 and res2.infeasible_k == (1, 2, 3)
 
     fc = SimpleFn(space2, COMPLEX, [1j, 2.0 + 0.0j])
-    resc = optimal_k_complex_n1(fc)
+    resc = prune(decompose_complex(FnFamily((fc,))))
     ok &= resc.k == 1
     elapsed, runtime_ok = finish()
     return CriterionOutcome(
@@ -246,17 +245,8 @@ def criterion_6(seed: int, scale: float = 1.0) -> CriterionOutcome:
         worst_pointwise = max(worst_pointwise, float(np.max(lhs - rhs)))
         ok &= bool(np.all(lhs <= rhs + 1e-10))
 
-        phi = np.abs(random_fn(rng, dom, REAL).values)
-        psi = apply_matrix(abs_t, phi[None, :])[0]
-        mass_ok = (float(cod.weight_array @ psi)
-                   <= op_norm(t) * float(dom.weight_array @ phi) * (1.0 + 1e-12))
-        ok &= mass_ok
-        u = rng.uniform(-1.0, 1.0, size=(100, dom.size))
-        if mode == COMPLEX:
-            u = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=u.shape))
-        dominated = phi[None, :] * u
-        images = np.abs(apply_matrix(t, dominated))
-        ok &= bool(np.all(images <= psi[None, :] + 1e-10))
+        phi = SimpleFn(dom, REAL, np.abs(random_fn(rng, dom, REAL).values))
+        ok &= check_domination(t, phi, dominate(t, phi), rng)[2] is None
     elapsed, runtime_ok = finish()
     return CriterionOutcome(6, "operator modulus and domination", ok,
                             runtime_ok, elapsed,

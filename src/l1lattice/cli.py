@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import acceptance, jsonio, lp
 from .core import COMPLEX, REAL, FnFamily
@@ -22,13 +21,41 @@ from .extension import (alpha_via_lp, certificate_failure,
                         verify_extension_theorem)
 from .generate import generate_instance, rng_for
 from .jsonio import SchemaError
-from .operators import (apply_matrix, check_grothendieck, dominate, modulus,
-                        op_norm, proof_trace_complex, proof_trace_real)
+from .operators import (INEQ_TOL, check_domination, check_grothendieck,
+                        dominate, modulus, op_norm, proof_trace_complex,
+                        proof_trace_real)
 from .tensor import pair_operator_tensor, verify_min_representation
+
+#: largest condition (b) sample accepted by ``extend --trials``
+MAX_TRIALS = 1_000_000
 
 
 class CheckFailed(Exception):
     """A certified mathematical check failed; maps to exit code 1."""
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and nonnegative, got {text!r}")
+    return value
+
+
+def _trials(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= MAX_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0..{MAX_TRIALS}, got {value}")
+    return value
+
+
+class _StoreGiven(argparse.Action):
+    """Store the value and record on the namespace that the flag was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_given", True)
 
 
 def _seed_flag(sub: argparse.ArgumentParser) -> None:
@@ -103,16 +130,15 @@ def _cmd_optimal_k(args) -> int:
 def _cmd_check_inequality(args) -> int:
     t = jsonio.operator_from_json(jsonio.read_json(args.op))
     fs = _load_family(args.family)
-    tol = args.tol if args.tol is not None else 1e-9
-    report = check_grothendieck(t, fs, tol)
+    report = check_grothendieck(t, fs, args.tol)
     doc = {"inequality": report.to_json()}
     summary = (f"lhs {report.lhs:.12g} <= rhs {report.rhs:.12g}: "
                f"{'holds' if report.holds else 'VIOLATED'}")
     if args.trace:
         if args.trace == "real":
-            trace = proof_trace_real(t, fs, tol)
+            trace = proof_trace_real(t, fs, args.tol)
         else:
-            trace = proof_trace_complex(t, fs, args.eps or 0.1, tol)
+            trace = proof_trace_complex(t, fs, args.eps, args.tol)
         doc["trace"] = trace.to_json()
         summary += f"; trace {'passed' if trace.all_passed else 'FAILED'}"
         if not trace.all_passed:
@@ -139,19 +165,11 @@ def _cmd_dominate(args) -> int:
     t = jsonio.operator_from_json(jsonio.read_json(args.op))
     phi = jsonio.fn_from_json(jsonio.read_json(args.phi))
     psi = dominate(t, phi)
-    mass_psi = float(t.codomain.weight_array @ psi.values)
-    mass_phi = float(t.domain.weight_array @ phi.values)
-    if mass_psi > op_norm(t) * mass_phi * (1.0 + 1e-12):
-        raise CheckFailed("dominating mass exceeds ||T|| times the input mass")
-    rng = rng_for(args.seed)
-    u = rng.uniform(-1.0, 1.0, size=(100, t.domain.size))
-    if t.mode == COMPLEX:
-        u = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=u.shape))
-    images = np.abs(apply_matrix(t, phi.values[None, :] * u))
-    if not np.all(images <= psi.values[None, :] + 1e-10):
-        raise CheckFailed("pointwise domination failed on a sampled function")
+    mass, bound, failure = check_domination(t, phi, psi, rng_for(args.seed))
+    if failure is not None:
+        raise CheckFailed(failure)
     _emit(args, jsonio.fn_to_json(psi),
-          f"dominating mass {mass_psi:.12g} <= {op_norm(t) * mass_phi:.12g}")
+          f"dominating mass {mass:.12g} <= {bound:.12g}")
     return 0
 
 
@@ -223,7 +241,8 @@ def _cmd_extend(args) -> int:
 
 def _cmd_generate(args) -> int:
     params = {"atoms": args.atoms, "n": args.n, "mode": args.mode,
-              "nu_atoms": args.nu_atoms or args.atoms, "dim": args.dim}
+              "nu_atoms": args.atoms if args.nu_atoms is None else args.nu_atoms,
+              "dim": args.dim}
     docs = generate_instance(args.kind, params, args.seed)
     if not args.out:
         raise SchemaError("generate requires --out")
@@ -287,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="family JSON")
     p.add_argument("--trace", choices=["real", "complex"], default=None,
                    help="also certify a step-by-step proof trace")
-    p.add_argument("--eps", type=float, default=None,
-                   help="net mesh for the complex trace (default 0.1)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="inequality and trace tolerance (default 1e-9)")
+    p.add_argument("--eps", type=float, default=0.1, action=_StoreGiven,
+                   help="net mesh for --trace complex (default %(default)s)")
+    p.add_argument("--tol", type=_tolerance, default=INEQ_TOL,
+                   help="inequality and trace tolerance (default %(default)s)")
     _common_flags(p)
-    p.set_defaults(func=_cmd_check_inequality)
+    p.set_defaults(func=_cmd_check_inequality, eps_given=False)
 
     p = subs.add_parser("modulus", help="entrywise absolute value of an operator")
     p.add_argument("--op", required=True)
@@ -322,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True)
     p.add_argument("--verify", action="store_true",
                    help="run the end-to-end extension verification")
-    p.add_argument("--trials", type=int, default=10_000,
-                   help="condition (b) sample size for --verify")
+    p.add_argument("--trials", type=_trials, default=10_000,
+                   help=f"condition (b) sample size for --verify, "
+                        f"0..{MAX_TRIALS} (default %(default)s)")
     p.add_argument("--dump-lp", metavar="PATH",
                    help="write the extension LP as JSON")
     _seed_flag(p)
@@ -355,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "eps_given", False) and args.trace != "complex":
+        parser.error("argument --eps: only honoured with --trace complex")
     try:
         return args.func(args)
     except CheckFailed as exc:

@@ -49,6 +49,8 @@ from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
 IDENTITY_TOL = 1e-10
 #: tolerance on |coefficient| - 1 for unimodular coefficient fields
 UNIMODULAR_TOL = 1e-12
+#: smallest circle-net mesh: 2 ceil(pi / 1e-6) = 6,283,186 net points
+MIN_NET_EPS = 1e-6
 
 REAL_PREPRUNE = (2, 12, 78, 632, 6330)
 COMPLEX_PREPRUNE = (1, 4, 15, 64, 325)
@@ -268,8 +270,7 @@ class DecompositionReport:
         }
 
 
-def verify_decomposition(d: Decomposition, fs: FnFamily,
-                         tol: float = IDENTITY_TOL) -> DecompositionReport:
+def verify_decomposition(d: Decomposition, fs: FnFamily) -> DecompositionReport:
     """Check both decomposition identities and the coefficient domains.
 
     Residuals are reported relative to max(1, ||lattice max||_inf).
@@ -307,13 +308,13 @@ def verify_decomposition(d: Decomposition, fs: FnFamily,
             if len(violations) >= 10:
                 break
 
-    passed = (float(sum_res[i_sum]) / scale <= tol
-              and all(r <= tol for r in rec_res)
+    passed = (float(sum_res[i_sum]) / scale <= IDENTITY_TOL
+              and all(r <= IDENTITY_TOL for r in rec_res)
               and negativity >= -0.0
               and not violations)
     return DecompositionReport(passed, float(sum_res[i_sum]) / scale,
                                tuple(rec_res), negativity, tuple(violations),
-                               tuple(worst), tol)
+                               tuple(worst), IDENTITY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,11 @@ def refine_to_constant_coeffs(d: Decomposition) -> CellDecomposition:
 
 def circle_net(eps: float) -> np.ndarray:
     """Points of the finite net on the unit circle used for rounding, without
-    the extra 0.  Even count, so 1 and -1 are always included."""
+    the extra 0: m = 2 ceil(pi / eps) of them, an even count, so 1 and -1 are
+    always included.  eps must be finite and at least MIN_NET_EPS."""
+    if not (math.isfinite(eps) and eps >= MIN_NET_EPS):
+        raise ValueError(f"eps must be finite and at least {MIN_NET_EPS:g}, "
+                         f"got {eps}")
     m = 2 * math.ceil(math.pi / eps)
     angles = 2.0 * math.pi * np.arange(m) / m
     pts = np.exp(1j * angles)
@@ -395,14 +400,12 @@ def eps_net_coeffs(d: Decomposition, eps: float) -> CellDecomposition:
 
     The recombination error is at most eps times the lattice max, pointwise.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    net = circle_net(eps)
+    m = net.size
     coeff = _coeff_array(d)
-    m = 2 * math.ceil(math.pi / eps)
     mod = np.abs(coeff)
     angles = np.angle(coeff)
     ticks = np.rint(angles * m / (2.0 * math.pi)).astype(np.int64) % m
-    net = circle_net(eps)
     rounded = np.where(mod == 0.0, 0.0 + 0.0j, net[ticks])
     return _cells_to_decomposition(d, rounded, eps)
 
@@ -415,16 +418,15 @@ class CellReport:
     tolerance: float
 
 
-def verify_cell_decomposition(cd: CellDecomposition, fs: FnFamily,
-                              tol: float = IDENTITY_TOL) -> CellReport:
+def verify_cell_decomposition(cd: CellDecomposition, fs: FnFamily) -> CellReport:
     """Check the part-sum identity and the epsilon residual bound."""
     latmax = np.max(np.abs(fs.value_matrix), axis=0)
     scale = max(1.0, float(latmax.max()))
     sum_res = float(np.max(np.abs(cd.parts_matrix.sum(axis=0) - latmax))) / scale
     resid = np.abs(cd.recombined() - fs.value_matrix.astype(np.complex128))
     excess = float(np.max(resid - cd.epsilon * latmax[None, :])) / scale
-    passed = sum_res <= tol and excess <= tol
-    return CellReport(passed, sum_res, excess, tol)
+    passed = sum_res <= IDENTITY_TOL and excess <= IDENTITY_TOL
+    return CellReport(passed, sum_res, excess, IDENTITY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +461,7 @@ def _atom_feasible(columns: np.ndarray, target: np.ndarray, total: float) -> lp.
     k = columns.shape[1]
     a_eq = np.vstack([np.ones((1, k)), columns])
     b_eq = np.concatenate([[total], target])
-    sol = lp.solve(lp.linear_program(np.zeros(k), a_eq=a_eq, b_eq=b_eq))
+    sol = lp.solve(lp.LinearProgram(np.zeros(k), a_eq, b_eq))
     return sol if sol.status == lp.OPTIMAL else None
 
 
@@ -510,20 +512,3 @@ def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
         infeasible.append(k)
     return OptimalKResult(False, None, None, None, tuple(infeasible), k_max, tried)
 
-
-@dataclass(frozen=True, eq=False)
-class ComplexN1Result:
-    k: int
-    part: SimpleFn | None
-    coeff: SimpleFn | None
-
-
-def optimal_k_complex_n1(f: SimpleFn) -> ComplexN1Result:
-    """Minimal part count for a single function with unimodular coefficients:
-    1 with the witness (|f|, phase of f) unless f vanishes identically."""
-    a = np.abs(f.values)
-    if not np.any(a != 0.0):
-        return ComplexN1Result(0, None, None)
-    coeff = unit_phases(f.values.astype(np.complex128))
-    return ComplexN1Result(1, SimpleFn(f.space, REAL, a),
-                           SimpleFn(f.space, COMPLEX, coeff))

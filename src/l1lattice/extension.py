@@ -32,7 +32,8 @@ from . import lp
 from .core import REAL, MeasureSpace, SimpleFn, l1_norm
 from .operators import (INEQ_TOL, KernelOperator, ProofTrace, _eq_step,
                         _le_step, apply, op_norm)
-from .tensor import TensorElement, canonical_rep, integral_of_sup, tensor_norm
+from .tensor import (CanonicalRep, TensorElement, canonical_rep,
+                     integral_of_sup, pair_rows, tensor_norm)
 
 #: atoms per side accepted by alpha_via_lp.  The cap alone does not bound the
 #: cost, which grows with dim X: at 32 atoms per side one solve took 0.18 s at
@@ -44,6 +45,10 @@ RESTRICTION_TOL = 1e-8
 NORM_TOL = 1e-7
 CERTIFICATE_TOL = 1e-6
 RANK_TOL = 1e-10
+#: condition (b) samples families of 1..CONDITION_B_MAX_FAMILY functions
+CONDITION_B_MAX_FAMILY = 5
+#: random tensors checked against condition (d) per verification
+CONDITION_D_TRIALS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +122,8 @@ class ExtensionResult:
     extension: KernelOperator
     alpha: float
     lp_objective: float
-    certificate: TensorElement | None
+    certificate: TensorElement | None       # None when alpha is 0
     certificate_ratio: float | None
-    lp_solution: lp.LPSolution
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "lp_objective": self.lp_objective,
-            "certificate_ratio": self.certificate_ratio,
-        }
 
 
 def _extension_lp(x: Subspace, t: RestrictedOperator) -> lp.LinearProgram:
@@ -152,17 +149,6 @@ def _extension_lp(x: Subspace, t: RestrictedOperator) -> lp.LinearProgram:
     c[0] = 1.0
     return lp.LinearProgram(c, a_eq, t.image_matrix.ravel(),
                             g_ub, np.zeros(n_mu))
-
-
-def _certificate_from_duals(x: Subspace, t: RestrictedOperator,
-                            duals: np.ndarray) -> TensorElement:
-    n_nu = t.codomain.size
-    nu_w = t.codomain.weight_array
-    terms = []
-    for r in range(x.dim):
-        y = duals[r * n_nu:(r + 1) * n_nu]
-        terms.append((x.basis[r], SimpleFn(t.codomain, REAL, y / nu_w)))
-    return TensorElement(x.ambient, t.codomain, REAL, tuple(terms))
 
 
 def alpha_via_lp(x: Subspace, t: RestrictedOperator,
@@ -191,12 +177,19 @@ def alpha_via_lp(x: Subspace, t: RestrictedOperator,
     certificate = None
     ratio = None
     if alpha > 1e-12:
-        eq_duals = sol.dual[:x.dim * n_nu]
-        certificate = _certificate_from_duals(x, t, eq_duals)
-        pairing = abs(_pair_restricted(t, certificate))
+        # g = sum_r b_r (x) phi_r with phi_r the duals of the interpolation
+        # rows of b_r, divided by the nu weights
+        nu_w = t.codomain.weight_array
+        phis = sol.dual[:x.dim * n_nu].reshape(x.dim, n_nu) / nu_w
+        certificate = TensorElement(
+            x.ambient, t.codomain, REAL,
+            tuple((b, SimpleFn(t.codomain, REAL, phi))
+                  for b, phi in zip(x.basis, phis)))
+        pairing = abs(float(pair_rows(t.image_matrix, certificate.phi_matrix,
+                                      nu_w)))
         ratio = pairing / tensor_norm(certificate)
     return ExtensionResult(extension, alpha, float(sol.objective_value),
-                           certificate, ratio, sol)
+                           certificate, ratio)
 
 
 def certificate_failure(result: ExtensionResult) -> str | None:
@@ -209,27 +202,6 @@ def certificate_failure(result: ExtensionResult) -> str | None:
     if ratio is None or ratio >= alpha * (1.0 - CERTIFICATE_TOL):
         return None
     return f"certificate ratio {ratio:.12g} below alpha {alpha:.12g}"
-
-
-def _pair_restricted(t: RestrictedOperator, g: TensorElement) -> float:
-    """Pairing <T, g> computed from the images (g's left factors are basis
-    elements in order)."""
-    tf = t.image_matrix
-    nu_w = t.codomain.weight_array
-    return float(np.sum((tf * g.phi_matrix) @ nu_w))
-
-
-def dual_certificate(result: ExtensionResult, x: Subspace,
-                     t: RestrictedOperator) -> TensorElement:
-    """The tensor witness that the extension constant cannot be lowered.
-
-    Rebuilt from the stored LP multipliers; rejects the degenerate case.
-    """
-    if result.alpha <= 1e-12:
-        raise ValueError("no certificate: the restricted operator is zero "
-                         "(alpha = 0)")
-    n_nu = t.codomain.size
-    return _certificate_from_duals(x, t, result.lp_solution.dual[:x.dim * n_nu])
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +239,22 @@ def _family_ratios(x: Subspace, t: RestrictedOperator,
 
 
 def check_condition_b(x: Subspace, t: RestrictedOperator, alpha: float,
-                      trials: int, n_max: int = 5, seed: int = 0,
-                      extra_coeffs: tuple[np.ndarray, ...] = (),
-                      tol: float = INEQ_TOL) -> ConditionBReport:
+                      trials: int, seed: int = 0,
+                      extra_coeffs: tuple[np.ndarray, ...] = ()
+                      ) -> ConditionBReport:
     """Sample random families from span X and check their dominated-norm
     ratios against alpha.
 
     The sampler draws standard-normal basis coefficients for families of
-    size 1..n_max.  Callers may add deterministic candidate families (as
+    size 1..CONDITION_B_MAX_FAMILY.  Callers may add deterministic candidate families (as
     coefficient stacks) via ``extra_coeffs``; the certificate family of the
     extension LP attains the supremum, so including it makes the reported
     maximum a tight lower bound for alpha.
     """
     rng = np.random.default_rng(np.uint64(seed))
     ratios = []
-    sizes = rng.integers(1, n_max + 1, size=trials)
-    for n in range(1, n_max + 1):
+    sizes = rng.integers(1, CONDITION_B_MAX_FAMILY + 1, size=trials)
+    for n in range(1, CONDITION_B_MAX_FAMILY + 1):
         count = int(np.sum(sizes == n))
         if count == 0:
             continue
@@ -291,10 +263,10 @@ def check_condition_b(x: Subspace, t: RestrictedOperator, alpha: float,
     for coeffs in extra_coeffs:
         ratios.append(np.atleast_1d(_family_ratios(x, t, coeffs)))
     all_ratios = np.concatenate(ratios) if ratios else np.zeros(1)
-    bound = alpha * (1.0 + tol)
+    bound = alpha * (1.0 + INEQ_TOL)
     violations = int(np.sum(all_ratios > bound))
     return ConditionBReport(float(np.max(all_ratios)), int(all_ratios.size),
-                            violations, violations == 0, tol)
+                            violations, violations == 0, INEQ_TOL)
 
 
 def certificate_family_coeffs(certificate: TensorElement) -> np.ndarray:
@@ -305,25 +277,27 @@ def certificate_family_coeffs(certificate: TensorElement) -> np.ndarray:
     coefficients.  This family attains the condition (b) supremum at the LP
     optimum.
     """
-    rep = canonical_rep(certificate)
+    return _cell_coeffs(certificate, canonical_rep(certificate))
+
+
+def _cell_coeffs(certificate: TensorElement, rep: CanonicalRep) -> np.ndarray:
+    """certificate_family_coeffs, from the canonical representation."""
     reps = [cell[0] for cell in rep.cells]
     return certificate.phi_matrix[:, reps].T        # (m, dim)
 
 
 def _condition_d_chain(x: Subspace, t: RestrictedOperator, alpha: float,
-                       certificate: TensorElement,
-                       tol: float) -> ProofTrace:
+                       certificate: TensorElement, rep: CanonicalRep,
+                       coeffs: np.ndarray) -> ProofTrace:
     """Certify the duality chain on the certificate: pairing, canonical
-    rewrite, functional bound, condition (b) at the canonical family, and the
-    canonical attainment of the tensor norm."""
+    rewrite, functional bound, condition (b) at the canonical family
+    (``coeffs``), and the canonical attainment of the tensor norm."""
     nu_w = t.codomain.weight_array
     mu_w = x.ambient.weight_array
-    rep = canonical_rep(certificate)
-    coeffs = certificate_family_coeffs(certificate)
     z_vals = coeffs @ x.basis_matrix               # (m, mu atoms)
     tz_vals = coeffs @ t.image_matrix              # (m, nu atoms)
 
-    pairing = _pair_restricted(t, certificate)
+    pairing = float(pair_rows(t.image_matrix, certificate.phi_matrix, nu_w))
     cell_of_atom = np.empty(t.codomain.size, dtype=np.int64)
     for idx, cell in enumerate(rep.cells):
         cell_of_atom[list(cell)] = idx
@@ -338,22 +312,22 @@ def _condition_d_chain(x: Subspace, t: RestrictedOperator, alpha: float,
     steps = [
         _eq_step("canonical pairing",
                  "the pairing only sees the evaluation, not the representation",
-                 pairing, canon_pairing, tol),
+                 pairing, canon_pairing, INEQ_TOL),
         _le_step("triangle", "modulus inside the integral",
-                 abs(pairing), abs_cell_sum, tol),
+                 abs(pairing), abs_cell_sum, INEQ_TOL),
         _le_step("max over cells",
                  "cell indicators sum to one, so the max dominates",
-                 abs_cell_sum, int_max_tz, tol),
+                 abs_cell_sum, int_max_tz, INEQ_TOL),
         _le_step("dominated-family bound at alpha",
                  "condition (b) applied to the canonical family",
-                 int_max_tz, alpha * int_max_z, tol),
+                 int_max_tz, alpha * int_max_z, INEQ_TOL),
         _eq_step("canonical attainment",
                  "the canonical representation attains the tensor norm",
-                 alpha * int_max_z, alpha * norm_g, tol),
+                 alpha * int_max_z, alpha * norm_g, INEQ_TOL),
         _le_step("final bound", "pairing at most alpha times the tensor norm",
-                 abs(pairing), alpha * norm_g, tol),
+                 abs(pairing), alpha * norm_g, INEQ_TOL),
     ]
-    return ProofTrace(tuple(steps), tol)
+    return ProofTrace(tuple(steps), INEQ_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,7 +363,6 @@ class ExtensionTheoremReport:
 
 def verify_extension_theorem(x: Subspace, t: RestrictedOperator,
                              trials: int = 10_000, seed: int = 0,
-                             d_trials: int = 200,
                              result: ExtensionResult | None = None
                              ) -> ExtensionTheoremReport:
     """End-to-end certification of the extension equivalences on one instance.
@@ -417,10 +390,13 @@ def verify_extension_theorem(x: Subspace, t: RestrictedOperator,
         failure = certificate_failure(result)
         if failure is not None:
             failures.append(failure)
-        chain = _condition_d_chain(x, t, alpha, result.certificate, INEQ_TOL)
+        rep = canonical_rep(result.certificate)
+        cert_coeffs = _cell_coeffs(result.certificate, rep)
+        chain = _condition_d_chain(x, t, alpha, result.certificate, rep,
+                                   cert_coeffs)
         if not chain.all_passed:
             failures.append("duality chain step failed")
-        extra = (certificate_family_coeffs(result.certificate),)
+        extra = (cert_coeffs,)
     else:
         chain = None
         extra = ()
@@ -436,7 +412,7 @@ def verify_extension_theorem(x: Subspace, t: RestrictedOperator,
     rng = np.random.default_rng(np.uint64(seed) + np.uint64(0x9E3779B9))
     mu_w = x.ambient.weight_array
     d_max = 0.0
-    for _ in range(d_trials):
+    for _ in range(CONDITION_D_TRIALS):
         n = int(rng.integers(1, 4))
         coeffs = rng.standard_normal((n, x.dim))
         phis = rng.uniform(-1.0, 1.0, size=(n, t.codomain.size))
@@ -444,8 +420,8 @@ def verify_extension_theorem(x: Subspace, t: RestrictedOperator,
         norm = integral_of_sup(mu_w, f.T @ phis)
         if norm == 0.0:
             continue
-        tf = coeffs @ t.image_matrix
-        pairing = abs(float(np.sum((tf * phis) @ t.codomain.weight_array)))
+        pairing = abs(float(pair_rows(coeffs @ t.image_matrix, phis,
+                                      t.codomain.weight_array)))
         d_max = max(d_max, pairing / norm)
         if pairing > alpha * norm * (1.0 + INEQ_TOL) + 1e-15:
             failures.append(f"condition (d) violated: ratio {pairing / norm:.12g}")

@@ -91,8 +91,13 @@ def generate_instance(kind: str, params: dict, seed: int) -> dict:
     mode = params.get("mode", REAL)
     n_atoms = int(params.get("atoms", 6))
     n = int(params.get("n", 2))
-    if not 1 <= n_atoms <= MAX_ATOMS:
-        raise ValueError(f"atoms must be in 1..{MAX_ATOMS}")
+    nu_atoms = int(params.get("nu_atoms", n_atoms))
+    # subspaces and extensions feed the LP, which caps both sides
+    cap = MAX_AMBIENT_ATOMS if kind in ("subspace", "extension") else MAX_ATOMS
+    if not 1 <= n_atoms <= cap:
+        raise ValueError(f"atoms must be in 1..{cap}, got {n_atoms}")
+    if not 1 <= nu_atoms <= cap:
+        raise ValueError(f"nu_atoms must be in 1..{cap}, got {nu_atoms}")
     if not 1 <= n <= MAX_FAMILY:
         raise ValueError(f"n must be in 1..{MAX_FAMILY}")
 
@@ -100,18 +105,12 @@ def generate_instance(kind: str, params: dict, seed: int) -> dict:
         space = random_space(rng, n_atoms)
         return {"family": jsonio.family_to_json(random_family(rng, space, n, mode))}
     if kind == "operator":
-        nu_atoms = int(params.get("nu_atoms", n_atoms))
-        if not 1 <= nu_atoms <= MAX_ATOMS:
-            raise ValueError(f"nu_atoms must be in 1..{MAX_ATOMS}")
         domain = random_space(rng, n_atoms)
         codomain = random_space(rng, nu_atoms, prefix="s")
         return {"operator": jsonio.operator_to_json(
             random_operator(rng, domain, codomain, mode))}
     if kind == "inequality":
         # an operator plus a family on its domain, ready for check-inequality
-        nu_atoms = int(params.get("nu_atoms", n_atoms))
-        if not 1 <= nu_atoms <= MAX_ATOMS:
-            raise ValueError(f"nu_atoms must be in 1..{MAX_ATOMS}")
         domain = random_space(rng, n_atoms)
         codomain = random_space(rng, nu_atoms, prefix="s")
         t = random_operator(rng, domain, codomain, mode)
@@ -119,23 +118,17 @@ def generate_instance(kind: str, params: dict, seed: int) -> dict:
         return {"operator": jsonio.operator_to_json(t),
                 "family": jsonio.family_to_json(fs)}
     if kind == "tensor":
-        nu_atoms = int(params.get("nu_atoms", n_atoms))
         mu = random_space(rng, n_atoms)
         nu = random_space(rng, nu_atoms, prefix="s")
         return {"tensor": jsonio.tensor_to_json(random_tensor(rng, mu, nu, n, mode))}
     if kind == "subspace":
         dim = int(params.get("dim", 2))
-        if n_atoms > MAX_AMBIENT_ATOMS:
-            raise ValueError(f"subspace ambient capped at {MAX_AMBIENT_ATOMS} atoms")
         if not 1 <= dim <= n_atoms:
             raise ValueError("dim must be in 1..atoms")
         space = random_space(rng, n_atoms)
         return {"subspace": jsonio.subspace_to_json(random_subspace(rng, space, dim))}
     if kind == "extension":
         dim = int(params.get("dim", 2))
-        nu_atoms = int(params.get("nu_atoms", n_atoms))
-        if n_atoms > MAX_AMBIENT_ATOMS or nu_atoms > MAX_AMBIENT_ATOMS:
-            raise ValueError(f"extension sides capped at {MAX_AMBIENT_ATOMS} atoms")
         if not 1 <= dim <= n_atoms:
             raise ValueError("dim must be in 1..atoms")
         space = random_space(rng, n_atoms)

@@ -34,7 +34,6 @@ UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
-DUAL_TOL = 1e-7
 
 
 class LPError(RuntimeError):
@@ -57,13 +56,14 @@ def _matrix(a, rows: int | None, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Data of one dense LP; see the module docstring for the conventions."""
+    """Data of one dense LP; see the module docstring for the conventions.
+    Omitted constraint blocks are empty."""
 
     c: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    g_ub: np.ndarray
-    h_ub: np.ndarray
+    a_eq: np.ndarray | None = None
+    b_eq: np.ndarray | None = None
+    g_ub: np.ndarray | None = None
+    h_ub: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=np.float64).ravel()
@@ -99,11 +99,6 @@ class LinearProgram:
     @property
     def n_ub(self) -> int:
         return self.h_ub.size
-
-
-def linear_program(c, a_eq=None, b_eq=None, g_ub=None, h_ub=None) -> LinearProgram:
-    """Convenience constructor with optional constraint blocks."""
-    return LinearProgram(c, a_eq, b_eq, g_ub, h_ub)
 
 
 @dataclass(frozen=True, eq=False)

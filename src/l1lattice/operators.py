@@ -75,7 +75,7 @@ def zero_operator(domain: MeasureSpace, codomain: MeasureSpace,
                           np.zeros((codomain.size, domain.size)), mode)
 
 
-def _check_applicable(t: KernelOperator, f: SimpleFn) -> None:
+def _check_applicable(t: KernelOperator, f: SimpleFn | FnFamily) -> None:
     if f.space != t.domain:
         raise ValueError("function does not live on the operator domain")
     if t.mode == REAL and f.mode == COMPLEX:
@@ -128,8 +128,6 @@ class InequalityReport:
 def check_grothendieck(t: KernelOperator, fs: FnFamily,
                        tol: float = INEQ_TOL) -> InequalityReport:
     """Evaluate both sides of the L1 inequality for one operator and family."""
-    for f in fs.members:
-        _check_applicable(t, f)
     image = FnFamily(tuple(apply(t, f) for f in fs.members))
     lhs = d_norm(image)
     rhs = op_norm(t) * d_norm(fs)
@@ -149,6 +147,30 @@ def dominate(t: KernelOperator, phi: SimpleFn) -> SimpleFn:
     if phi.mode != REAL or np.any(phi.values < 0.0):
         raise ValueError("phi must be real and nonnegative")
     return apply(modulus(t), phi)
+
+
+def check_domination(t: KernelOperator, phi: SimpleFn, psi: SimpleFn,
+                     rng: np.random.Generator) -> tuple[float, float, str | None]:
+    """Check that psi dominates the image of the order interval |f| <= phi.
+
+    The mass of psi must be at most ||T|| integral phi dmu (relative 1e-12),
+    and |T(phi u)| <= psi + 1e-10 pointwise for 100 sampled u with entries
+    uniform in [-1, 1], times a uniform phase in complex mode.  Returns the
+    mass of psi, the bound ||T|| integral phi dmu and why the check fails
+    (None when it passes).  The samples are drawn even when the mass check
+    fails, so rng always advances by the same draws.
+    """
+    mass = float(t.codomain.weight_array @ psi.values)
+    bound = op_norm(t) * float(t.domain.weight_array @ phi.values)
+    u = rng.uniform(-1.0, 1.0, size=(100, t.domain.size))
+    if t.mode == COMPLEX:
+        u = u * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=u.shape))
+    images = np.abs(apply_matrix(t, phi.values[None, :] * u))
+    if mass > bound * (1.0 + 1e-12):
+        return mass, bound, "dominating mass exceeds ||T|| times the input mass"
+    if not np.all(images <= psi.values[None, :] + 1e-10):
+        return mass, bound, "pointwise domination failed on a sampled function"
+    return mass, bound, None
 
 
 # ---------------------------------------------------------------------------
@@ -216,36 +238,41 @@ def _pointwise_le(name: str, rule: str, lhs: np.ndarray, rhs: np.ndarray,
     return _le_step(name, rule, float(lhs[w]), float(rhs[w]), tol, atoms[w])
 
 
+def _triangle_steps(t: KernelOperator, t_family: np.ndarray, bound: np.ndarray,
+                    rule: str, tol: float) -> tuple[list[ProofStep], float, float]:
+    """|Tf_i| <= bound for each function, then for their max, then
+    integrated; returns the steps and the integrals of the max and bound."""
+    nu_atoms = t.codomain.atoms
+    nu_w = t.codomain.weight_array
+    steps = [_pointwise_le(f"triangle f_{i + 1}", rule, t_family[i], bound,
+                           nu_atoms, tol) for i in range(t_family.shape[0])]
+    family_max = t_family.max(axis=0)
+    steps.append(_pointwise_le(
+        "max over family", "pointwise max of the per-function bounds",
+        family_max, bound, nu_atoms, tol))
+    int_max = float(nu_w @ family_max)
+    int_bound = float(nu_w @ bound)
+    steps.append(_le_step("integrate", "integrate the pointwise bound",
+                          int_max, int_bound, tol))
+    return steps, int_max, int_bound
+
+
 def proof_trace_real(t: KernelOperator, fs: FnFamily,
                      tol: float = INEQ_TOL) -> ProofTrace:
     """Certify the L1 inequality for a real family through the sign-matrix
     decomposition, one chain step at a time."""
     if fs.mode != REAL or t.mode != REAL:
         raise ValueError("proof_trace_real requires real operator and family")
-    for f in fs.members:
-        _check_applicable(t, f)
+    _check_applicable(t, fs)
     d = decompose_real(fs)
-    nu_atoms = t.codomain.atoms
     nu_w = t.codomain.weight_array
     mu_w = t.domain.weight_array
 
     t_parts = np.abs(apply_matrix(t, d.parts_matrix))          # |Th_j| rows
     bound = t_parts.sum(axis=0)                                # sum_j |Th_j|
     t_family = np.abs(apply_matrix(t, fs.value_matrix))        # |Tf_i| rows
-
-    steps = []
-    for i in range(fs.size):
-        steps.append(_pointwise_le(
-            f"triangle f_{i + 1}", "recombine then triangle inequality",
-            t_family[i], bound, nu_atoms, tol))
-    steps.append(_pointwise_le(
-        "max over family", "pointwise max of the per-function bounds",
-        t_family.max(axis=0), bound, nu_atoms, tol))
-
-    int_max = float(nu_w @ t_family.max(axis=0))
-    int_bound = float(nu_w @ bound)
-    steps.append(_le_step("integrate", "integrate the pointwise bound",
-                          int_max, int_bound, tol))
+    steps, int_max, int_bound = _triangle_steps(
+        t, t_family, bound, "recombine then triangle inequality", tol)
     part_norms = t_parts @ nu_w
     steps.append(_eq_step("swap sum and integral",
                           "finite sum of integrals", int_bound,
@@ -268,15 +295,10 @@ def proof_trace_complex(t: KernelOperator, fs: FnFamily, eps: float,
                         tol: float = INEQ_TOL) -> ProofTrace:
     """Certify the L1 inequality through the unimodular decomposition rounded
     to constant coefficients, with the (1 + n eps) relaxation."""
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    for f in fs.members:
-        _check_applicable(t, f)
+    _check_applicable(t, fs)
     d = decompose_complex(fs)
     cd = eps_net_coeffs(d, eps)
     n = fs.size
-    nu_atoms = t.codomain.atoms
-    nu_w = t.codomain.weight_array
     mu_w = t.domain.weight_array
     latmax = np.max(np.abs(fs.value_matrix), axis=0)
 
@@ -287,26 +309,15 @@ def proof_trace_complex(t: KernelOperator, fs: FnFamily, eps: float,
     t_family = np.abs(apply_matrix(t, values))                  # |Tf_i|
     bound = t_parts.sum(axis=0) + t_resid.sum(axis=0)
 
-    steps = []
-    mu_atoms = t.domain.atoms
-    for i in range(n):
-        steps.append(_pointwise_le(
-            f"residual bound p_{i + 1}",
-            "rounded coefficients leave at most eps of the lattice max",
-            np.abs(residual[i]), eps * latmax, mu_atoms, tol))
-    for i in range(n):
-        steps.append(_pointwise_le(
-            f"triangle f_{i + 1}",
-            "recombine, then triangle inequality over parts and residuals",
-            t_family[i], bound, nu_atoms, tol))
-    steps.append(_pointwise_le(
-        "max over family", "pointwise max of the per-function bounds",
-        t_family.max(axis=0), bound, nu_atoms, tol))
-
-    int_max = float(nu_w @ t_family.max(axis=0))
-    int_bound = float(nu_w @ bound)
-    steps.append(_le_step("integrate", "integrate the pointwise bound",
-                          int_max, int_bound, tol))
+    steps = [_pointwise_le(
+        f"residual bound p_{i + 1}",
+        "rounded coefficients leave at most eps of the lattice max",
+        np.abs(residual[i]), eps * latmax, t.domain.atoms, tol)
+        for i in range(n)]
+    chain, int_max, int_bound = _triangle_steps(
+        t, t_family, bound,
+        "recombine, then triangle inequality over parts and residuals", tol)
+    steps += chain
     opn = op_norm(t)
     mass = float((cd.parts_matrix @ mu_w).sum())
     resid_mass = float((np.abs(residual) @ mu_w).sum())

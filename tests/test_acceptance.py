@@ -67,16 +67,19 @@ def test_criterion_9_zero_disagreements(outcomes):
 
 
 def test_criterion_10_selftest_byte_identical(tmp_path):
-    """criterion 10: `selftest --seed 7` run twice gives identical reports."""
-    reports = []
-    for name in ("one.json", "two.json"):
-        path = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "l1lattice.cli", "selftest",
-             "--seed", str(SEED), "--out", str(path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        reports.append((path.read_bytes(), proc.stdout))
+    """criterion 10: `selftest --seed 7` run twice gives identical reports.
+    The two runs are independent processes, started together."""
+    paths = [tmp_path / "one.json", tmp_path / "two.json"]
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "l1lattice.cli", "selftest",
+         "--seed", str(SEED), "--out", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for path in paths]
+    outputs = [proc.communicate() for proc in procs]
+    for proc, (stdout, stderr) in zip(procs, outputs):
+        assert proc.returncode == 0, stdout + stderr
+    reports = [(path.read_bytes(), stdout)
+               for path, (stdout, _) in zip(paths, outputs)]
     assert reports[0][0] == reports[1][0], "selftest reports differ"
     assert reports[0][1] == reports[1][1], "selftest stdout differs"
     print("criterion 10 [PASS] determinism (byte-identical selftest)",

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,9 +9,11 @@ import pytest
 
 from l1lattice import cli, jsonio, lp
 from l1lattice.cli import main
+from l1lattice.core import SimpleFn
 from l1lattice.extension import alpha_via_lp
-from l1lattice.generate import (random_family, random_operator, random_space,
-                                random_subspace, random_tensor, rng_for)
+from l1lattice.generate import (generate_instance, random_family,
+                                random_operator, random_space, random_subspace,
+                                random_tensor, random_values, rng_for)
 
 
 def run_cli(*args):
@@ -228,11 +231,63 @@ class TestExitCodes:
          "--dump-lp", "lp.json"],
         ["decompose", "--input", "f.json", "--seed", "1"],
         ["pair", "--op", "t.json", "--tensor", "g.json", "--seed", "1"],
+        ["check-inequality", "--op", "t.json", "--family", "f.json",
+         "--tol", "nan"],
+        ["check-inequality", "--op", "t.json", "--family", "f.json",
+         "--tol", "-1"],
+        ["check-inequality", "--op", "t.json", "--family", "f.json",
+         "--eps", "0.2"],
+        ["check-inequality", "--op", "t.json", "--family", "f.json",
+         "--trace", "real", "--eps", "0.1"],
     ])
     def test_flags_only_where_honoured(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["check-inequality", "--op", "t.json", "--family", "f.json",
+          "--tol", "nan"], "--tol"),
+        (["check-inequality", "--op", "t.json", "--family", "f.json",
+          "--trace", "complex", "--tol", "-1"], "--tol"),
+        (["check-inequality", "--op", "t.json", "--family", "f.json",
+          "--eps", "0.1"], "--eps"),
+        (["extend", "--subspace", "x.json", "--images", "t.json",
+          "--trials", "-1"], "--trials"),
+        (["extend", "--subspace", "x.json", "--images", "t.json",
+          "--trials", "1000001"], "--trials"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1e-300"])
+    @pytest.mark.parametrize("command", ["decompose", "check-inequality"])
+    def test_bad_eps_is_usage_error(self, tmp_path, capsys, command, eps):
+        main(["generate", "--kind", "inequality", "--atoms", "4",
+              "--nu-atoms", "3", "--mode", "complex", "--seed", "2",
+              "--out", str(tmp_path / "i.json"), "--quiet"])
+        op, fam = tmp_path / "i_operator.json", tmp_path / "i_family.json"
+        argv = (["decompose", "--input", str(fam)] if command == "decompose"
+                else ["check-inequality", "--op", str(op), "--family", str(fam),
+                      "--trace", "complex"])
+        capsys.readouterr()
+        assert main([*argv, "--eps", eps, "--quiet"]) == 2
+        assert "eps must be finite and at least 1e-06" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,nu_atoms,cap", [
+        ("operator", "0", 50), ("inequality", "0", 50), ("tensor", "0", 50),
+        ("tensor", "51", 50), ("extension", "0", 32), ("extension", "33", 32),
+    ])
+    def test_nu_atoms_bounded(self, tmp_path, capsys, kind, nu_atoms, cap):
+        assert main(["generate", "--kind", kind, "--nu-atoms", nu_atoms,
+                     "--out", str(tmp_path / "i.json"), "--quiet"]) == 2
+        assert (f"nu_atoms must be in 1..{cap}, got {nu_atoms}"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
 
     def test_solver_failure_exits_1(self, tmp_path, monkeypatch, capsys):
         def failing_solve(program):
@@ -301,3 +356,82 @@ class TestDeterminism:
                   "--images", str(tmp_path / "i_images.json"),
                   "--out", str(path), "--quiet"])
         assert a.read_bytes() == b.read_bytes()
+
+
+def _write_certification_inputs(tmp_path, mode):
+    """Seeded operator, family on its domain, nonnegative phi, tensors on
+    its spaces and on fresh spaces, and one extension instance."""
+    rng = rng_for(31 if mode == "real" else 32)
+    t = random_operator(rng, random_space(rng, 5),
+                        random_space(rng, 4, prefix="s"), mode)
+    docs = {
+        "op": jsonio.operator_to_json(t),
+        "family": jsonio.family_to_json(random_family(rng, t.domain, 3, mode)),
+        "phi": jsonio.fn_to_json(SimpleFn(
+            t.domain, "real", np.abs(random_values(rng, t.domain.size, "real")))),
+        "pair_tensor": jsonio.tensor_to_json(
+            random_tensor(rng, t.domain, t.codomain, 3, mode)),
+        "tensor": jsonio.tensor_to_json(random_tensor(
+            rng, random_space(rng, 6), random_space(rng, 5, prefix="s"), 4, mode)),
+    }
+    docs.update(generate_instance("extension", {"atoms": 6, "nu_atoms": 5,
+                                                "dim": 3}, 4))
+    for name, doc in docs.items():
+        jsonio.write_json(str(tmp_path / f"{name}.json"), doc)
+
+
+class TestCertificationGoldenBytes:
+    """The --out files of the certification commands are pinned byte for
+    byte on seeded instances, in both modes where the command has them
+    (the selftest, which has no mode, under the real key)."""
+
+    ARGV = {
+        "check-inequality-trace-real": [
+            "check-inequality", "--op", "op.json", "--family", "family.json",
+            "--trace", "real"],
+        "check-inequality-trace-complex": [
+            "check-inequality", "--op", "op.json", "--family", "family.json",
+            "--trace", "complex", "--eps", "0.1"],
+        "dominate": ["dominate", "--op", "op.json", "--phi", "phi.json",
+                     "--seed", "3"],
+        "pair": ["pair", "--op", "op.json", "--tensor", "pair_tensor.json"],
+        "tensor-norm": ["tensor-norm", "--input", "tensor.json"],
+        "extend-verify": ["extend", "--subspace", "subspace.json",
+                          "--images", "images.json", "--verify",
+                          "--trials", "2000", "--seed", "1"],
+        "selftest-fast": ["selftest", "--fast", "--seed", "7"],
+    }
+    PINS = {
+        ("check-inequality-trace-real", "real"):
+            "69065ca38dea9a13d85d2c63280d6de43fb4de5347dfa9a0538dd96694b2f0b2",
+        ("check-inequality-trace-complex", "real"):
+            "f1a2ccc5e00fe7dc528781e574085eba1f360623f3077ca55ea1154165ad923f",
+        ("check-inequality-trace-complex", "complex"):
+            "f47ebbb2c1a536a590dbe35c52fd12cedfb26c3c2800f3b48a93d8442710584d",
+        ("dominate", "real"):
+            "4f91d37f4a0a599801f3d361e71186788fa8ade6a2c791efd1444fe620929173",
+        ("dominate", "complex"):
+            "ba158c82e6df6cf4ce9b39367255cf2ff34fe95c50375488e8c0ae6392f24c29",
+        ("pair", "real"):
+            "b3a5e5d5f3ae8d9bea2557638cba58a53d9f2a15c93a2f501835113517cc9dcf",
+        ("pair", "complex"):
+            "f6d79eda5f5acdad2ad81b380d0d77516c960b93ec091a919cfe437ee0895209",
+        ("tensor-norm", "real"):
+            "48aa599f9d53f83ed74d58986c3774e5609a2aa43ae20d7028385158e7a64a30",
+        ("tensor-norm", "complex"):
+            "bd1f899ed10873f8622f933cdb7fde671123c38fd6ee96015b583d0863e12d39",
+        ("extend-verify", "real"):
+            "623fc93f8e0b5a584cd0bb3c9ffcc9b6e3a21b63619bea4adf55c2a5cff64ad6",
+        ("selftest-fast", "real"):
+            "328de6c4b6de8ccc29bab2814b7f71f252822b258cbee6b9c26ccccb2e0c0e7a",
+    }
+
+    @pytest.mark.parametrize("command,mode", sorted(PINS))
+    def test_out_bytes(self, tmp_path, command, mode):
+        _write_certification_inputs(tmp_path, mode)
+        argv = [str(tmp_path / a) if a.endswith(".json") else a
+                for a in self.ARGV[command]]
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out), "--quiet"]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.PINS[command, mode]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        decompose_complex, decompose_real, eps_net_coeffs,
-                       optimal_k_complex_n1, optimal_k_search, preprune_count,
+                       optimal_k_search, preprune_count,
                        prune, refine_to_constant_coeffs,
                        verify_cell_decomposition, verify_decomposition,
                        verify_trace_counts, zero_fn)
@@ -304,20 +304,25 @@ class TestOptimalKSearch:
             optimal_k_search(small, 9)
 
 
+def _pruned_n1(f):
+    """The pruned complex decomposition of the one-function family (f)."""
+    return prune(decompose_complex(FnFamily((f,))))
+
+
 class TestOptimalKComplexN1:
     def test_nonvanishing_complex(self):
-        res = optimal_k_complex_n1(SimpleFn(unit_space(2), COMPLEX, [1.0j, 2.0]))
+        res = _pruned_n1(SimpleFn(unit_space(2), COMPLEX, [1.0j, 2.0]))
         assert res.k == 1
-        assert np.array_equal(res.part.values, [1.0, 2.0])
-        assert res.coeff.values[0] == pytest.approx(1.0j, abs=1e-15)
+        assert np.array_equal(res.parts_matrix[0], [1.0, 2.0])
+        assert res.coeffs[0, 0, 0] == pytest.approx(1.0j, abs=1e-15)
 
     def test_zero_function(self):
-        assert optimal_k_complex_n1(zero_fn(unit_space(2), COMPLEX)).k == 0
+        assert _pruned_n1(zero_fn(unit_space(2), COMPLEX)).k == 0
 
     def test_real_nonvanishing(self):
-        res = optimal_k_complex_n1(SimpleFn(unit_space(2), REAL, [-1.0, -1.0]))
+        res = _pruned_n1(SimpleFn(unit_space(2), REAL, [-1.0, -1.0]))
         assert res.k == 1
-        recon = res.coeff.values * res.part.values
+        recon = res.coeffs[0, 0] * res.parts_matrix[0]
         assert np.array_equal(recon.real, [-1.0, -1.0])
 
 

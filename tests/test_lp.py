@@ -13,17 +13,17 @@ from l1lattice.oracle import solve_exact
 class TestTrivialPrograms:
     def test_lower_bounded_minimum(self):
         # minimize x subject to x >= 1
-        sol = lp.solve(lp.linear_program([1.0], g_ub=[[-1.0]], h_ub=[-1.0]))
+        sol = lp.solve(lp.LinearProgram([1.0], g_ub=[[-1.0]], h_ub=[-1.0]))
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
         assert sol.primal[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_infeasible(self):
-        sol = lp.solve(lp.linear_program([0.0], a_eq=[[1.0]], b_eq=[-1.0]))
+        sol = lp.solve(lp.LinearProgram([0.0], a_eq=[[1.0]], b_eq=[-1.0]))
         assert sol.status == lp.INFEASIBLE
 
     def test_unbounded(self):
-        assert lp.solve(lp.linear_program([-1.0])).status == lp.UNBOUNDED
+        assert lp.solve(lp.LinearProgram([-1.0])).status == lp.UNBOUNDED
 
     def test_free_variable_split(self):
         # minimize u with -u <= x <= u and x = -3: optimum u = 3, with the
@@ -43,7 +43,7 @@ class TestTrivialPrograms:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            lp.linear_program([1.0, 2.0], a_eq=[[1.0]], b_eq=[1.0])
+            lp.LinearProgram([1.0, 2.0], a_eq=[[1.0]], b_eq=[1.0])
 
 
 class TestSolutionInvariants:
