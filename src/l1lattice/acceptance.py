@@ -123,9 +123,9 @@ def pattern_family_n2() -> FnFamily:
     """Nine unit-weight atoms realizing every sign and dominance pattern of a
     two-function family; needs the full 2^2 sign columns."""
     space = MeasureSpace(tuple(f"p{i}" for i in range(9)), (1.0,) * 9)
-    f1 = SimpleFn(space, REAL, [1.0, 1.0, -1.0, -1.0, 2.0, 1.0, 1.0, 0.0, -2.0])
-    f2 = SimpleFn(space, REAL, [1.0, -1.0, 1.0, -1.0, 1.0, 2.0, 0.0, 1.0, -1.0])
-    return FnFamily((f1, f2))
+    return FnFamily(space, REAL,
+                    [[1.0, 1.0, -1.0, -1.0, 2.0, 1.0, 1.0, 0.0, -2.0],
+                     [1.0, -1.0, 1.0, -1.0, 1.0, 2.0, 0.0, 1.0, -1.0]])
 
 
 def criterion_3(seed: int, scale: float = 1.0) -> CriterionOutcome:
@@ -134,15 +134,15 @@ def criterion_3(seed: int, scale: float = 1.0) -> CriterionOutcome:
     2^n - 1 = 1 for one complex function."""
     finish = _timed(300.0)
     space2 = MeasureSpace(("u", "v"), (1.0, 1.0))
-    fs1 = FnFamily((SimpleFn(space2, REAL, [1.0, -1.0]),))
+    fs1 = FnFamily(space2, REAL, [[1.0, -1.0]])
     res1 = optimal_k_search(fs1, k_max=4)
     ok = res1.feasible and res1.k == 2 and res1.infeasible_k == (1,)
 
     res2 = optimal_k_search(pattern_family_n2(), k_max=5)
     ok &= res2.feasible and res2.k == 4 and res2.infeasible_k == (1, 2, 3)
 
-    fc = SimpleFn(space2, COMPLEX, [1j, 2.0 + 0.0j])
-    resc = prune(decompose_complex(FnFamily((fc,))))
+    fc = FnFamily(space2, COMPLEX, [[1j, 2.0 + 0.0j]])
+    resc = prune(decompose_complex(fc))
     ok &= resc.k == 1
     elapsed, runtime_ok = finish()
     return CriterionOutcome(
@@ -267,10 +267,8 @@ def _recombined_reps(rng, g: TensorElement, count: int) -> list[TensorElement]:
         r = rng.standard_normal((size, size))
         f_new = r @ f_pad
         phi_new = np.linalg.solve(r.T, phi_pad)
-        terms = tuple((SimpleFn(g.mu_space, g.mode, f_new[i]),
-                       SimpleFn(g.nu_space, g.mode, phi_new[i]))
-                      for i in range(size))
-        reps.append(TensorElement(g.mu_space, g.nu_space, g.mode, terms))
+        reps.append(TensorElement(g.mu_space, g.nu_space, g.mode, f_new,
+                                  phi_new))
     return reps
 
 

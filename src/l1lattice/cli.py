@@ -17,17 +17,14 @@ from .core import COMPLEX, REAL, FnFamily
 from .decompose import (decompose_complex, decompose_real, eps_net_coeffs,
                         optimal_k_search, prune, refine_to_constant_coeffs,
                         verify_cell_decomposition, verify_decomposition)
-from .extension import (alpha_via_lp, certificate_failure,
+from .extension import (MAX_TRIALS, alpha_via_lp, certificate_failure,
                         verify_extension_theorem)
-from .generate import generate_instance, rng_for
+from .generate import KIND_PARAMS, generate_instance, rng_for
 from .jsonio import SchemaError
 from .operators import (INEQ_TOL, check_domination, check_grothendieck,
                         dominate, modulus, op_norm, proof_trace_complex,
                         proof_trace_real)
 from .tensor import pair_operator_tensor, verify_min_representation
-
-#: largest condition (b) sample accepted by ``extend --trials``
-MAX_TRIALS = 1_000_000
 
 
 class CheckFailed(Exception):
@@ -240,9 +237,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    params = {"atoms": args.atoms, "n": args.n, "mode": args.mode,
-              "nu_atoms": args.atoms if args.nu_atoms is None else args.nu_atoms,
-              "dim": args.dim}
+    params = {key: getattr(args, key) for key in KIND_PARAMS[args.kind]
+              if getattr(args, key) is not None}
     docs = generate_instance(args.kind, params, args.seed)
     if not args.out:
         raise SchemaError("generate requires --out")
@@ -354,11 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["family", "operator", "inequality", "tensor",
                             "subspace", "extension"])
+    # every flag but --atoms is refused by the kinds that do not read it
     p.add_argument("--atoms", type=int, default=6)
-    p.add_argument("--n", type=int, default=2, help="family size / tensor terms")
-    p.add_argument("--nu-atoms", type=int, default=None, dest="nu_atoms")
-    p.add_argument("--dim", type=int, default=2, help="subspace dimension")
-    p.add_argument("--mode", choices=[REAL, COMPLEX], default=REAL)
+    p.add_argument("--n", type=int,
+                   help="family size / tensor terms (default 2)")
+    p.add_argument("--nu-atoms", type=int, dest="nu_atoms",
+                   help="codomain atoms (default --atoms)")
+    p.add_argument("--dim", type=int, help="subspace dimension (default 2)")
+    p.add_argument("--mode", choices=[REAL, COMPLEX],
+                   help="scalar field (default real)")
     _seed_flag(p)
     _common_flags(p)
     p.set_defaults(func=_cmd_generate)
@@ -377,6 +377,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "eps_given", False) and args.trace != "complex":
         parser.error("argument --eps: only honoured with --trace complex")
+    if args.command == "generate":
+        for key in ("n", "nu_atoms", "dim", "mode"):
+            if (getattr(args, key) is not None
+                    and key not in KIND_PARAMS[args.kind]):
+                parser.error(f"argument --{key.replace('_', '-')}: "
+                             f"not read by --kind {args.kind}")
     try:
         return args.func(args)
     except CheckFailed as exc:

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import lp
 from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
-                   group_columns, unit_phases)
+                   argmax_partition, check_entries, group_columns,
+                   pos_neg_split, unit_phases)
 
 #: relative tolerance for the decomposition identities
 IDENTITY_TOL = 1e-10
@@ -145,12 +146,11 @@ class Decomposition:
 def _split_real(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, TraceNode]:
     n = values.shape[0]
     if n == 1:
-        v = values[0]
-        parts = np.vstack([np.where(v >= 0.0, v, 0.0), np.where(v >= 0.0, 0.0, -v)])
+        parts = np.vstack(pos_neg_split(values[0]))
         signs = np.array([[1, -1]], dtype=np.int8)
         return parts, signs, TraceNode(1, 2, ())
 
-    cells = np.argmax(np.abs(values), axis=0)
+    cells = argmax_partition(values)
     orientation = np.array([1, -1, 1, -1], dtype=np.int8)
     part_blocks: list[np.ndarray] = []
     sign_blocks: list[np.ndarray] = []
@@ -187,7 +187,7 @@ def _split_complex(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, TraceNod
         return np.abs(v)[None, :], coeff, TraceNode(1, 1, ())
 
     moduli = np.abs(values)
-    cells = np.argmax(moduli, axis=0)
+    cells = argmax_partition(values)
     part_blocks: list[np.ndarray] = []
     coeff_blocks: list[np.ndarray] = []   # each (n, k_sub + 1, atoms)
     children = []
@@ -212,10 +212,23 @@ def _split_complex(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, TraceNod
     return parts, coeffs, TraceNode(n, parts.shape[0], tuple(children))
 
 
+def _check_size(fs: FnFamily, mode: str) -> None:
+    """Reject a family whose decomposition needs more than MAX_ENTRIES
+    entries: the pre-prune parts, times n in complex mode for the
+    coefficient fields."""
+    n, atoms = fs.size, fs.space.size
+    # k(n) >= n! is above any budget under 10! = 3,628,800 from n = 10 on,
+    # so larger n is charged the count of n = 10
+    k = preprune_count(min(n, 10), mode)
+    check_entries(k * atoms * (n if mode == COMPLEX else 1),
+                  f"a {mode} decomposition of {n} members on {atoms} atoms")
+
+
 def decompose_real(fs: FnFamily) -> Decomposition:
     """Decompose a real family with a global sign matrix."""
     if fs.mode != REAL:
         raise ValueError("decompose_real requires a real-mode family")
+    _check_size(fs, REAL)
     parts, signs, node = _split_real(fs.value_matrix)
     return Decomposition(fs.space, REAL, parts, signs, None, node)
 
@@ -225,6 +238,7 @@ def decompose_complex(fs: FnFamily) -> Decomposition:
 
     Real input is allowed and treated as complex.
     """
+    _check_size(fs, COMPLEX)
     values = fs.value_matrix.astype(np.complex128)
     parts, coeffs, node = _split_complex(values)
     return Decomposition(fs.space, COMPLEX, parts, None, coeffs, node)

@@ -24,14 +24,13 @@ pairing ratio |<T, g>| / ||g|| witnesses that no smaller C works.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import lp
-from .core import REAL, MeasureSpace, SimpleFn, l1_norm
+from .core import REAL, MeasureSpace, _as_mode_array
 from .operators import (INEQ_TOL, KernelOperator, ProofTrace, _eq_step,
-                        _le_step, apply, op_norm)
+                        _le_step, apply_rows, op_norm)
 from .tensor import (CanonicalRep, TensorElement, canonical_rep,
                      integral_of_sup, pair_rows, tensor_norm)
 
@@ -49,72 +48,51 @@ RANK_TOL = 1e-10
 CONDITION_B_MAX_FAMILY = 5
 #: random tensors checked against condition (d) per verification
 CONDITION_D_TRIALS = 200
+#: largest condition (b) sample; its draws are allocated before any check
+MAX_TRIALS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of L1(mu) given by a linearly independent real basis."""
+    """A subspace of L1(mu) spanned by the linearly independent real rows of
+    ``basis_matrix`` (dim, atoms)."""
 
     ambient: MeasureSpace
-    basis: tuple[SimpleFn, ...]
+    basis_matrix: np.ndarray
 
     def __post_init__(self):
-        basis = tuple(self.basis)
-        if not basis:
+        mat = _as_mode_array(self.basis_matrix, REAL, (None, self.ambient.size),
+                             "basis")
+        if mat.shape[0] == 0:
             raise ValueError("a subspace needs at least one basis element")
-        if len(basis) > self.ambient.size:
+        if mat.shape[0] > self.ambient.size:
             raise ValueError("more basis elements than atoms cannot be independent")
-        for b in basis:
-            if b.space != self.ambient:
-                raise ValueError("basis elements must live on the ambient space")
-            if b.mode != REAL:
-                raise ValueError("subspaces are real-mode only")
-        mat = np.vstack([b.values for b in basis])
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv[-1] <= RANK_TOL * sv[0]:
             raise ValueError("basis is not linearly independent "
                              f"(singular value ratio {sv[-1] / sv[0]:.3e})")
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis_matrix", mat)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def basis_matrix(self) -> np.ndarray:
-        m = np.vstack([b.values for b in self.basis])
-        m.flags.writeable = False
-        return m
+        return self.basis_matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
 class RestrictedOperator:
-    """An operator on a subspace, given by the images of its basis."""
+    """An operator on a subspace, given by the real images of its basis: row
+    r of ``image_matrix`` (dim, codomain atoms) is T b_r."""
 
     subspace: Subspace
-    images: tuple[SimpleFn, ...]
+    codomain: MeasureSpace
+    image_matrix: np.ndarray
 
     def __post_init__(self):
-        images = tuple(self.images)
-        if len(images) != self.subspace.dim:
+        m = _as_mode_array(self.image_matrix, REAL, (None, self.codomain.size),
+                           "images")
+        if m.shape[0] != self.subspace.dim:
             raise ValueError("need exactly one image per basis element")
-        space = images[0].space
-        for y in images:
-            if y.space != space:
-                raise ValueError("images must share one codomain space")
-            if y.mode != REAL:
-                raise ValueError("restricted operators are real-mode only")
-        object.__setattr__(self, "images", images)
-
-    @property
-    def codomain(self) -> MeasureSpace:
-        return self.images[0].space
-
-    @cached_property
-    def image_matrix(self) -> np.ndarray:
-        m = np.vstack([y.values for y in self.images])
-        m.flags.writeable = False
-        return m
+        object.__setattr__(self, "image_matrix", m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,10 +159,8 @@ def alpha_via_lp(x: Subspace, t: RestrictedOperator,
         # rows of b_r, divided by the nu weights
         nu_w = t.codomain.weight_array
         phis = sol.dual[:x.dim * n_nu].reshape(x.dim, n_nu) / nu_w
-        certificate = TensorElement(
-            x.ambient, t.codomain, REAL,
-            tuple((b, SimpleFn(t.codomain, REAL, phi))
-                  for b, phi in zip(x.basis, phis)))
+        certificate = TensorElement(x.ambient, t.codomain, REAL,
+                                    x.basis_matrix, phis)
         pairing = abs(float(pair_rows(t.image_matrix, certificate.phi_matrix,
                                       nu_w)))
         ratio = pairing / tensor_norm(certificate)
@@ -246,11 +222,14 @@ def check_condition_b(x: Subspace, t: RestrictedOperator, alpha: float,
     ratios against alpha.
 
     The sampler draws standard-normal basis coefficients for families of
-    size 1..CONDITION_B_MAX_FAMILY.  Callers may add deterministic candidate families (as
-    coefficient stacks) via ``extra_coeffs``; the certificate family of the
-    extension LP attains the supremum, so including it makes the reported
-    maximum a tight lower bound for alpha.
+    size 1..CONDITION_B_MAX_FAMILY, ``trials`` families in 0..MAX_TRIALS.
+    Callers may add deterministic candidate families (as coefficient stacks)
+    via ``extra_coeffs``; the certificate family of the extension LP attains
+    the supremum, so including it makes the reported maximum a tight lower
+    bound for alpha.
     """
+    if not 0 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 0..{MAX_TRIALS}, got {trials}")
     rng = np.random.default_rng(np.uint64(seed))
     ratios = []
     sizes = rng.integers(1, CONDITION_B_MAX_FAMILY + 1, size=trials)
@@ -375,12 +354,13 @@ def verify_extension_theorem(x: Subspace, t: RestrictedOperator,
     alpha = result.alpha
     failures: list[str] = []
 
+    nu_w = t.codomain.weight_array
     residuals = []
-    for b, y in zip(x.basis, t.images):
-        res = l1_norm(SimpleFn(t.codomain, REAL,
-                               apply(result.extension, b).values - y.values))
+    images = apply_rows(result.extension, x.basis_matrix)
+    for image, y in zip(images, t.image_matrix):
+        res = float(np.sum(nu_w * np.abs(image - y)))       # l1 norm, as l1_norm
         residuals.append(res)
-        if res > RESTRICTION_TOL * (1.0 + l1_norm(y)):
+        if res > RESTRICTION_TOL * (1.0 + float(np.sum(nu_w * np.abs(y)))):
             failures.append(f"extension does not restrict to T (residual {res:.3e})")
 
     if abs(result.lp_objective - alpha) > NORM_TOL * (1.0 + alpha):
@@ -420,8 +400,7 @@ def verify_extension_theorem(x: Subspace, t: RestrictedOperator,
         norm = integral_of_sup(mu_w, f.T @ phis)
         if norm == 0.0:
             continue
-        pairing = abs(float(pair_rows(coeffs @ t.image_matrix, phis,
-                                      t.codomain.weight_array)))
+        pairing = abs(float(pair_rows(coeffs @ t.image_matrix, phis, nu_w)))
         d_max = max(d_max, pairing / norm)
         if pairing > alpha * norm * (1.0 + INEQ_TOL) + 1e-15:
             failures.append(f"condition (d) violated: ratio {pairing / norm:.12g}")

@@ -17,6 +17,15 @@ from .tensor import TensorElement
 
 MAX_FAMILY = 5
 MAX_ATOMS = 50
+#: the parameters each instance kind reads; generate_instance refuses others
+KIND_PARAMS = {
+    "family": ("atoms", "n", "mode"),
+    "operator": ("atoms", "nu_atoms", "mode"),
+    "inequality": ("atoms", "nu_atoms", "n", "mode"),
+    "tensor": ("atoms", "nu_atoms", "n", "mode"),
+    "subspace": ("atoms", "dim"),
+    "extension": ("atoms", "nu_atoms", "dim"),
+}
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -44,7 +53,8 @@ def random_fn(rng: np.random.Generator, space: MeasureSpace,
 
 def random_family(rng: np.random.Generator, space: MeasureSpace, n: int,
                   mode: str = REAL) -> FnFamily:
-    return FnFamily(tuple(random_fn(rng, space, mode) for _ in range(n)))
+    return FnFamily(space, mode, [random_values(rng, space.size, mode)
+                                  for _ in range(n)])
 
 
 def random_operator(rng: np.random.Generator, domain: MeasureSpace,
@@ -56,16 +66,18 @@ def random_operator(rng: np.random.Generator, domain: MeasureSpace,
 
 def random_tensor(rng: np.random.Generator, mu: MeasureSpace,
                   nu: MeasureSpace, n_terms: int, mode: str = REAL) -> TensorElement:
-    terms = tuple((random_fn(rng, mu, mode), random_fn(rng, nu, mode))
-                  for _ in range(n_terms))
-    return TensorElement(mu, nu, mode, terms)
+    # drawn term by term: f_1, phi_1, f_2, phi_2, ...
+    terms = [(random_values(rng, mu.size, mode), random_values(rng, nu.size, mode))
+             for _ in range(n_terms)]
+    return TensorElement(mu, nu, mode, [f for f, _ in terms],
+                         [phi for _, phi in terms])
 
 
 def random_subspace(rng: np.random.Generator, space: MeasureSpace,
                     dim: int) -> Subspace:
     # random uniform values are independent almost surely; retry regardless
     for _ in range(100):
-        basis = tuple(random_fn(rng, space, REAL) for _ in range(dim))
+        basis = [random_values(rng, space.size, REAL) for _ in range(dim)]
         try:
             return Subspace(space, basis)
         except ValueError:
@@ -75,18 +87,25 @@ def random_subspace(rng: np.random.Generator, space: MeasureSpace,
 
 def random_restricted(rng: np.random.Generator, x: Subspace,
                       nu: MeasureSpace) -> RestrictedOperator:
-    return RestrictedOperator(x, tuple(random_fn(rng, nu, REAL)
-                                       for _ in range(x.dim)))
+    return RestrictedOperator(x, nu, [random_values(rng, nu.size, REAL)
+                                      for _ in range(x.dim)])
 
 
 def generate_instance(kind: str, params: dict, seed: int) -> dict:
     """Build the JSON documents of one pseudorandom instance.
 
+    ``params`` holds only keys that KIND_PARAMS lists for ``kind``; missing
+    ones default to atoms 6, n 2, mode real, nu_atoms = atoms and dim 2.
     Returns a mapping from a file stem to the document; the CLI writes each
     as ``<out>/<stem>.json`` (or a single file when there is one document).
     """
     from . import jsonio
 
+    if kind not in KIND_PARAMS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    for key in params:
+        if key not in KIND_PARAMS[kind]:
+            raise ValueError(f"{kind} instances do not read {key}")
     rng = rng_for(seed)
     mode = params.get("mode", REAL)
     n_atoms = int(params.get("atoms", 6))
@@ -121,20 +140,15 @@ def generate_instance(kind: str, params: dict, seed: int) -> dict:
         mu = random_space(rng, n_atoms)
         nu = random_space(rng, nu_atoms, prefix="s")
         return {"tensor": jsonio.tensor_to_json(random_tensor(rng, mu, nu, n, mode))}
+    # subspace and extension
+    dim = int(params.get("dim", 2))
+    if not 1 <= dim <= n_atoms:
+        raise ValueError("dim must be in 1..atoms")
+    space = random_space(rng, n_atoms)
     if kind == "subspace":
-        dim = int(params.get("dim", 2))
-        if not 1 <= dim <= n_atoms:
-            raise ValueError("dim must be in 1..atoms")
-        space = random_space(rng, n_atoms)
         return {"subspace": jsonio.subspace_to_json(random_subspace(rng, space, dim))}
-    if kind == "extension":
-        dim = int(params.get("dim", 2))
-        if not 1 <= dim <= n_atoms:
-            raise ValueError("dim must be in 1..atoms")
-        space = random_space(rng, n_atoms)
-        nu = random_space(rng, nu_atoms, prefix="s")
-        x = random_subspace(rng, space, dim)
-        t = random_restricted(rng, x, nu)
-        return {"subspace": jsonio.subspace_to_json(x),
-                "images": jsonio.images_to_json(t)}
-    raise ValueError(f"unknown instance kind {kind!r}")
+    nu = random_space(rng, nu_atoms, prefix="s")
+    x = random_subspace(rng, space, dim)
+    t = random_restricted(rng, x, nu)
+    return {"subspace": jsonio.subspace_to_json(x),
+            "images": jsonio.images_to_json(t)}

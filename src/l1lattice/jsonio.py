@@ -122,10 +122,12 @@ def _registry(doc) -> dict[str, MeasureSpace]:
     return {name: space_from_json(s) for name, s in table.items()}
 
 
-def fn_to_json(f: SimpleFn, space_ref: str | None = None) -> dict:
-    space = space_ref if space_ref is not None else space_to_json(f.space)
-    return {"space": space, "mode": f.mode,
-            "values": _values_to_json(f.values, f.mode)}
+def _row_to_json(space, mode: str, values: np.ndarray) -> dict:
+    return {"space": space, "mode": mode, "values": _values_to_json(values, mode)}
+
+
+def fn_to_json(f: SimpleFn) -> dict:
+    return _row_to_json(space_to_json(f.space), f.mode, f.values)
 
 
 def fn_from_json(obj, registry: dict[str, MeasureSpace] | None = None,
@@ -147,20 +149,36 @@ def fn_from_json(obj, registry: dict[str, MeasureSpace] | None = None,
         raise SchemaError(str(exc)) from exc
 
 
+def _stack(rows: list[SimpleFn], space: MeasureSpace, mode: str,
+           space_error: str, mode_error: str) -> np.ndarray:
+    """The values of functions decoded one per row, as one (rows, atoms)
+    matrix, once each is checked to live on ``space`` in ``mode``."""
+    for f in rows:
+        if f.space != space:
+            raise SchemaError(space_error)
+        if f.mode != mode:
+            raise SchemaError(mode_error)
+    return np.array([f.values for f in rows]).reshape(len(rows), space.size)
+
+
 def family_to_json(fs: FnFamily) -> dict:
     return {"spaces": {"mu": space_to_json(fs.space)},
-            "members": [fn_to_json(f, "mu") for f in fs.members]}
+            "members": [_row_to_json("mu", fs.mode, row)
+                        for row in fs.value_matrix]}
 
 
 def family_from_json(doc) -> FnFamily:
     if not isinstance(doc, dict) or "members" not in doc:
         raise SchemaError("a family needs a 'members' list")
     registry = _registry(doc)
-    members = tuple(fn_from_json(m, registry) for m in doc["members"])
-    try:
-        return FnFamily(members)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    members = [fn_from_json(m, registry) for m in doc["members"]]
+    if not members:
+        raise SchemaError("a family needs at least one member")
+    space, mode = members[0].space, members[0].mode
+    values = _stack(members, space, mode,
+                    "family members must live on the same space",
+                    "family members must share the same mode")
+    return FnFamily(space, mode, values)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +212,9 @@ def tensor_to_json(g: TensorElement) -> dict:
     return {"mu": space_to_json(g.mu_space),
             "nu": space_to_json(g.nu_space),
             "mode": g.mode,
-            "terms": [{"f": fn_to_json(f, "mu"), "phi": fn_to_json(phi, "nu")}
-                      for f, phi in g.terms]}
+            "terms": [{"f": _row_to_json("mu", g.mode, f),
+                       "phi": _row_to_json("nu", g.mode, phi)}
+                      for f, phi in zip(g.f_matrix, g.phi_matrix)]}
 
 
 def tensor_from_json(doc) -> TensorElement:
@@ -207,12 +226,17 @@ def tensor_from_json(doc) -> TensorElement:
         nu = _resolve_space(doc["nu"], registry)
         registry = {**registry, "mu": mu, "nu": nu}
         mode = _mode_from_json(doc.get("mode", REAL))
-        terms = []
+        fs, phis = [], []
         for item in doc["terms"]:
-            f = fn_from_json(item["f"], registry, default_space=mu)
-            phi = fn_from_json(item["phi"], registry, default_space=nu)
-            terms.append((f, phi))
-        return TensorElement(mu, nu, mode, tuple(terms))
+            fs.append(fn_from_json(item["f"], registry, default_space=mu))
+            phis.append(fn_from_json(item["phi"], registry, default_space=nu))
+        mode_error = "term modes must match the tensor mode"
+        return TensorElement(
+            mu, nu, mode,
+            _stack(fs, mu, mode, "left factors must live on the mu space",
+                   mode_error),
+            _stack(phis, nu, mode, "right factors must live on the nu space",
+                   mode_error))
     except KeyError as exc:
         raise _missing_key("tensor element", exc) from exc
     except ValueError as exc:
@@ -221,7 +245,7 @@ def tensor_from_json(doc) -> TensorElement:
 
 def subspace_to_json(x: Subspace) -> dict:
     return {"ambient": space_to_json(x.ambient),
-            "basis": [fn_to_json(b, "ambient") for b in x.basis]}
+            "basis": [_row_to_json("ambient", REAL, b) for b in x.basis_matrix]}
 
 
 def subspace_from_json(doc) -> Subspace:
@@ -231,9 +255,12 @@ def subspace_from_json(doc) -> Subspace:
     try:
         ambient = _resolve_space(doc["ambient"], registry)
         registry = {**registry, "ambient": ambient}
-        basis = tuple(fn_from_json(b, registry, default_space=ambient)
-                      for b in doc["basis"])
-        return Subspace(ambient, basis)
+        basis = [fn_from_json(b, registry, default_space=ambient)
+                 for b in doc["basis"]]
+        return Subspace(ambient, _stack(
+            basis, ambient, REAL,
+            "basis elements must live on the ambient space",
+            "subspaces are real-mode only"))
     except KeyError as exc:
         raise _missing_key("subspace", exc) from exc
     except ValueError as exc:
@@ -242,24 +269,24 @@ def subspace_from_json(doc) -> Subspace:
 
 def images_to_json(t: RestrictedOperator) -> dict:
     return {"space": space_to_json(t.codomain),
-            "images": [fn_to_json(y, "space") for y in t.images]}
+            "images": [_row_to_json("space", REAL, y) for y in t.image_matrix]}
 
 
 def images_from_json(doc, subspace: Subspace) -> RestrictedOperator:
-    if isinstance(doc, dict) and "images" in doc:
-        registry = _registry(doc)
-        if "space" in doc:
-            registry = {**registry, "space": _resolve_space(doc["space"], registry)}
-        default = registry.get("space")
-        items = doc["images"]
-    elif isinstance(doc, list):
-        registry, default, items = {}, None, doc
-    else:
-        raise SchemaError("images must be a list or an object with 'images'")
+    if not isinstance(doc, dict) or "images" not in doc:
+        raise SchemaError("images must be an object with an 'images' list")
+    registry = _registry(doc)
+    if "space" in doc:
+        registry = {**registry, "space": _resolve_space(doc["space"], registry)}
     try:
-        images = tuple(fn_from_json(y, registry, default_space=default)
-                       for y in items)
-        return RestrictedOperator(subspace, images)
+        images = [fn_from_json(y, registry, default_space=registry.get("space"))
+                  for y in doc["images"]]
+        if len(images) != subspace.dim:
+            raise SchemaError("need exactly one image per basis element")
+        codomain = images[0].space
+        return RestrictedOperator(subspace, codomain, _stack(
+            images, codomain, REAL, "images must share one codomain space",
+            "restricted operators are real-mode only"))
     except KeyError as exc:
         raise _missing_key("images", exc) from exc
     except ValueError as exc:
@@ -276,15 +303,11 @@ def decomposition_to_json(d: Decomposition) -> dict:
                   "matrix": [[int(e) for e in row] for row in d.signs]}
     else:
         coeffs = {"kind": "field",
-                  "entries": [[{"space": "mu", "mode": COMPLEX,
-                                "values": _values_to_json(d.coeffs[i, j], COMPLEX)}
-                               for j in range(d.k)]
-                              for i in range(d.n)]}
+                  "entries": [[_row_to_json("mu", COMPLEX, field) for field in row]
+                              for row in d.coeffs]}
     return {"spaces": {"mu": space_to_json(d.space)},
             "mode": d.mode,
-            "parts": [{"space": "mu", "mode": REAL,
-                       "values": _values_to_json(row, REAL)}
-                      for row in d.parts_matrix],
+            "parts": [_row_to_json("mu", REAL, row) for row in d.parts_matrix],
             "coeffs": coeffs,
             "trace": {"pre_prune_counts": d.trace.level_counts()}}
 
@@ -293,9 +316,7 @@ def cell_decomposition_to_json(cd: CellDecomposition) -> dict:
     return {"spaces": {"mu": space_to_json(cd.space)},
             "mode": cd.mode,
             "cells": [list(c) for c in cd.cells],
-            "parts": [{"space": "mu", "mode": REAL,
-                       "values": _values_to_json(row, REAL)}
-                      for row in cd.parts_matrix],
+            "parts": [_row_to_json("mu", REAL, row) for row in cd.parts_matrix],
             "coeffs": [[_scalar_to_json(a, COMPLEX) for a in row]
                        for row in cd.alphas],
             "epsilon": cd.epsilon}

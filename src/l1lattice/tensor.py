@@ -24,59 +24,44 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn, d_norm,
-                   group_columns, unit_phases)
+from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, _as_mode_array,
+                   argmax_partition, check_entries, d_norm, group_columns,
+                   unit_phases)
 from .operators import (INEQ_TOL, KernelOperator, ProofTrace, _eq_step,
-                        _le_step, apply, apply_matrix, op_norm)
-
-
-def _to_mode(f: SimpleFn, mode: str) -> SimpleFn:
-    if f.mode == mode:
-        return f
-    return SimpleFn(f.space, mode, f.values.astype(np.complex128))
+                        _le_step, apply_family, apply_matrix, op_norm)
 
 
 @dataclass(frozen=True, eq=False)
 class TensorElement:
-    """A finite sum of elementary tensors f (x) phi."""
+    """A finite sum of elementary tensors f_r (x) phi_r: row r of ``f_matrix``
+    (terms, mu atoms) and of ``phi_matrix`` (terms, nu atoms)."""
 
     mu_space: MeasureSpace
     nu_space: MeasureSpace
     mode: str
-    terms: tuple[tuple[SimpleFn, SimpleFn], ...]
+    f_matrix: np.ndarray
+    phi_matrix: np.ndarray
 
     def __post_init__(self):
-        terms = tuple((f, phi) for f, phi in self.terms)
-        if not terms:
+        f = _as_mode_array(self.f_matrix, self.mode, (None, self.mu_space.size),
+                           "left factors")
+        phi = _as_mode_array(self.phi_matrix, self.mode,
+                             (f.shape[0], self.nu_space.size), "right factors")
+        if f.shape[0] == 0:
             raise ValueError("a tensor element needs at least one term")
-        for f, phi in terms:
-            if f.space != self.mu_space:
-                raise ValueError("left factors must live on the mu space")
-            if phi.space != self.nu_space:
-                raise ValueError("right factors must live on the nu space")
-            if f.mode != self.mode or phi.mode != self.mode:
-                raise ValueError("term modes must match the tensor mode")
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "f_matrix", f)
+        object.__setattr__(self, "phi_matrix", phi)
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
-
-    @cached_property
-    def f_matrix(self) -> np.ndarray:
-        m = np.vstack([f.values for f, _ in self.terms])
-        m.flags.writeable = False
-        return m
-
-    @cached_property
-    def phi_matrix(self) -> np.ndarray:
-        m = np.vstack([phi.values for _, phi in self.terms])
-        m.flags.writeable = False
-        return m
+        return self.f_matrix.shape[0]
 
     @cached_property
     def evaluation(self) -> np.ndarray:
         """g(omega)(s) as a (mu atoms, nu atoms) matrix."""
+        check_entries(self.mu_space.size * self.nu_space.size,
+                      f"the evaluation of a tensor on {self.mu_space.size} x "
+                      f"{self.nu_space.size} atoms")
         m = self.f_matrix.T @ self.phi_matrix
         m.flags.writeable = False
         return m
@@ -98,7 +83,7 @@ class CanonicalRep:
     """g rewritten over cells of nu on which all right factors are constant."""
 
     cells: tuple[tuple[int, ...], ...]
-    z: tuple[SimpleFn, ...]
+    z: np.ndarray            # (cells, mu atoms): z_i on row i
 
     @property
     def n_cells(self) -> int:
@@ -110,19 +95,16 @@ def canonical_rep(g: TensorElement) -> CanonicalRep:
     the evaluation is a single function z_i of omega (a linear combination of
     the left factors)."""
     cells = tuple(tuple(c) for c in group_columns(g.phi_matrix))
-    z = tuple(SimpleFn(g.mu_space, g.mode, g.evaluation[:, c[0]]) for c in cells)
+    z = g.evaluation[:, [c[0] for c in cells]].T
     return CanonicalRep(cells, z)
 
 
 def rebuild_from_canonical(g: TensorElement, rep: CanonicalRep) -> TensorElement:
     """The tensor element sum_i z_i (x) indicator(cell_i)."""
-    terms = []
-    for cell, z in zip(rep.cells, rep.z):
-        ind = np.zeros(g.nu_space.size)
-        ind[list(cell)] = 1.0
-        terms.append((z, SimpleFn(g.nu_space, g.mode, ind.astype(
-            np.complex128 if g.mode == COMPLEX else np.float64))))
-    return TensorElement(g.mu_space, g.nu_space, g.mode, tuple(terms))
+    indicators = np.zeros((rep.n_cells, g.nu_space.size))
+    for i, cell in enumerate(rep.cells):
+        indicators[i, list(cell)] = 1.0
+    return TensorElement(g.mu_space, g.nu_space, g.mode, rep.z, indicators)
 
 
 def representation_product(g: TensorElement) -> float:
@@ -201,17 +183,17 @@ def pair_operator_tensor(t: KernelOperator, g: TensorElement):
     return complex(total)
 
 
-def attain_max_functional(hs: FnFamily) -> list[SimpleFn]:
-    """Functionals phi_1..phi_n with ||sum |phi_j|||_inf = 1 whose pairing
-    with h_1..h_n equals the integral of max_j |h_j|.
+def attain_max_functional(hs: FnFamily) -> np.ndarray:
+    """Functionals phi_1..phi_n, the rows of an (n, atoms) matrix, with
+    ||sum |phi_j|||_inf = 1 whose pairing with h_1..h_n equals the integral
+    of max_j |h_j|.
 
     Per atom the lowest argmax index j* carries the conjugate phase of
     h_j* (its sign in real mode, and 1 where the value vanishes); all other
     functionals vanish there.
     """
     values = hs.value_matrix
-    moduli = np.abs(values)
-    pick = np.argmax(moduli, axis=0)
+    pick = argmax_partition(values)
     n, n_atoms = values.shape
     cols = np.arange(n_atoms)
     picked = values[pick, cols]
@@ -220,20 +202,18 @@ def attain_max_functional(hs: FnFamily) -> list[SimpleFn]:
     dtype = np.complex128 if hs.mode == COMPLEX else np.float64
     out = np.zeros((n, n_atoms), dtype=dtype)
     out[pick, cols] = phases.real if hs.mode == REAL else phases
-    return [SimpleFn(hs.space, hs.mode, row) for row in out]
+    return out
 
 
 def proof_trace_tensor(t: KernelOperator, fs: FnFamily) -> ProofTrace:
     """Certify the L1 inequality via tensor norms: pair the image family with
     extremal functionals, then contract through the operator."""
-    image = FnFamily(tuple(apply(t, f) for f in fs.members))
+    image = apply_family(t, fs)
     phis = attain_max_functional(image)
     mode = image.mode
-    g_before = TensorElement(t.domain, t.codomain, mode,
-                             tuple((_to_mode(f, mode), p)
-                                   for f, p in zip(fs.members, phis)))
-    g_after = TensorElement(t.codomain, t.codomain, mode,
-                            tuple(zip(image.members, phis)))
+    g_before = TensorElement(t.domain, t.codomain, mode, fs.value_matrix, phis)
+    g_after = TensorElement(t.codomain, t.codomain, mode, image.value_matrix,
+                            phis)
 
     nu_w = t.codomain.weight_array
     int_max = float(nu_w @ np.max(np.abs(image.value_matrix), axis=0))

@@ -3,6 +3,8 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,19 @@ from l1lattice.extension import alpha_via_lp
 from l1lattice.generate import (generate_instance, random_family,
                                 random_operator, random_space, random_subspace,
                                 random_tensor, random_values, rng_for)
+
+
+def _measured(argv):
+    """Exit code, wall seconds and peak traced allocation of main(argv)."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    finally:
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return code, seconds, peak
 
 
 def run_cli(*args):
@@ -30,8 +45,7 @@ class TestRoundTrips:
             doc = json.loads(jsonio.dumps(jsonio.family_to_json(fs)))
             back = jsonio.family_from_json(doc)
             assert back.space == fs.space
-            for a, b in zip(fs.members, back.members):
-                assert np.array_equal(a.values, b.values)
+            assert np.array_equal(back.value_matrix, fs.value_matrix)
 
     def test_operator_bit_exact(self):
         rng = rng_for(2)
@@ -239,6 +253,17 @@ class TestExitCodes:
          "--eps", "0.2"],
         ["check-inequality", "--op", "t.json", "--family", "f.json",
          "--trace", "real", "--eps", "0.1"],
+        ["generate", "--kind", "family", "--nu-atoms", "7"],
+        ["generate", "--kind", "family", "--dim", "5"],
+        ["generate", "--kind", "operator", "--n", "3"],
+        ["generate", "--kind", "operator", "--dim", "2"],
+        ["generate", "--kind", "inequality", "--dim", "2"],
+        ["generate", "--kind", "tensor", "--dim", "2"],
+        ["generate", "--kind", "subspace", "--n", "4"],
+        ["generate", "--kind", "subspace", "--nu-atoms", "9"],
+        ["generate", "--kind", "subspace", "--mode", "real"],
+        ["generate", "--kind", "extension", "--n", "2"],
+        ["generate", "--kind", "extension", "--mode", "complex"],
     ])
     def test_flags_only_where_honoured(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -256,6 +281,10 @@ class TestExitCodes:
           "--trials", "-1"], "--trials"),
         (["extend", "--subspace", "x.json", "--images", "t.json",
           "--trials", "1000001"], "--trials"),
+        (["generate", "--kind", "family", "--nu-atoms", "7", "--dim", "5",
+          "--out", "f.json"], "--nu-atoms"),
+        (["generate", "--kind", "subspace", "--mode", "real",
+          "--out", "x.json"], "--mode"),
     ])
     def test_bad_flag_value_names_the_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -288,6 +317,74 @@ class TestExitCodes:
         assert (f"nu_atoms must be in 1..{cap}, got {nu_atoms}"
                 in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
+
+    def test_generate_defaults_unchanged(self, tmp_path):
+        # omitted flags take the library defaults: n 2, mode real,
+        # nu_atoms = atoms, dim 2
+        for kind, params in [("inequality", {"atoms": 4, "n": 2, "mode": "real",
+                                             "nu_atoms": 4}),
+                             ("extension", {"atoms": 4, "nu_atoms": 4, "dim": 2})]:
+            out = tmp_path / f"{kind}.json"
+            assert main(["generate", "--kind", kind, "--atoms", "4", "--seed", "3",
+                         "--out", str(out), "--quiet"]) == 0
+            for stem, doc in generate_instance(kind, params, 3).items():
+                written = tmp_path / f"{kind}_{stem}.json"
+                assert written.read_text() == jsonio.dumps(doc)
+
+    def test_generate_instance_refuses_unread_params(self):
+        with pytest.raises(ValueError, match="family instances do not read dim"):
+            generate_instance("family", {"atoms": 3, "dim": 2}, 0)
+
+    @pytest.mark.parametrize("mode,n,atoms", [
+        ("real", 7, 2), ("real", 6, 50), ("complex", 8, 1)])
+    def test_oversized_decomposition_refused(self, tmp_path, capsys, mode, n,
+                                             atoms):
+        rng = rng_for(5)
+        path = tmp_path / "fam.json"
+        jsonio.write_json(str(path), jsonio.family_to_json(
+            random_family(rng, random_space(rng, atoms), n, mode)))
+        argv = ["decompose", "--input", str(path), "--quiet"]
+        code, seconds, peak = _measured(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and f"{n} members on {atoms} atoms" in err
+        assert seconds < 1.0 and peak < 2_000_000
+
+    def test_oversized_trace_refused(self, tmp_path, capsys):
+        rng = rng_for(6)
+        t = random_operator(rng, random_space(rng, 2), random_space(rng, 2), "real")
+        docs = {"op": jsonio.operator_to_json(t),
+                "fam": jsonio.family_to_json(random_family(rng, t.domain, 7))}
+        for name, doc in docs.items():
+            jsonio.write_json(str(tmp_path / f"{name}.json"), doc)
+        code, seconds, peak = _measured([
+            "check-inequality", "--op", str(tmp_path / "op.json"),
+            "--family", str(tmp_path / "fam.json"), "--trace", "real",
+            "--quiet"])
+        assert code == 2 and "7 members on 2 atoms" in capsys.readouterr().err
+        assert seconds < 1.0 and peak < 2_000_000
+
+    def test_oversized_tensor_refused(self, tmp_path, capsys):
+        rng = rng_for(7)
+        path = tmp_path / "g.json"
+        jsonio.write_json(str(path), jsonio.tensor_to_json(random_tensor(
+            rng, random_space(rng, 800), random_space(rng, 800, prefix="s"), 1)))
+        code, seconds, peak = _measured(["tensor-norm", "--input", str(path),
+                                         "--quiet"])
+        assert code == 2 and "800 x 800 atoms" in capsys.readouterr().err
+        assert seconds < 1.0 and peak < 2_000_000
+
+    def test_bare_list_images_refused(self, tmp_path, capsys):
+        main(["generate", "--kind", "extension", "--atoms", "3", "--seed", "4",
+              "--out", str(tmp_path / "i.json"), "--quiet"])
+        images = json.loads((tmp_path / "i_images.json").read_text())
+        bare = tmp_path / "bare.json"
+        bare.write_text(jsonio.dumps([{"space": images["space"], **y}
+                                      for y in images["images"]]))
+        capsys.readouterr()
+        assert main(["extend", "--subspace", str(tmp_path / "i_subspace.json"),
+                     "--images", str(bare), "--quiet"]) == 2
+        assert ("images must be an object with an 'images' list"
+                in capsys.readouterr().err)
 
     def test_solver_failure_exits_1(self, tmp_path, monkeypatch, capsys):
         def failing_solve(program):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        argmax_partition, d_norm, l1_norm, lattice_max,
-                       pos_neg_split, sgn, zero_fn)
+                       pos_neg_split, zero_fn)
 
 
 def space(n, weights=None):
@@ -75,19 +75,17 @@ class TestL1Norm:
 
 class TestLatticeMax:
     def test_single_function_modulus(self):
-        fs = FnFamily((SimpleFn(space(2), REAL, [1.0, -2.0]),))
+        fs = FnFamily(space(2), REAL, [[1.0, -2.0]])
         assert np.array_equal(lattice_max(fs).values, [1.0, 2.0])
 
     def test_pointwise_max(self):
-        fs = FnFamily((SimpleFn(space(2), REAL, [1.0, -2.0]),
-                       SimpleFn(space(2), REAL, [-3.0, 1.0])))
+        fs = FnFamily(space(2), REAL, [[1.0, -2.0], [-3.0, 1.0]])
         assert np.array_equal(lattice_max(fs).values, [3.0, 2.0])
 
     def test_complex_modulus(self):
         # hand: |3+4i| = 5
         sp = space(2)
-        fs = FnFamily((SimpleFn(sp, COMPLEX, [3.0 + 4.0j, 0.0]),
-                       SimpleFn(sp, COMPLEX, [0.0, 1.0 + 0.0j])))
+        fs = FnFamily(sp, COMPLEX, [[3.0 + 4.0j, 0.0], [0.0, 1.0 + 0.0j]])
         assert np.array_equal(lattice_max(fs).values, [5.0, 1.0])
 
     @given(finite_vals, finite_vals)
@@ -95,57 +93,52 @@ class TestLatticeMax:
     def test_monotone_in_family_inclusion(self, a, b):
         n = min(len(a), len(b))
         sp = space(n)
-        small = FnFamily((SimpleFn(sp, REAL, a[:n]),))
-        large = FnFamily((SimpleFn(sp, REAL, a[:n]), SimpleFn(sp, REAL, b[:n])))
+        small = FnFamily(sp, REAL, [a[:n]])
+        large = FnFamily(sp, REAL, [a[:n], b[:n]])
         assert np.all(lattice_max(large).values >= lattice_max(small).values)
 
 
 class TestDNorm:
     def test_disjoint_supports(self):
         sp = space(2)
-        fs = FnFamily((SimpleFn(sp, REAL, [1.0, 0.0]),
-                       SimpleFn(sp, REAL, [0.0, 1.0])))
+        fs = FnFamily(sp, REAL, [[1.0, 0.0], [0.0, 1.0]])
         assert d_norm(fs) == 2.0
 
     def test_singleton_equals_l1(self):
         f = SimpleFn(space(3, (1.0, 2.0, 0.5)), REAL, [1.0, -4.0, 2.0])
-        assert d_norm(FnFamily((f,))) == l1_norm(f)
+        assert d_norm(FnFamily(f.space, REAL, [f.values])) == l1_norm(f)
 
     def test_constant_max_mass(self):
         # hand: max == 1 everywhere, total mass 2 + 3 = 5
         sp = space(2, (2.0, 3.0))
-        fs = FnFamily((SimpleFn(sp, REAL, [1.0, 1.0]),
-                       SimpleFn(sp, REAL, [1.0, -1.0])))
+        fs = FnFamily(sp, REAL, [[1.0, 1.0], [1.0, -1.0]])
         assert d_norm(fs) == 5.0
 
 
 class TestArgmaxPartition:
     def test_unique_argmax(self):
         sp = space(2)
-        fs = FnFamily((SimpleFn(sp, REAL, [1.0, 0.0]),
-                       SimpleFn(sp, REAL, [0.0, 1.0])))
-        assert np.array_equal(argmax_partition(fs).cell_of_atom, [0, 1])
+        fs = FnFamily(sp, REAL, [[1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(argmax_partition(fs.value_matrix), [0, 1])
 
     def test_tie_goes_to_lowest_index(self):
         sp = space(2)
-        fs = FnFamily((SimpleFn(sp, REAL, [1.0, 1.0]),
-                       SimpleFn(sp, REAL, [1.0, 1.0])))
-        assert np.array_equal(argmax_partition(fs).cell_of_atom, [0, 0])
+        fs = FnFamily(sp, REAL, [[1.0, 1.0], [1.0, 1.0]])
+        assert np.array_equal(argmax_partition(fs.value_matrix), [0, 0])
 
     def test_mixed_tie_and_dominance(self):
         # atom 0 ties |2| = |-2| -> index 0; atom 1 has 5 > 4 -> index 0
         sp = space(2)
-        fs = FnFamily((SimpleFn(sp, REAL, [2.0, -5.0]),
-                       SimpleFn(sp, REAL, [-2.0, 4.0])))
-        assert np.array_equal(argmax_partition(fs).cell_of_atom, [0, 0])
+        fs = FnFamily(sp, REAL, [[2.0, -5.0], [-2.0, 4.0]])
+        assert np.array_equal(argmax_partition(fs.value_matrix), [0, 0])
 
     @given(finite_vals, finite_vals)
     @settings(deadline=None)
     def test_cell_attains_max_and_no_lower_index_does(self, a, b):
         n = min(len(a), len(b))
         sp = space(n)
-        fs = FnFamily((SimpleFn(sp, REAL, a[:n]), SimpleFn(sp, REAL, b[:n])))
-        cells = argmax_partition(fs).cell_of_atom
+        fs = FnFamily(sp, REAL, [a[:n], b[:n]])
+        cells = argmax_partition(fs.value_matrix)
         moduli = np.abs(fs.value_matrix)
         for w, i in enumerate(cells):
             assert moduli[i, w] == moduli[:, w].max()
@@ -154,55 +147,29 @@ class TestArgmaxPartition:
 
 class TestPosNegSplit:
     def test_defining_property(self):
-        plus, minus = pos_neg_split(SimpleFn(space(2), REAL, [2.0, -3.0]))
-        assert np.array_equal(plus.values, [2.0, 0.0])
-        assert np.array_equal(minus.values, [0.0, 3.0])
+        plus, minus = pos_neg_split(np.array([2.0, -3.0]))
+        assert np.array_equal(plus, [2.0, 0.0])
+        assert np.array_equal(minus, [0.0, 3.0])
 
     def test_zero(self):
-        plus, minus = pos_neg_split(zero_fn(space(2)))
-        assert plus.is_zero and minus.is_zero
+        plus, minus = pos_neg_split(zero_fn(space(2)).values)
+        assert np.all(plus == 0.0) and np.all(minus == 0.0)
 
     def test_negative_function(self):
-        plus, minus = pos_neg_split(SimpleFn(space(2), REAL, [-1.0, -1.0]))
-        assert plus.is_zero
-        assert np.array_equal(minus.values, [1.0, 1.0])
+        plus, minus = pos_neg_split(np.array([-1.0, -1.0]))
+        assert np.all(plus == 0.0)
+        assert np.array_equal(minus, [1.0, 1.0])
 
     def test_complex_rejected(self):
         with pytest.raises(ValueError):
-            pos_neg_split(SimpleFn(space(1), COMPLEX, [1.0 + 0.0j]))
+            pos_neg_split(np.array([1.0 + 0.0j]))
 
     @given(finite_vals)
     @settings(deadline=None)
     def test_bit_exact_reconstruction(self, vals):
         f = SimpleFn(space(len(vals)), REAL, vals)
-        plus, minus = pos_neg_split(f)
-        assert np.all(plus.values >= 0.0) and np.all(minus.values >= 0.0)
-        assert np.array_equal(plus.values - minus.values, f.values)
-        assert np.array_equal(plus.values + minus.values, np.abs(f.values))
-        assert np.all(plus.values * minus.values == 0.0)
-
-
-class TestSgn:
-    def test_complex_normalization(self):
-        # hand: (3+4i)/5 = 0.6 + 0.8i
-        s = sgn(SimpleFn(space(2), COMPLEX, [3.0 + 4.0j, 0.0]))
-        assert s.values[0] == pytest.approx(0.6 + 0.8j, abs=1e-15)
-        assert s.values[1] == 0.0
-
-    def test_real_sign(self):
-        s = sgn(SimpleFn(space(2), REAL, [-2.0, 5.0]))
-        assert np.array_equal(s.values, [-1.0, 1.0])
-
-    def test_zero_convention(self):
-        assert sgn(zero_fn(space(2))).is_zero
-
-    @given(finite_vals, finite_vals)
-    @settings(deadline=None)
-    def test_reconstructs_f(self, re, im):
-        n = min(len(re), len(im))
-        vals = np.array(re[:n]) + 1j * np.array(im[:n])
-        f = SimpleFn(space(n), COMPLEX, vals)
-        s = sgn(f)
-        assert np.all((np.abs(np.abs(s.values) - 1.0) < 1e-12) | (s.values == 0.0))
-        recon = s.values * np.abs(f.values)
-        assert np.all(np.abs(recon - f.values) <= 1e-14 * (1.0 + np.abs(f.values)))
+        plus, minus = pos_neg_split(f.values)
+        assert np.all(plus >= 0.0) and np.all(minus >= 0.0)
+        assert np.array_equal(plus - minus, f.values)
+        assert np.array_equal(plus + minus, np.abs(f.values))
+        assert np.all(plus * minus == 0.0)

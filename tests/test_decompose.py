@@ -40,15 +40,14 @@ class TestPrepruneCounts:
 
 class TestDecomposeReal:
     def test_n1_is_pos_neg_split(self):
-        fs = FnFamily((SimpleFn(unit_space(2), REAL, [2.0, -3.0]),))
+        fs = FnFamily(unit_space(2), REAL, [[2.0, -3.0]])
         d = decompose_real(fs)
         assert np.array_equal(d.parts_matrix, [[2.0, 0.0], [0.0, 3.0]])
         assert np.array_equal(d.signs, [[1, -1]])
 
     def test_n2_preprune_count_is_12(self):
         sp = unit_space(2)
-        fs = FnFamily((SimpleFn(sp, REAL, [1.0, 0.0]),
-                       SimpleFn(sp, REAL, [0.0, 1.0])))
+        fs = FnFamily(sp, REAL, [[1.0, 0.0], [0.0, 1.0]])
         d = decompose_real(fs)
         assert d.k == 12
         report = verify_decomposition(d, fs)
@@ -56,13 +55,13 @@ class TestDecomposeReal:
         assert np.array_equal(d.parts_matrix.sum(axis=0), [1.0, 1.0])
 
     def test_zero_family(self):
-        fs = FnFamily((zero_fn(unit_space(3)), zero_fn(unit_space(3))))
+        fs = FnFamily(unit_space(3), REAL, np.zeros((2, 3)))
         d = decompose_real(fs)
         assert np.all(d.parts_matrix == 0.0)
         assert verify_decomposition(d, fs).passed
 
     def test_complex_rejected(self):
-        fs = FnFamily((SimpleFn(unit_space(1), COMPLEX, [1.0 + 0.0j]),))
+        fs = FnFamily(unit_space(1), COMPLEX, [[1.0 + 0.0j]])
         with pytest.raises(ValueError):
             decompose_real(fs)
 
@@ -80,7 +79,7 @@ class TestDecomposeReal:
 
 class TestDecomposeComplex:
     def test_n1_is_modulus_and_phase(self):
-        fs = FnFamily((SimpleFn(unit_space(2), COMPLEX, [3.0 + 4.0j, 0.0]),))
+        fs = FnFamily(unit_space(2), COMPLEX, [[3.0 + 4.0j, 0.0]])
         d = decompose_complex(fs)
         assert np.array_equal(d.parts_matrix, [[5.0, 0.0]])
         assert d.coeffs[0, 0, 0] == pytest.approx(0.6 + 0.8j, abs=1e-15)
@@ -93,7 +92,7 @@ class TestDecomposeComplex:
         assert decompose_complex(random_family(rng, sp, 3, COMPLEX)).k == 15
 
     def test_real_input_allowed(self):
-        fs = FnFamily((SimpleFn(unit_space(2), REAL, [1.0, -2.0]),))
+        fs = FnFamily(unit_space(2), REAL, [[1.0, -2.0]])
         d = decompose_complex(fs)
         assert d.mode == COMPLEX
         assert verify_decomposition(d, fs).passed
@@ -158,7 +157,7 @@ class TestPrune:
         assert np.array_equal(p.parts_matrix, d.parts_matrix[keep])
 
     def test_idempotent_when_nothing_to_prune(self):
-        fs = FnFamily((SimpleFn(unit_space(1), REAL, [1.0]),))
+        fs = FnFamily(unit_space(1), REAL, [[1.0]])
         d = prune(decompose_real(fs))
         assert prune(d) is d
 
@@ -175,14 +174,14 @@ class TestConstantCoefficients:
         assert verify_cell_decomposition(cd, fs).passed
 
     def test_complex_n1_two_cells(self):
-        fs = FnFamily((SimpleFn(unit_space(2), COMPLEX, [1.0j, -1.0 + 0.0j]),))
+        fs = FnFamily(unit_space(2), COMPLEX, [[1.0j, -1.0 + 0.0j]])
         cd = refine_to_constant_coeffs(decompose_complex(fs))
         assert cd.cells == ((0,), (1,))
         assert cd.alphas[0, 0] == 1.0j and cd.alphas[0, 1] == -1.0
         assert verify_cell_decomposition(cd, fs).passed
 
     def test_zero_function_single_cell(self):
-        fs = FnFamily((zero_fn(unit_space(3), COMPLEX),))
+        fs = FnFamily(unit_space(3), COMPLEX, np.zeros((1, 3)))
         cd = refine_to_constant_coeffs(decompose_complex(fs))
         assert len(cd.cells) == 1
         assert np.all(cd.alphas == 0.0)
@@ -215,7 +214,8 @@ class TestEpsNet:
         sp = unit_space(1)
         theta = 0.7
         f = SimpleFn(sp, COMPLEX, [5.0 * np.exp(1j * theta)])
-        cd = eps_net_coeffs(decompose_complex(FnFamily((f,))), 0.1)
+        cd = eps_net_coeffs(decompose_complex(FnFamily(sp, COMPLEX, [f.values])),
+                            0.1)
         assert abs(cd.alphas[0, 0] - np.exp(1j * theta)) <= 0.1
         resid = abs(f.values[0] - cd.recombined()[0, 0])
         assert resid <= 0.5
@@ -227,7 +227,7 @@ class TestEpsNet:
         assert verify_cell_decomposition(cd, fs).passed
 
     def test_nonpositive_eps_rejected(self):
-        fs = FnFamily((zero_fn(unit_space(1), COMPLEX),))
+        fs = FnFamily(unit_space(1), COMPLEX, np.zeros((1, 1)))
         with pytest.raises(ValueError):
             eps_net_coeffs(decompose_complex(fs), 0.0)
 
@@ -261,13 +261,13 @@ class TestEpsNet:
 class TestOptimalKSearch:
     def test_sign_change_needs_two_parts(self):
         sp = unit_space(2)
-        res = optimal_k_search(FnFamily((SimpleFn(sp, REAL, [1.0, -1.0]),)), 4)
+        res = optimal_k_search(FnFamily(sp, REAL, [[1.0, -1.0]]), 4)
         assert res.feasible and res.k == 2
         assert res.infeasible_k == (1,)
 
     def test_nonnegative_single_function_needs_one(self):
         sp = unit_space(2)
-        res = optimal_k_search(FnFamily((SimpleFn(sp, REAL, [2.0, 0.5]),)), 4)
+        res = optimal_k_search(FnFamily(sp, REAL, [[2.0, 0.5]]), 4)
         assert res.k == 1
         assert np.array_equal(res.signs, [[1]])
         assert np.array_equal(res.parts[0].values, [2.0, 0.5])
@@ -287,8 +287,7 @@ class TestOptimalKSearch:
     def test_infeasible_reports_largest_k_tried(self):
         # four full-sign atoms force four distinct columns, so k_max=3 fails
         sp = unit_space(4)
-        fs = FnFamily((SimpleFn(sp, REAL, [1.0, 1.0, -1.0, -1.0]),
-                       SimpleFn(sp, REAL, [1.0, -1.0, 1.0, -1.0])))
+        fs = FnFamily(sp, REAL, [[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
         res = optimal_k_search(fs, 3)
         assert not res.feasible
         assert res.k_max_tried == 3
@@ -296,17 +295,17 @@ class TestOptimalKSearch:
 
     def test_guards(self):
         sp = unit_space(5)
-        big = FnFamily(tuple(SimpleFn(sp, REAL, np.eye(5)[i]) for i in range(5)))
+        big = FnFamily(sp, REAL, np.eye(5))
         with pytest.raises(ValueError):
             optimal_k_search(big, 4)
-        small = FnFamily((SimpleFn(sp, REAL, np.ones(5)),))
+        small = FnFamily(sp, REAL, np.ones((1, 5)))
         with pytest.raises(ValueError):
             optimal_k_search(small, 9)
 
 
 def _pruned_n1(f):
     """The pruned complex decomposition of the one-function family (f)."""
-    return prune(decompose_complex(FnFamily((f,))))
+    return prune(decompose_complex(FnFamily(f.space, f.mode, [f.values])))
 
 
 class TestOptimalKComplexN1:
@@ -356,7 +355,7 @@ def _ties_family(mode):
                        [-1.0, 2.0, -0.0, 0.0, -3.0, 3.0, -2.0, 0.0],
                        [2.0, 2.0, 1.0, -1.0, 0.0, -0.0, -2.0, -0.0]])
     sp = unit_space(values.shape[1])
-    return FnFamily(tuple(SimpleFn(sp, mode, v) for v in values))
+    return FnFamily(sp, mode, values)
 
 
 def _golden_family(n, atoms, mode):

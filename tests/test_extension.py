@@ -5,7 +5,7 @@ from l1lattice import (REAL, MeasureSpace, RestrictedOperator, SimpleFn,
                        Subspace, alpha_via_lp, apply, check_condition_b,
                        l1_norm, op_norm,
                        pair_operator_tensor, point_mass, tensor_norm,
-                       verify_extension_theorem, zero_fn)
+                       verify_extension_theorem)
 from l1lattice import cli, extension, jsonio, lp
 from l1lattice.extension import _extension_lp, certificate_family_coeffs
 from l1lattice.generate import (generate_instance, random_restricted,
@@ -20,30 +20,26 @@ class TestSubspace:
     def test_dependent_basis_rejected(self):
         sp = unit_space(3)
         with pytest.raises(ValueError):
-            Subspace(sp, (SimpleFn(sp, REAL, [1.0, 2.0, 0.0]),
-                          SimpleFn(sp, REAL, [2.0, 4.0, 0.0])))
+            Subspace(sp, [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
 
     def test_more_vectors_than_atoms_rejected(self):
         sp = unit_space(2)
         with pytest.raises(ValueError):
-            Subspace(sp, (SimpleFn(sp, REAL, [1.0, 0.0]),
-                          SimpleFn(sp, REAL, [0.0, 1.0]),
-                          SimpleFn(sp, REAL, [1.0, 1.0])))
+            Subspace(sp, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
     def test_image_count_checked(self):
         sp = unit_space(2)
-        x = Subspace(sp, (SimpleFn(sp, REAL, [1.0, 0.0]),))
+        x = Subspace(sp, [[1.0, 0.0]])
         with pytest.raises(ValueError):
-            RestrictedOperator(x, (SimpleFn(sp, REAL, [1.0, 0.0]),
-                                   SimpleFn(sp, REAL, [0.0, 1.0])))
+            RestrictedOperator(x, sp, [[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestAlphaViaLP:
     def test_diagonal_span_identity_image(self):
         # alpha = 1: the ratio ||Tx||/||x|| = 1 forces it, the identity attains it
         mu = unit_space(2)
-        x = Subspace(mu, (SimpleFn(mu, REAL, [1.0, 1.0]),))
-        t = RestrictedOperator(x, (SimpleFn(mu, REAL, [1.0, 1.0]),))
+        x = Subspace(mu, [[1.0, 1.0]])
+        t = RestrictedOperator(x, mu, [[1.0, 1.0]])
         res = alpha_via_lp(x, t)
         assert res.alpha == pytest.approx(1.0, abs=1e-10)
         assert res.certificate_ratio >= res.alpha * (1.0 - 1e-6)
@@ -51,8 +47,8 @@ class TestAlphaViaLP:
     def test_zero_operator(self):
         mu = unit_space(3)
         nu = unit_space(2, "s")
-        x = Subspace(mu, (SimpleFn(mu, REAL, [1.0, 2.0, 3.0]),))
-        t = RestrictedOperator(x, (zero_fn(nu),))
+        x = Subspace(mu, [[1.0, 2.0, 3.0]])
+        t = RestrictedOperator(x, nu, np.zeros((1, nu.size)))
         res = alpha_via_lp(x, t)
         assert res.alpha == 0.0
         assert np.all(res.extension.kernel == 0.0)
@@ -67,7 +63,8 @@ class TestAlphaViaLP:
             x = random_subspace(rng, mu, 1)
             t = random_restricted(rng, x, nu)
             res = alpha_via_lp(x, t)
-            expect = l1_norm(t.images[0]) / l1_norm(x.basis[0])
+            expect = (l1_norm(SimpleFn(nu, REAL, t.image_matrix[0]))
+                      / l1_norm(SimpleFn(mu, REAL, x.basis_matrix[0])))
             assert res.alpha == pytest.approx(expect, rel=1e-9)
 
     def test_indicator_span_rank_one_map(self):
@@ -75,8 +72,8 @@ class TestAlphaViaLP:
         nu = unit_space(3, "s")
         indicator = SimpleFn(mu, REAL, [1.0, 1.0, 0.0, 0.0])
         image = SimpleFn(nu, REAL, [2.0, -1.0, 0.5])
-        x = Subspace(mu, (indicator,))
-        t = RestrictedOperator(x, (image,))
+        x = Subspace(mu, [indicator.values])
+        t = RestrictedOperator(x, nu, [image.values])
         res = alpha_via_lp(x, t)
         assert res.alpha == pytest.approx(l1_norm(image) / l1_norm(indicator),
                                           rel=1e-9)
@@ -85,11 +82,11 @@ class TestAlphaViaLP:
         rng = rng_for(2)
         mu = random_space(rng, 4)
         nu = random_space(rng, 3, prefix="s")
-        x = Subspace(mu, tuple(point_mass(mu, j) for j in range(4)))
+        x = Subspace(mu, [point_mass(mu, j).values for j in range(4)])
         t = random_restricted(rng, x, nu)
         res = alpha_via_lp(x, t)
         # the kernel is pinned: column j equals the j-th image
-        expected = np.vstack([y.values for y in t.images]).T
+        expected = t.image_matrix.T
         assert np.allclose(res.extension.kernel, expected, rtol=0, atol=1e-9)
         assert res.alpha == op_norm(res.extension)
 
@@ -102,15 +99,15 @@ class TestAlphaViaLP:
             t = random_restricted(rng, x, nu)
             res = alpha_via_lp(x, t)
             assert res.lp_objective == pytest.approx(res.alpha, rel=1e-9, abs=1e-9)
-            for b, y in zip(x.basis, t.images):
-                residual = l1_norm(SimpleFn(nu, REAL,
-                                            apply(res.extension, b).values - y.values))
-                assert residual <= 1e-8 * (1.0 + l1_norm(y))
+            for b, y in zip(x.basis_matrix, t.image_matrix):
+                image = apply(res.extension, SimpleFn(mu, REAL, b)).values
+                residual = l1_norm(SimpleFn(nu, REAL, image - y))
+                assert residual <= 1e-8 * (1.0 + l1_norm(SimpleFn(nu, REAL, y)))
 
     def test_ambient_cap_enforced(self):
         sp = unit_space(33)
-        x = Subspace(sp, (SimpleFn(sp, REAL, np.ones(33)),))
-        t = RestrictedOperator(x, (SimpleFn(sp, REAL, np.ones(33)),))
+        x = Subspace(sp, np.ones((1, 33)))
+        t = RestrictedOperator(x, sp, np.ones((1, 33)))
         with pytest.raises(ValueError):
             alpha_via_lp(x, t)
 
@@ -132,7 +129,7 @@ class TestDualCertificate:
         rng = rng_for(5)
         mu = random_space(rng, 3)
         nu = random_space(rng, 3, prefix="s")
-        x = Subspace(mu, tuple(point_mass(mu, j) for j in range(3)))
+        x = Subspace(mu, [point_mass(mu, j).values for j in range(3)])
         t = random_restricted(rng, x, nu)
         res = alpha_via_lp(x, t)
         assert res.certificate_ratio == pytest.approx(op_norm(res.extension),
@@ -141,8 +138,8 @@ class TestDualCertificate:
     def test_zero_alpha_rejected(self):
         mu = unit_space(2)
         nu = unit_space(2, "s")
-        x = Subspace(mu, (SimpleFn(mu, REAL, [1.0, 0.0]),))
-        t = RestrictedOperator(x, (zero_fn(nu),))
+        x = Subspace(mu, [[1.0, 0.0]])
+        t = RestrictedOperator(x, nu, np.zeros((1, nu.size)))
         res = alpha_via_lp(x, t)
         assert res.certificate is None
 
@@ -153,8 +150,7 @@ class TestDualCertificate:
         x = random_subspace(rng, mu, 2)
         t = random_restricted(rng, x, nu)
         res = alpha_via_lp(x, t)
-        for (f, _), b in zip(res.certificate.terms, x.basis):
-            assert np.array_equal(f.values, b.values)
+        assert np.array_equal(res.certificate.f_matrix, x.basis_matrix)
 
 
 class TestConditionB:
@@ -198,6 +194,24 @@ class TestConditionB:
                 continue
             assert l1_norm(tf) / l1_norm(f) <= res.alpha * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("above_cap", [False, True])
+    def test_trials_out_of_range_rejected_before_drawing(self, above_cap,
+                                                         monkeypatch):
+        trials = extension.MAX_TRIALS + 1 if above_cap else -1
+        rng = rng_for(14)
+        x = random_subspace(rng, random_space(rng, 4), 2)
+        t = random_restricted(rng, x, random_space(rng, 3, prefix="s"))
+
+        def no_draws(seed):
+            raise AssertionError("a generator was made before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=f"trials must be in "
+                                             f"0..{extension.MAX_TRIALS}, "
+                                             f"got {trials}"):
+            check_condition_b(x, t, 1.0, trials)
+        assert cli.MAX_TRIALS is extension.MAX_TRIALS
+
 
 class TestVerifyExtensionTheorem:
     def test_random_instances_pass(self):
@@ -235,11 +249,11 @@ class TestVerifyExtensionTheorem:
             res = alpha_via_lp(x, t)
             new_vec = SimpleFn(mu, REAL, rng.uniform(-10, 10, 5))
             try:
-                bigger = Subspace(mu, x.basis + (new_vec,))
+                bigger = Subspace(mu, np.vstack([x.basis_matrix, new_vec.values]))
             except ValueError:
                 continue
-            t_big = RestrictedOperator(
-                bigger, t.images + (apply(res.extension, new_vec),))
+            t_big = RestrictedOperator(bigger, nu, np.vstack(
+                [t.image_matrix, apply(res.extension, new_vec).values]))
             res_big = alpha_via_lp(bigger, t_big)
             assert res_big.alpha >= res.alpha - 1e-8
             assert res_big.alpha <= res.alpha * (1.0 + 1e-7) + 1e-9
@@ -248,7 +262,7 @@ class TestVerifyExtensionTheorem:
         rng = rng_for(13)
         mu = random_space(rng, 3)
         nu = random_space(rng, 3, prefix="s")
-        x = Subspace(mu, tuple(point_mass(mu, j) for j in range(3)))
+        x = Subspace(mu, [point_mass(mu, j).values for j in range(3)])
         t = random_restricted(rng, x, nu)
         report = verify_extension_theorem(x, t, trials=2000, seed=31)
         assert report.passed

@@ -25,7 +25,8 @@ class TestApply:
 
     def test_zero_kernel(self):
         sp = unit_space(3)
-        assert apply(zero_operator(sp, sp), SimpleFn(sp, REAL, [1.0, 2.0, 3.0])).is_zero
+        image = apply(zero_operator(sp, sp), SimpleFn(sp, REAL, [1.0, 2.0, 3.0]))
+        assert np.all(image.values == 0.0)
 
     def test_hand_matrix_vector(self):
         # hand: rows (1+2, 3-4) = (3, -1) with unit weights
@@ -145,7 +146,7 @@ class TestCheckGrothendieck:
 
     def test_zero_operator(self):
         sp = unit_space(3)
-        fs = FnFamily((SimpleFn(sp, REAL, [1.0, -2.0, 3.0]),))
+        fs = FnFamily(sp, REAL, [[1.0, -2.0, 3.0]])
         report = check_grothendieck(zero_operator(sp, sp), fs)
         assert report.lhs == 0.0 and report.holds
         assert report.ratio is None
@@ -174,7 +175,7 @@ class TestDominate:
     def test_zero_phi(self):
         sp = unit_space(2)
         t = KernelOperator(sp, sp, [[1.0, 2.0], [3.0, 4.0]], REAL)
-        assert dominate(t, zero_fn(sp)).is_zero
+        assert np.all(dominate(t, zero_fn(sp)).values == 0.0)
 
     def test_identity_returns_phi(self):
         rng = rng_for(9)
@@ -214,7 +215,7 @@ class TestProofTraceReal:
 
     def test_zero_operator_all_zero(self):
         sp = unit_space(3)
-        fs = FnFamily((SimpleFn(sp, REAL, [1.0, -2.0, 0.5]),))
+        fs = FnFamily(sp, REAL, [[1.0, -2.0, 0.5]])
         trace = proof_trace_real(zero_operator(sp, sp), fs)
         assert trace.all_passed
         assert trace.final_lhs == 0.0
@@ -232,7 +233,7 @@ class TestProofTraceReal:
 
     def test_complex_rejected(self):
         sp = unit_space(2)
-        fs = FnFamily((SimpleFn(sp, COMPLEX, [1.0j, 0.0]),))
+        fs = FnFamily(sp, COMPLEX, [[1.0j, 0.0]])
         with pytest.raises(ValueError):
             proof_trace_real(KernelOperator(sp, sp, np.eye(2), COMPLEX), fs)
 
@@ -284,6 +285,6 @@ class TestProofTraceComplex:
 
     def test_nonpositive_eps_rejected(self):
         sp = unit_space(2)
-        fs = FnFamily((SimpleFn(sp, COMPLEX, [1.0j, 0.0]),))
+        fs = FnFamily(sp, COMPLEX, [[1.0j, 0.0]])
         with pytest.raises(ValueError):
             proof_trace_complex(KernelOperator(sp, sp, np.eye(2), COMPLEX), fs, 0.0)

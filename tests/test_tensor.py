@@ -22,7 +22,7 @@ def tensor_norm_oracle(g):
     for wi, w in enumerate(g.mu_space.weights):
         best = 0.0
         for s in range(g.nu_space.size):
-            val = sum(f.values[wi] * p.values[s] for f, p in g.terms)
+            val = sum(f[wi] * p[s] for f, p in zip(g.f_matrix, g.phi_matrix))
             best = max(best, abs(val))
         total += w * best
     return total
@@ -31,9 +31,7 @@ def tensor_norm_oracle(g):
 class TestTensorNorm:
     def test_rank_one_with_constant(self):
         mu, nu = unit_space(2), unit_space(3, "s")
-        g = TensorElement(mu, nu, REAL,
-                          ((SimpleFn(mu, REAL, [1.0, -1.0]),
-                            SimpleFn(nu, REAL, [1.0, 1.0, 1.0])),))
+        g = TensorElement(mu, nu, REAL, [[1.0, -1.0]], [[1.0, 1.0, 1.0]])
         assert tensor_norm(g) == 2.0
 
     def test_cancellation(self):
@@ -41,7 +39,8 @@ class TestTensorNorm:
         f = SimpleFn(mu, REAL, [1.0, 2.0])
         minus_f = SimpleFn(mu, REAL, [-1.0, -2.0])
         phi = SimpleFn(nu, REAL, [3.0, -1.0])
-        g = TensorElement(mu, nu, REAL, ((f, phi), (minus_f, phi)))
+        g = TensorElement(mu, nu, REAL, [f.values, minus_f.values],
+                          [phi.values, phi.values])
         assert tensor_norm(g) == 0.0
 
     def test_disjoint_cells_hand_value(self):
@@ -49,9 +48,8 @@ class TestTensorNorm:
         mu, nu = unit_space(2), unit_space(2, "s")
         x1 = SimpleFn(mu, REAL, [1.0, -4.0])
         x2 = SimpleFn(mu, REAL, [3.0, 2.0])
-        g = TensorElement(mu, nu, REAL,
-                          ((x1, SimpleFn(nu, REAL, [1.0, 0.0])),
-                           (x2, SimpleFn(nu, REAL, [0.0, 1.0]))))
+        g = TensorElement(mu, nu, REAL, [x1.values, x2.values],
+                          [[1.0, 0.0], [0.0, 1.0]])
         assert tensor_norm(g) == 3.0 + 4.0
 
     def test_matches_direct_evaluation_oracle(self):
@@ -69,19 +67,15 @@ class TestCanonicalRep:
     def test_constant_phi_single_cell(self):
         mu, nu = unit_space(2), unit_space(3, "s")
         f = SimpleFn(mu, REAL, [1.0, -2.0])
-        g = TensorElement(mu, nu, REAL,
-                          ((f, SimpleFn(nu, REAL, [1.0, 1.0, 1.0])),))
+        g = TensorElement(mu, nu, REAL, [f.values], [[1.0, 1.0, 1.0]])
         rep = canonical_rep(g)
         assert rep.n_cells == 1
-        assert np.array_equal(rep.z[0].values, f.values)
+        assert np.array_equal(rep.z[0], f.values)
 
     def test_indicator_phis_refine(self):
         mu, nu = unit_space(1), unit_space(3, "s")
-        g = TensorElement(mu, nu, REAL,
-                          ((SimpleFn(mu, REAL, [1.0]),
-                            SimpleFn(nu, REAL, [1.0, 1.0, 0.0])),
-                           (SimpleFn(mu, REAL, [2.0]),
-                            SimpleFn(nu, REAL, [0.0, 1.0, 1.0]))))
+        g = TensorElement(mu, nu, REAL, [[1.0], [2.0]],
+                          [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         rep = canonical_rep(g)
         assert rep.cells == ((0,), (1,), (2,))
 
@@ -104,7 +98,7 @@ class TestCanonicalRep:
         rep = canonical_rep(g)
         for cell, z in zip(rep.cells, rep.z):
             coeffs = g.phi_matrix[:, cell[0]]
-            assert np.allclose(z.values, coeffs @ g.f_matrix, rtol=0, atol=1e-12)
+            assert np.allclose(z, coeffs @ g.f_matrix, rtol=0, atol=1e-12)
 
 
 class TestVerifyMinRepresentation:
@@ -123,9 +117,10 @@ class TestVerifyMinRepresentation:
         mu, nu = unit_space(2), unit_space(2, "s")
         f = SimpleFn(mu, REAL, [1.0, -2.0])
         phi = SimpleFn(nu, REAL, [1.0, 0.5])
-        g = TensorElement(mu, nu, REAL, ((f, phi),))
+        g = TensorElement(mu, nu, REAL, [f.values], [phi.values])
         half = SimpleFn(nu, REAL, [0.5, 0.25])
-        split = TensorElement(mu, nu, REAL, ((f, half), (f, half)))
+        split = TensorElement(mu, nu, REAL, [f.values, f.values],
+                              [half.values, half.values])
         report = verify_min_representation(g, [split])
         assert report.passed
         assert report.products[0] >= report.norm - 1e-9
@@ -144,9 +139,8 @@ class TestVerifyMinRepresentation:
         mu, nu = unit_space(2), unit_space(2, "s")
         f = SimpleFn(mu, REAL, [1.0, 2.0])
         phi = SimpleFn(nu, REAL, [1.0, 0.0])
-        g = TensorElement(mu, nu, REAL, ((f, phi),))
-        other = TensorElement(mu, nu, REAL,
-                              ((SimpleFn(mu, REAL, [1.0, 2.5]), phi),))
+        g = TensorElement(mu, nu, REAL, [f.values], [phi.values])
+        other = TensorElement(mu, nu, REAL, [[1.0, 2.5]], [phi.values])
         with pytest.raises(ValueError, match="deviation"):
             verify_min_representation(g, [other])
 
@@ -154,9 +148,7 @@ class TestVerifyMinRepresentation:
 class TestPairing:
     def test_identity_hand_value(self):
         mu = unit_space(2)
-        g = TensorElement(mu, mu, REAL,
-                          ((SimpleFn(mu, REAL, [1.0, 1.0]),
-                            SimpleFn(mu, REAL, [1.0, 1.0])),))
+        g = TensorElement(mu, mu, REAL, [[1.0, 1.0]], [[1.0, 1.0]])
         assert pair_operator_tensor(identity_operator(mu), g) == 2.0
 
     def test_identity_integral_of_product(self):
@@ -164,7 +156,7 @@ class TestPairing:
         sp = random_space(rng, 4)
         f = SimpleFn(sp, REAL, rng.uniform(-2, 2, 4))
         phi = SimpleFn(sp, REAL, rng.uniform(-2, 2, 4))
-        g = TensorElement(sp, sp, REAL, ((f, phi),))
+        g = TensorElement(sp, sp, REAL, [f.values], [phi.values])
         expected = float(np.sum(f.values * phi.values * sp.weight_array))
         assert pair_operator_tensor(identity_operator(sp), g) == pytest.approx(
             expected, rel=1e-12)
@@ -176,15 +168,15 @@ class TestPairing:
         t = random_operator(rng, mu, nu)
         g1 = random_tensor(rng, mu, nu, 2, REAL)
         g2 = random_tensor(rng, mu, nu, 2, REAL)
-        combined = TensorElement(mu, nu, REAL, g1.terms + g2.terms)
+        combined = TensorElement(mu, nu, REAL,
+                                 np.vstack([g1.f_matrix, g2.f_matrix]),
+                                 np.vstack([g1.phi_matrix, g2.phi_matrix]))
         assert pair_operator_tensor(t, combined) == pytest.approx(
             pair_operator_tensor(t, g1) + pair_operator_tensor(t, g2), rel=1e-10)
 
     def test_space_mismatch_rejected(self):
         mu, nu = unit_space(2), unit_space(3, "s")
-        g = TensorElement(mu, nu, REAL,
-                          ((SimpleFn(mu, REAL, [1.0, 0.0]),
-                            SimpleFn(nu, REAL, [1.0, 0.0, 0.0])),))
+        g = TensorElement(mu, nu, REAL, [[1.0, 0.0]], [[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             pair_operator_tensor(identity_operator(mu), g)
 
@@ -192,26 +184,24 @@ class TestPairing:
 class TestAttainMaxFunctional:
     def test_single_function_signs(self):
         nu = unit_space(2)
-        hs = FnFamily((SimpleFn(nu, REAL, [2.0, -3.0]),))
+        hs = FnFamily(nu, REAL, [[2.0, -3.0]])
         phis = attain_max_functional(hs)
-        assert np.array_equal(phis[0].values, [1.0, -1.0])
-        pairing = float(np.sum(hs.members[0].values * phis[0].values))
+        assert np.array_equal(phis[0], [1.0, -1.0])
+        pairing = float(np.sum(hs.value_matrix[0] * phis[0]))
         assert pairing == 5.0 == l1_norm(SimpleFn(nu, REAL, [2.0, 3.0]))
 
     def test_per_atom_argmax(self):
         nu = unit_space(2)
-        hs = FnFamily((SimpleFn(nu, REAL, [1.0, 0.0]),
-                       SimpleFn(nu, REAL, [0.0, 2.0])))
+        hs = FnFamily(nu, REAL, [[1.0, 0.0], [0.0, 2.0]])
         phis = attain_max_functional(hs)
-        assert np.array_equal(phis[0].values, [1.0, 0.0])
-        assert np.array_equal(phis[1].values, [0.0, 1.0])
+        assert np.array_equal(phis[0], [1.0, 0.0])
+        assert np.array_equal(phis[1], [0.0, 1.0])
 
     def test_all_zero_family_keeps_unit_sup(self):
         nu = unit_space(3)
-        hs = FnFamily((SimpleFn(nu, REAL, np.zeros(3)),
-                       SimpleFn(nu, REAL, np.zeros(3))))
+        hs = FnFamily(nu, REAL, np.zeros((2, 3)))
         phis = attain_max_functional(hs)
-        sup = np.max(np.sum(np.abs(np.vstack([p.values for p in phis])), axis=0))
+        sup = np.max(np.sum(np.abs(phis), axis=0))
         assert sup == 1.0
 
     def test_attainment_identity_random(self):
@@ -222,11 +212,10 @@ class TestAttainMaxFunctional:
                 hs = random_family(rng, nu, int(rng.integers(1, 4)), mode)
                 phis = attain_max_functional(hs)
                 pairing = sum(
-                    np.sum(h.values * p.values * nu.weight_array)
-                    for h, p in zip(hs.members, phis))
+                    np.sum(h * p * nu.weight_array)
+                    for h, p in zip(hs.value_matrix, phis))
                 assert abs(pairing) == pytest.approx(d_norm(hs), rel=1e-12)
-                sup = np.max(np.sum(np.abs(np.vstack(
-                    [p.values for p in phis])), axis=0))
+                sup = np.max(np.sum(np.abs(phis), axis=0))
                 assert sup == pytest.approx(1.0, abs=1e-12)
 
 
@@ -241,7 +230,7 @@ class TestProofTraceTensor:
 
     def test_zero_operator(self):
         sp = unit_space(3)
-        fs = FnFamily((SimpleFn(sp, REAL, [1.0, -1.0, 2.0]),))
+        fs = FnFamily(sp, REAL, [[1.0, -1.0, 2.0]])
         trace = proof_trace_tensor(zero_operator(sp, sp), fs)
         assert trace.all_passed
         assert trace.final_lhs == 0.0
