@@ -108,8 +108,8 @@ def criterion_2(seed: int, scale: float = 1.0) -> CriterionOutcome:
         observed["complex"].append(d_c.k)
         ok &= d_r.k == REAL_PREPRUNE[n - 1] == preprune_count(n, REAL)
         ok &= d_c.k == COMPLEX_PREPRUNE[n - 1] == preprune_count(n, COMPLEX)
-        ok &= verify_trace_counts(d_r.trace, REAL)
-        ok &= verify_trace_counts(d_c.trace, COMPLEX)
+        ok &= verify_trace_counts(d_r.level_counts, REAL)
+        ok &= verify_trace_counts(d_c.level_counts, COMPLEX)
         ok &= d_r.k <= math.exp(0.5) * 2 ** n * math.factorial(n)
         ok &= d_c.k <= math.e * math.factorial(n)
     elapsed, runtime_ok = finish()

@@ -18,7 +18,7 @@ from .decompose import (decompose_complex, decompose_real, eps_net_coeffs,
                         optimal_k_search, prune, refine_to_constant_coeffs,
                         verify_cell_decomposition, verify_decomposition)
 from .extension import (MAX_TRIALS, alpha_via_lp, certificate_failure,
-                        verify_extension_theorem)
+                        extension_lp, verify_extension_theorem)
 from .generate import KIND_PARAMS, generate_instance, rng_for
 from .jsonio import SchemaError
 from .operators import (INEQ_TOL, check_domination, check_grothendieck,
@@ -106,7 +106,7 @@ def _cmd_decompose(args) -> int:
                          f"epsilon {cd.epsilon}")
     else:
         doc = jsonio.decomposition_to_json(d)
-        _emit(args, doc, f"{d.k} parts, counts per level {d.trace.level_counts()}, "
+        _emit(args, doc, f"{d.k} parts, counts per level {list(d.level_counts)}, "
                          f"max residual {max(report.sum_residual, *report.recombination_residuals):.2e}")
     return 0
 
@@ -200,17 +200,17 @@ def _cmd_pair(args) -> int:
 def _cmd_extend(args) -> int:
     x = jsonio.subspace_from_json(jsonio.read_json(args.subspace))
     t = jsonio.images_from_json(jsonio.read_json(args.images), x)
-    dump = None
     if args.dump_lp:
-        def dump(program):
-            jsonio.write_json(args.dump_lp, {
-                "c": list(program.c),
-                "a_eq": [list(r) for r in program.a_eq],
-                "b_eq": list(program.b_eq),
-                "g_ub": [list(r) for r in program.g_ub],
-                "h_ub": list(program.h_ub),
-            })
-    result = alpha_via_lp(x, t, dump_lp=dump)
+        # written before solving, so a failed solve still leaves the dump
+        program = extension_lp(x, t)
+        jsonio.write_json(args.dump_lp, {
+            "c": list(program.c),
+            "a_eq": [list(r) for r in program.a_eq],
+            "b_eq": list(program.b_eq),
+            "g_ub": [list(r) for r in program.g_ub],
+            "h_ub": list(program.h_ub),
+        })
+    result = alpha_via_lp(x, t)
     if not args.verify:
         failure = certificate_failure(result)
         if failure is not None:

@@ -22,8 +22,8 @@ COMPLEX = "complex"
 #: It admits every family of at most 5 members on at most 50 atoms (the
 #: largest, 5 real members on 50 atoms, needs 6330 x 50 = 316,500).  The
 #: costliest family under it, 7 complex members on 3 atoms, decomposes in
-#: 0.6 s at 49 MB peak RSS (34 MB after import); ``decompose --out`` on it
-#: takes 4.6 s and 306 MB and writes 32 MB of JSON (shared 2-core x86-64,
+#: 0.02 s at 45 MB peak RSS (30 MB after import); ``decompose --out`` on it
+#: takes 3.2 s and 309 MB and writes 32 MB of JSON (shared 2-core x86-64,
 #: Python 3.11, one BLAS thread)
 MAX_ENTRIES = 320_000
 
@@ -175,10 +175,10 @@ def d_norm(fs: FnFamily) -> float:
 
 
 def argmax_partition(values: np.ndarray) -> np.ndarray:
-    """For each atom (column of the (n, atoms) ``values``), the lowest row
-    index whose modulus attains the maximum."""
+    """For each atom (last axis of the (..., n, atoms) ``values``), the
+    lowest row index whose modulus attains the maximum."""
     # np.argmax returns the first occurrence, which is the lowest index
-    return np.argmax(np.abs(values), axis=0)
+    return np.argmax(np.abs(values), axis=-2)
 
 
 def pos_neg_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

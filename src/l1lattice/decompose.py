@@ -8,29 +8,35 @@ with
 and, per input function, coefficients recombining the parts into f_i: a
 global sign matrix with entries in {-1, 0, 1} in real mode, or per-atom
 unimodular coefficient fields in complex mode.  Both constructions are
-recursive on n, splitting the atoms by the lowest-index argmax of the
-moduli and recursing on the remaining functions inside each cell.
+recursive on n: split the atoms into the lowest-index argmax cells of the
+moduli, and decompose the other functions restricted to each cell.
 
-Each level is assembled from whole blocks, one per argmax cell i.  In real
-mode the cell contributes the sub-decomposition's parts restricted to where
-f_i >= 0, the same parts restricted to where f_i < 0, and the two residual
-parts (+-f_i - tau_i) on those sets, where tau_i is the pointwise max of the
-remaining moduli; its sign block has +1 / -1 by orientation in row i and
-the sub-decomposition's signs (twice, then two zero columns) in the other
-rows.  In complex mode the cell contributes the sub-decomposition's parts
-and one residual part (|f_i| - tau_i); its coefficient block has the phase
-of f_i in row i and the sub-decomposition's coefficients (then 0 for the
-residual) in the other rows.  Cell refinements likewise build all
-(cell, part) products as one masked block.
+The recursion tree depends only on n: a node of m functions has one child
+of m - 1 functions per cell.  So the tree is built one level at a time,
+all n! / m! nodes of the level of m functions as one array:
 
-The recursion emits an exactly predictable number of parts before pruning:
+- Top down, shared by both modes: the (nodes, m, atoms) values of a level
+  give its cells, the (nodes * m, m - 1, atoms) sub-families of the level
+  below, and tau_i, the pointwise max of the other moduli on cell i.
+- Bottom up, per mode.  In real mode cell i contributes the
+  sub-decomposition's parts restricted to where f_i >= 0, the same parts
+  restricted to where f_i < 0, and the two residual parts (+-f_i - tau_i)
+  on those sets.  Its sign block has +1 / -1 by orientation in row i and
+  the sub-decomposition's signs (twice, then two zero columns) in the other
+  rows, so the signs depend on n alone.  In complex mode the cell
+  contributes the sub-decomposition's parts and one residual part
+  (|f_i| - tau_i); its coefficient block has the phase of f_i in row i and
+  the sub-decomposition's coefficients (then 0 for the residual) elsewhere.
 
-    real     k(1) = 2,  k(n) = 2 n (k(n-1) + 1)   ->  2, 12, 78, 632, 6330
-    complex  k(1) = 1,  k(n) = n (k(n-1) + 1)     ->  1, 4, 15, 64, 325
+All nodes of a level emit the same number of parts before pruning:
 
-Also here: refinement to constant coefficients on cells, finite nets on the
-unit circle for approximate constant coefficients, pruning, the invariant
-checker, and the exhaustive minimal part-count search.
+    real     k(1) = 2,  k(m) = 2 m (k(m-1) + 1)   ->  2, 12, 78, 632, 6330
+    complex  k(1) = 1,  k(m) = m (k(m-1) + 1)     ->  1, 4, 15, 64, 325
+
+Also here: refinement to constant coefficients on cells (all (cell, part)
+products as one masked block), finite nets on the unit circle for
+approximate constant coefficients, pruning, the invariant checker, and the
+exhaustive minimal part-count search.
 """
 
 from __future__ import annotations
@@ -53,6 +59,14 @@ UNIMODULAR_TOL = 1e-12
 #: smallest circle-net mesh: 2 ceil(pi / 1e-6) = 6,283,186 net points
 MIN_NET_EPS = 1e-6
 
+#: most sign matrices optimal_k_search may try, sum_{k <= k_max} C(3^n, k):
+#: n <= 2 with any k_max, n = 3 with k_max <= 3, n = 4 with k_max <= 2.  On
+#: 50 atoms n = 3, k_max = 3 (3,303, all infeasible) took 0.35 s when random
+#: and 6.2 s with the infeasible atoms last (46 atoms (1, 0, 0), then four
+#: cube vertices); n = 4, k_max = 2 (3,321) took 0.37 s and 1.3 s.  Each
+#: candidate solves up to one LP per atom (shared 2-core x86-64, one BLAS)
+MAX_CANDIDATES = 4_000
+
 REAL_PREPRUNE = (2, 12, 78, 632, 6330)
 COMPLEX_PREPRUNE = (1, 4, 15, 64, 325)
 
@@ -61,51 +75,21 @@ def preprune_count(n: int, mode: str) -> int:
     """Parts emitted by the recursion for an n-member family, before pruning."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mode == REAL:
-        k = 2
-        for m in range(2, n + 1):
-            k = 2 * m * (k + 1)
-    else:
-        k = 1
-        for m in range(2, n + 1):
-            k = m * (k + 1)
+    k = 2 if mode == REAL else 1
+    for m in range(2, n + 1):
+        k = (2 * m if mode == REAL else m) * (k + 1)
     return k
 
 
-@dataclass(frozen=True, eq=False)
-class TraceNode:
-    """One level of the recursion: the number of functions split, the part
-    count emitted at this level, and one sub-trace per argmax cell."""
-
-    n_functions: int
-    pre_prune_count: int
-    children: tuple["TraceNode", ...]
-
-    def level_counts(self) -> list[int]:
-        """Pre-prune counts from this level down to the single-function base."""
-        counts = [self.pre_prune_count]
-        node = self
-        while node.children:
-            node = node.children[0]
-            counts.append(node.pre_prune_count)
-        return counts
-
-
-def verify_trace_counts(node: TraceNode, mode: str) -> bool:
-    """Check the emitted part counts against the recursion, exactly."""
-    if node.n_functions == 1:
-        return node.pre_prune_count == (2 if mode == REAL else 1)
-    if len(node.children) != node.n_functions:
-        return False
-    child_counts = {c.pre_prune_count for c in node.children}
-    if len(child_counts) != 1:
-        return False
-    k = child_counts.pop()
-    n = node.n_functions
-    expected = 2 * n * (k + 1) if mode == REAL else n * (k + 1)
-    if node.pre_prune_count != expected:
-        return False
-    return all(verify_trace_counts(c, mode) for c in node.children)
+def verify_trace_counts(counts: tuple[int, ...], mode: str) -> bool:
+    """Check per-level part counts, top level first, against the recursion
+    exactly: the level of m functions emits k(m) parts."""
+    m = len(counts)
+    for k, k_sub in zip(counts, counts[1:]):
+        if k != (2 * m if mode == REAL else m) * (k_sub + 1):
+            return False
+        m -= 1
+    return m == 1 and counts[-1] == (2 if mode == REAL else 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +106,7 @@ class Decomposition:
     parts_matrix: np.ndarray
     signs: np.ndarray | None
     coeffs: np.ndarray | None
-    trace: TraceNode
+    level_counts: tuple[int, ...]       # pre-prune parts per level, top first
 
     @property
     def k(self) -> int:
@@ -140,76 +124,81 @@ class Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# the recursions
+# the level construction
 # ---------------------------------------------------------------------------
 
-def _split_real(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, TraceNode]:
-    n = values.shape[0]
-    if n == 1:
-        parts = np.vstack(pos_neg_split(values[0]))
-        signs = np.array([[1, -1]], dtype=np.int8)
-        return parts, signs, TraceNode(1, 2, ())
-
-    cells = argmax_partition(values)
-    orientation = np.array([1, -1, 1, -1], dtype=np.int8)
-    part_blocks: list[np.ndarray] = []
-    sign_blocks: list[np.ndarray] = []
-    children = []
-    for i in range(n):
-        in_cell = cells == i
-        rest = np.arange(n) != i
-        sub = values[rest] * in_cell
-        sub_parts, sub_signs, child = _split_real(sub)
-        children.append(child)
-        tau = np.max(np.abs(sub), axis=0)
-        pos = in_cell & (values[i] >= 0.0)
-        neg = in_cell & (values[i] < 0.0)
-        # the sub-parts restricted to where f_i >= 0 and f_i < 0, then the
-        # two residuals; row i of the signs is +1 or -1 accordingly
-        part_blocks += [sub_parts * pos, sub_parts * neg,
-                        ((values[i] - tau) * pos)[None],
-                        ((-values[i] - tau) * neg)[None]]
-        k_sub = sub_parts.shape[0]
-        block = np.zeros((n, 2 * k_sub + 2), dtype=np.int8)
-        block[i] = np.repeat(orientation, [k_sub, k_sub, 1, 1])
-        block[rest, :2 * k_sub] = np.hstack([sub_signs, sub_signs])
-        sign_blocks.append(block)
-
-    parts = np.vstack(part_blocks)
-    return parts, np.hstack(sign_blocks), TraceNode(n, parts.shape[0], tuple(children))
+def _rest_rows(m: int) -> np.ndarray:
+    """The (m, m - 1) array whose row i lists 0..m-1 without i, in order."""
+    return np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)
 
 
-def _split_complex(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, TraceNode]:
-    n = values.shape[0]
-    if n == 1:
-        v = values[0]
-        coeff = unit_phases(v)[None, None, :]
-        return np.abs(v)[None, :], coeff, TraceNode(1, 1, ())
+def _levels(values: np.ndarray) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
+    """The recursion tree of the (n, atoms) ``values``, top down: per level
+    of m >= 2 functions its (nodes, m, atoms) values, cell masks (row i is
+    cell i) and tau, then the (nodes, 1, atoms) last level.  Node c m + i
+    of a level is node c above it without row i, restricted to cell i."""
+    levels = []
+    v = values[None]
+    while v.shape[1] > 1:
+        nodes, m, atoms = v.shape
+        in_cell = argmax_partition(v)[:, None, :] == np.arange(m)[:, None]
+        sub = v[:, _rest_rows(m)] * in_cell[:, :, None]
+        levels.append((v, in_cell, np.max(np.abs(sub), axis=2)))
+        v = sub.reshape(nodes * m, m - 1, atoms)
+    return levels, v
 
-    moduli = np.abs(values)
-    cells = argmax_partition(values)
-    part_blocks: list[np.ndarray] = []
-    coeff_blocks: list[np.ndarray] = []   # each (n, k_sub + 1, atoms)
-    children = []
-    for i in range(n):
-        in_cell = cells == i
-        rest = np.arange(n) != i
-        sub = values[rest] * in_cell
-        sub_parts, sub_coeffs, child = _split_complex(sub)
-        children.append(child)
-        tau = np.max(np.abs(sub), axis=0)
-        part_blocks += [sub_parts, ((moduli[i] - tau) * in_cell)[None]]
-        # row i is the phase of f_i for the whole block; the residual part
-        # is 0 in every other row
-        k_sub = sub_parts.shape[0]
-        block = np.zeros((n, k_sub + 1, values.shape[1]), dtype=np.complex128)
-        block[i] = unit_phases(values[i])
-        block[rest, :k_sub] = sub_coeffs
-        coeff_blocks.append(block)
 
-    parts = np.vstack(part_blocks)
-    coeffs = np.concatenate(coeff_blocks, axis=1)
-    return parts, coeffs, TraceNode(n, parts.shape[0], tuple(children))
+def _real_signs(sub: np.ndarray, m: int) -> np.ndarray:
+    """The (m, k) sign template of the level of m functions from the
+    (m - 1, k_sub) template below it."""
+    k_sub = sub.shape[1]
+    blocks = np.zeros((m, m, 2 * k_sub + 2), dtype=np.int8)  # cell, row, part
+    for i, rest in enumerate(_rest_rows(m)):
+        blocks[i, i] = np.repeat([1, -1, 1, -1], [k_sub, k_sub, 1, 1])
+        blocks[i, rest, :2 * k_sub] = np.hstack([sub, sub])
+    return np.hstack(blocks)
+
+
+def _split_real(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    levels, base = _levels(values)
+    parts = np.stack(pos_neg_split(base[:, 0]), axis=1)
+    signs = np.array([[1, -1]], dtype=np.int8)
+    counts = [2]
+    for v, in_cell, tau in reversed(levels):
+        nodes, m, atoms = v.shape
+        sub = parts.reshape(nodes, m, -1, atoms)
+        pos = in_cell & (v >= 0.0)
+        neg = in_cell & (v < 0.0)
+        parts = np.concatenate([sub * pos[:, :, None], sub * neg[:, :, None],
+                                ((v - tau) * pos)[:, :, None],
+                                ((-v - tau) * neg)[:, :, None]], axis=2)
+        parts = parts.reshape(nodes, -1, atoms)
+        signs = _real_signs(signs, m)
+        counts.append(parts.shape[1])
+    return parts[0], signs, tuple(reversed(counts))
+
+
+def _split_complex(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    levels, base = _levels(values)
+    parts = np.abs(base)
+    coeffs = unit_phases(base)[:, :, None]      # node, row, part, atom
+    counts = [1]
+    for v, in_cell, tau in reversed(levels):
+        nodes, m, atoms = v.shape
+        k_sub = parts.shape[1]
+        residual = (np.abs(v) - tau) * in_cell
+        parts = np.concatenate([parts.reshape(nodes, m, k_sub, atoms),
+                                residual[:, :, None]], axis=2)
+        parts = parts.reshape(nodes, -1, atoms)
+        sub = coeffs.reshape(nodes, m, m - 1, k_sub, atoms)
+        phases = unit_phases(v)
+        blocks = np.zeros((nodes, m, m, k_sub + 1, atoms), dtype=np.complex128)
+        for i, rest in enumerate(_rest_rows(m)):    # node, row, cell, part, atom
+            blocks[:, i, i] = phases[:, i, None]
+            blocks[:, rest, i, :k_sub] = sub[:, i]
+        coeffs = blocks.reshape(nodes, m, -1, atoms)
+        counts.append(parts.shape[1])
+    return parts[0], coeffs[0], tuple(reversed(counts))
 
 
 def _check_size(fs: FnFamily, mode: str) -> None:
@@ -229,8 +218,8 @@ def decompose_real(fs: FnFamily) -> Decomposition:
     if fs.mode != REAL:
         raise ValueError("decompose_real requires a real-mode family")
     _check_size(fs, REAL)
-    parts, signs, node = _split_real(fs.value_matrix)
-    return Decomposition(fs.space, REAL, parts, signs, None, node)
+    parts, signs, counts = _split_real(fs.value_matrix)
+    return Decomposition(fs.space, REAL, parts, signs, None, counts)
 
 
 def decompose_complex(fs: FnFamily) -> Decomposition:
@@ -240,22 +229,23 @@ def decompose_complex(fs: FnFamily) -> Decomposition:
     """
     _check_size(fs, COMPLEX)
     values = fs.value_matrix.astype(np.complex128)
-    parts, coeffs, node = _split_complex(values)
-    return Decomposition(fs.space, COMPLEX, parts, None, coeffs, node)
+    parts, coeffs, counts = _split_complex(values)
+    return Decomposition(fs.space, COMPLEX, parts, None, coeffs, counts)
 
 
 def prune(d: Decomposition) -> Decomposition:
     """Drop parts that are identically zero, with their coefficient columns.
 
-    Kept parts and coefficients are untouched (bit for bit); the trace still
-    records the pre-prune counts.
+    Kept parts and coefficients are untouched (bit for bit); the level
+    counts still record the pre-prune counts.
     """
     keep = np.any(d.parts_matrix != 0.0, axis=1)
     if np.all(keep):
         return d
     signs = d.signs[:, keep] if d.signs is not None else None
     coeffs = d.coeffs[:, keep, :] if d.coeffs is not None else None
-    return Decomposition(d.space, d.mode, d.parts_matrix[keep], signs, coeffs, d.trace)
+    return Decomposition(d.space, d.mode, d.parts_matrix[keep], signs, coeffs,
+                         d.level_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +474,19 @@ def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
 
     Exhausts sign matrices in {-1, 0, 1}^(n x k) up to column permutation and
     duplicate columns (i.e. k-subsets of the 3^n distinct columns, in
-    lexicographic order), checking per-atom feasibility with an LP.  Guarded
-    to n <= 4 and k_max <= 8; the candidate count explodes beyond that.
+    lexicographic order), checking per-atom feasibility with an LP.  Refuses
+    k_max outside 1..8 and more than MAX_CANDIDATES candidates up to k_max.
     """
     if fs.mode != REAL:
         raise ValueError("optimal_k_search requires a real-mode family")
     n = fs.size
-    if n > 4:
-        raise ValueError("optimal_k_search is capped at n <= 4")
     if not 1 <= k_max <= 8:
         raise ValueError("k_max must be in 1..8")
+    candidates = sum(math.comb(3 ** n, k) for k in range(1, k_max + 1))
+    if candidates > MAX_CANDIDATES:
+        raise ValueError(f"optimal_k_search with n = {n} and k_max = {k_max} "
+                         f"tries up to {candidates:,} sign matrices, above the "
+                         f"budget of {MAX_CANDIDATES:,}")
 
     values = fs.value_matrix
     latmax = np.max(np.abs(values), axis=0)

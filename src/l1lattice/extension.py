@@ -68,6 +68,8 @@ class Subspace:
         if mat.shape[0] > self.ambient.size:
             raise ValueError("more basis elements than atoms cannot be independent")
         sv = np.linalg.svd(mat, compute_uv=False)
+        if sv[0] == 0.0:
+            raise ValueError("basis elements are all zero")
         if sv[-1] <= RANK_TOL * sv[0]:
             raise ValueError("basis is not linearly independent "
                              f"(singular value ratio {sv[-1] / sv[0]:.3e})")
@@ -104,14 +106,18 @@ class ExtensionResult:
     certificate_ratio: float | None
 
 
-def _extension_lp(x: Subspace, t: RestrictedOperator) -> lp.LinearProgram:
-    """Variables: t, then the pair K+_ij, K-_ij for each (i, j) in row-major
-    order, all >= 0.
+def extension_lp(x: Subspace, t: RestrictedOperator) -> lp.LinearProgram:
+    """The extension LP.  Variables: t, then the pair K+_ij, K-_ij for each
+    (i, j) in row-major order, all >= 0.
 
     Each K+_ij sits next to its K-_ij.  With all K+ columns ahead of all K-
     columns, Bland's rule ended in a spurious unbounded phase 1 or at a
     non-optimal vertex on about 1 in 1000 instances with 4..12 atoms per side.
+    Refuses more than MAX_AMBIENT_ATOMS atoms per side before building.
     """
+    if x.ambient.size > MAX_AMBIENT_ATOMS or t.codomain.size > MAX_AMBIENT_ATOMS:
+        raise ValueError(f"extension instances are capped at "
+                         f"{MAX_AMBIENT_ATOMS} atoms per side")
     n_mu = x.ambient.size
     n_nu = t.codomain.size
     pair_sum, pair_diff = np.array([1.0, 1.0]), np.array([1.0, -1.0])
@@ -129,20 +135,10 @@ def _extension_lp(x: Subspace, t: RestrictedOperator) -> lp.LinearProgram:
                             g_ub, np.zeros(n_mu))
 
 
-def alpha_via_lp(x: Subspace, t: RestrictedOperator,
-                 dump_lp: "callable | None" = None) -> ExtensionResult:
+def alpha_via_lp(x: Subspace, t: RestrictedOperator) -> ExtensionResult:
     """Compute the extension constant, a minimal-norm extension and a dual
-    certificate.
-
-    ``dump_lp`` is called with the LinearProgram before solving (debugging
-    hook for the CLI).
-    """
-    if x.ambient.size > MAX_AMBIENT_ATOMS or t.codomain.size > MAX_AMBIENT_ATOMS:
-        raise ValueError(f"extension instances are capped at "
-                         f"{MAX_AMBIENT_ATOMS} atoms per side")
-    program = _extension_lp(x, t)
-    if dump_lp is not None:
-        dump_lp(program)
+    certificate."""
+    program = extension_lp(x, t)
     sol = lp.solve(program)
     if sol.status != lp.OPTIMAL:
         raise lp.LPError(f"extension LP ended {sol.status}; the interpolation "

@@ -309,7 +309,7 @@ def decomposition_to_json(d: Decomposition) -> dict:
             "mode": d.mode,
             "parts": [_row_to_json("mu", REAL, row) for row in d.parts_matrix],
             "coeffs": coeffs,
-            "trace": {"pre_prune_counts": d.trace.level_counts()}}
+            "trace": {"pre_prune_counts": list(d.level_counts)}}
 
 
 def cell_decomposition_to_json(cd: CellDecomposition) -> dict:

@@ -12,7 +12,7 @@ import pytest
 from l1lattice import cli, jsonio, lp
 from l1lattice.cli import main
 from l1lattice.core import SimpleFn
-from l1lattice.extension import alpha_via_lp
+from l1lattice.extension import RestrictedOperator, Subspace, alpha_via_lp
 from l1lattice.generate import (generate_instance, random_family,
                                 random_operator, random_space, random_subspace,
                                 random_tensor, random_values, rng_for)
@@ -140,6 +140,16 @@ class TestSubcommands:
                      "--out", str(out), "--quiet"]) == 0
         doc = json.loads(out.read_text())
         assert doc["k"] == 2 and doc["infeasible_k"] == [1]
+
+    def test_optimal_k_over_budget_exits_2(self, tmp_path, capsys):
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(jsonio.dumps(jsonio.family_to_json(
+            random_family(rng_for(0), random_space(rng_for(0), 50), 4, "real"))))
+        code, seconds, _ = _measured(["optimal-k", "--input", str(fam_path),
+                                      "--kmax", "3", "--quiet"])
+        assert code == 2 and seconds < 1.0
+        assert ("n = 4 and k_max = 3 tries up to 88,641 sign matrices"
+                in capsys.readouterr().err)
 
     def test_modulus_dominate_tensor_pair(self, tmp_path):
         op_path = tmp_path / "op.json"
@@ -400,6 +410,38 @@ class TestExitCodes:
                      "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err == "solver failed: simplex iteration limit exceeded\n"
+
+    # sha256 of the --dump-lp file for the instance below, pinned when the
+    # dump was written from inside alpha_via_lp
+    LP_DUMP = "eedd931a1ecf6585998f05a7d6285c9a9333f7e4f49178df4ff3fda4d811bccf"
+
+    def test_failed_solve_still_leaves_the_lp_dump(self, tmp_path,
+                                                   monkeypatch, capsys):
+        def failing_solve(program):
+            raise lp.LPError("simplex iteration limit exceeded")
+
+        main(["generate", "--kind", "extension", "--atoms", "4",
+              "--nu-atoms", "3", "--dim", "2", "--seed", "6",
+              "--out", str(tmp_path / "i.json"), "--quiet"])
+        monkeypatch.setattr(lp, "solve", failing_solve)
+        dump = tmp_path / "lp.json"
+        assert main(["extend", "--subspace", str(tmp_path / "i_subspace.json"),
+                     "--images", str(tmp_path / "i_images.json"),
+                     "--dump-lp", str(dump), "--quiet"]) == 1
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.LP_DUMP
+
+    def test_oversized_extension_refused_before_the_dump(self, tmp_path, capsys):
+        sp = random_space(rng_for(0), 33)
+        x = Subspace(sp, np.ones((1, 33)))
+        t = RestrictedOperator(x, sp, np.ones((1, 33)))
+        (tmp_path / "x.json").write_text(jsonio.dumps(jsonio.subspace_to_json(x)))
+        (tmp_path / "t.json").write_text(jsonio.dumps(jsonio.images_to_json(t)))
+        dump = tmp_path / "lp.json"
+        assert main(["extend", "--subspace", str(tmp_path / "x.json"),
+                     "--images", str(tmp_path / "t.json"),
+                     "--dump-lp", str(dump), "--quiet"]) == 2
+        assert "capped at 32 atoms per side" in capsys.readouterr().err
+        assert not dump.exists()
 
     def test_low_certificate_exits_1(self, tmp_path, monkeypatch, capsys):
         # a certificate ratio below alpha means the LP vertex is not optimal

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
-                       decompose_complex, decompose_real, eps_net_coeffs,
-                       optimal_k_search, preprune_count,
+                       argmax_partition, decompose_complex, decompose_real, eps_net_coeffs,
+                       optimal_k_search, pos_neg_split, preprune_count,
                        prune, refine_to_constant_coeffs,
                        verify_cell_decomposition, verify_decomposition,
                        verify_trace_counts, zero_fn)
 from l1lattice import jsonio
 from l1lattice.cli import main
+from l1lattice.core import unit_phases
 from l1lattice.decompose import (COMPLEX_PREPRUNE, REAL_PREPRUNE,
                                  Decomposition, circle_net)
 from l1lattice.generate import random_family, random_space, rng_for
@@ -72,7 +73,7 @@ class TestDecomposeReal:
         fs = random_family(rng, random_space(rng, atoms), n, REAL)
         d = decompose_real(fs)
         assert d.k == REAL_PREPRUNE[n - 1]
-        assert verify_trace_counts(d.trace, REAL)
+        assert verify_trace_counts(d.level_counts, REAL)
         report = verify_decomposition(d, fs)
         assert report.passed, report
 
@@ -104,8 +105,117 @@ class TestDecomposeComplex:
         fs = random_family(rng, random_space(rng, atoms), n, COMPLEX)
         d = decompose_complex(fs)
         assert d.k == COMPLEX_PREPRUNE[n - 1]
-        assert verify_trace_counts(d.trace, COMPLEX)
+        assert verify_trace_counts(d.level_counts, COMPLEX)
         assert verify_decomposition(d, fs).passed
+
+
+def _reference_real(values):
+    """The per-node recursion that the level construction replaced: parts,
+    signs, and the part counts per level (every node of a level agrees)."""
+    n = values.shape[0]
+    if n == 1:
+        parts = np.vstack(pos_neg_split(values[0]))
+        return parts, np.array([[1, -1]], dtype=np.int8), (2,)
+
+    cells = argmax_partition(values)
+    orientation = np.array([1, -1, 1, -1], dtype=np.int8)
+    part_blocks, sign_blocks, child_counts = [], [], set()
+    for i in range(n):
+        in_cell = cells == i
+        rest = np.arange(n) != i
+        sub = values[rest] * in_cell
+        sub_parts, sub_signs, counts = _reference_real(sub)
+        child_counts.add(counts)
+        tau = np.max(np.abs(sub), axis=0)
+        pos = in_cell & (values[i] >= 0.0)
+        neg = in_cell & (values[i] < 0.0)
+        part_blocks += [sub_parts * pos, sub_parts * neg,
+                        ((values[i] - tau) * pos)[None],
+                        ((-values[i] - tau) * neg)[None]]
+        k_sub = sub_parts.shape[0]
+        block = np.zeros((n, 2 * k_sub + 2), dtype=np.int8)
+        block[i] = np.repeat(orientation, [k_sub, k_sub, 1, 1])
+        block[rest, :2 * k_sub] = np.hstack([sub_signs, sub_signs])
+        sign_blocks.append(block)
+
+    assert len(child_counts) == 1
+    parts = np.vstack(part_blocks)
+    return parts, np.hstack(sign_blocks), (parts.shape[0],) + child_counts.pop()
+
+
+def _reference_complex(values):
+    """The complex counterpart of ``_reference_real``: parts, coefficient
+    fields and the part counts per level."""
+    n = values.shape[0]
+    if n == 1:
+        v = values[0]
+        return np.abs(v)[None, :], unit_phases(v)[None, None, :], (1,)
+
+    moduli = np.abs(values)
+    cells = argmax_partition(values)
+    part_blocks, coeff_blocks, child_counts = [], [], set()
+    for i in range(n):
+        in_cell = cells == i
+        rest = np.arange(n) != i
+        sub = values[rest] * in_cell
+        sub_parts, sub_coeffs, counts = _reference_complex(sub)
+        child_counts.add(counts)
+        tau = np.max(np.abs(sub), axis=0)
+        part_blocks += [sub_parts, ((moduli[i] - tau) * in_cell)[None]]
+        k_sub = sub_parts.shape[0]
+        block = np.zeros((n, k_sub + 1, values.shape[1]), dtype=np.complex128)
+        block[i] = unit_phases(values[i])
+        block[rest, :k_sub] = sub_coeffs
+        coeff_blocks.append(block)
+
+    assert len(child_counts) == 1
+    parts = np.vstack(part_blocks)
+    return (parts, np.concatenate(coeff_blocks, axis=1),
+            (parts.shape[0],) + child_counts.pop())
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+#: integers with ties, signed zeros and subnormals
+TIE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, 5e-324, -5e-324,
+              -2.0 ** -1060]
+
+
+class TestLevelsMatchRecursion:
+    """The level construction reproduces the per-node recursion byte for
+    byte: parts (with the sign of every zero), signs or coefficient fields,
+    and the per-level counts."""
+
+    @given(st.integers(1, 5), st.integers(1, 12), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_byte_identical(self, n, atoms, data):
+        def draw_matrix():
+            cells = st.lists(st.sampled_from(TIE_VALUES), min_size=n * atoms,
+                             max_size=n * atoms)
+            return np.array(data.draw(cells)).reshape(n, atoms)
+
+        re = draw_matrix()
+        values = np.zeros((n, atoms), dtype=np.complex128)
+        values.real = re
+        values.imag = draw_matrix()
+        sp = unit_space(atoms)
+
+        d = decompose_real(FnFamily(sp, REAL, re))
+        parts, signs, counts = _reference_real(re)
+        assert_same_bytes(d.parts_matrix, parts)
+        assert_same_bytes(d.signs, signs)
+        assert d.level_counts == counts
+
+        for fs, ref_values in ((FnFamily(sp, COMPLEX, values), values),
+                               (FnFamily(sp, REAL, re), re.astype(np.complex128))):
+            d = decompose_complex(fs)
+            parts, coeffs, counts = _reference_complex(ref_values)
+            assert_same_bytes(d.parts_matrix, parts)
+            assert_same_bytes(d.coeffs, coeffs)
+            assert d.level_counts == counts
 
 
 class TestVerifyDecomposition:
@@ -120,7 +230,7 @@ class TestVerifyDecomposition:
         col = int(np.argmax(np.abs(signs).sum(axis=0)))
         row = int(np.argmax(np.abs(signs[:, col])))
         signs[row, col] = -signs[row, col]
-        bad = Decomposition(d.space, d.mode, d.parts_matrix, signs, None, d.trace)
+        bad = Decomposition(d.space, d.mode, d.parts_matrix, signs, None, d.level_counts)
         report = verify_decomposition(bad, fs)
         assert not report.passed
         assert report.recombination_residuals[row] > 1e-10
@@ -130,7 +240,7 @@ class TestVerifyDecomposition:
         fs, d = self.make()
         parts = d.parts_matrix.copy()
         parts[0, 0] = -1.0
-        bad = Decomposition(d.space, d.mode, parts, d.signs, None, d.trace)
+        bad = Decomposition(d.space, d.mode, parts, d.signs, None, d.level_counts)
         report = verify_decomposition(bad, fs)
         assert not report.passed
         assert report.negativity < 0.0
@@ -139,7 +249,7 @@ class TestVerifyDecomposition:
         fs, d = self.make()
         signs = d.signs.astype(np.int8).copy()
         signs[0, 0] = 2
-        bad = Decomposition(d.space, d.mode, d.parts_matrix, signs, None, d.trace)
+        bad = Decomposition(d.space, d.mode, d.parts_matrix, signs, None, d.level_counts)
         assert verify_decomposition(bad, fs).coefficient_violations
 
 
@@ -303,6 +413,19 @@ class TestOptimalKSearch:
             optimal_k_search(small, 9)
 
 
+    def test_candidate_budget(self):
+        # n = 3: 27 + 351 + 2925 = 3303 candidates up to k_max = 3, and
+        # 17550 more at k_max = 4
+        fs = FnFamily(unit_space(2), REAL, [[1.0, 0.0], [0.0, 1.0],
+                                            [1.0, 1.0]])
+        assert optimal_k_search(fs, 3).candidates_tried <= 3303
+        with pytest.raises(ValueError, match=r"n = 3 and k_max = 4 tries up "
+                                             r"to 20,853 sign matrices"):
+            optimal_k_search(fs, 4)
+        # n = 5 at k_max = 1 is 243 candidates
+        assert optimal_k_search(FnFamily(unit_space(1), REAL, np.ones((5, 1))),
+                                1).k == 1
+
 def _pruned_n1(f):
     """The pruned complex decomposition of the one-function family (f)."""
     return prune(decompose_complex(FnFamily(f.space, f.mode, [f.values])))
@@ -341,7 +464,7 @@ def _sha(*items) -> str:
 
 def _decomposition_digest(d) -> str:
     coeffs = d.signs if d.signs is not None else d.coeffs
-    return _sha(d.parts_matrix, coeffs, d.trace.level_counts())
+    return _sha(d.parts_matrix, coeffs, d.level_counts)
 
 
 def _cells_digest(cd) -> str:

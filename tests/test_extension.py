@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from l1lattice import (REAL, MeasureSpace, RestrictedOperator, SimpleFn,
                        pair_operator_tensor, point_mass, tensor_norm,
                        verify_extension_theorem)
 from l1lattice import cli, extension, jsonio, lp
-from l1lattice.extension import _extension_lp, certificate_family_coeffs
+from l1lattice.extension import certificate_family_coeffs, extension_lp
 from l1lattice.generate import (generate_instance, random_restricted,
                                 random_space, random_subspace, rng_for)
 
@@ -21,6 +23,13 @@ class TestSubspace:
         sp = unit_space(3)
         with pytest.raises(ValueError):
             Subspace(sp, [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+
+    def test_all_zero_basis_rejected_without_warning(self):
+        sp = MeasureSpace(("a", "b"), (1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="basis elements are all zero"):
+                Subspace(sp, [[0.0, 0.0]])
 
     def test_more_vectors_than_atoms_rejected(self):
         sp = unit_space(2)
@@ -313,7 +322,7 @@ class TestExtensionLP:
             nu = random_space(rng, n_nu, prefix="s")
             x = random_subspace(rng, mu, min(dim, n_mu))
             t = random_restricted(rng, x, nu)
-            program = _extension_lp(x, t)
+            program = extension_lp(x, t)
             assert program.n_ub == n_mu
             assert program.n_eq == x.dim * n_nu
             assert program.n_vars == 1 + 2 * n_mu * n_nu

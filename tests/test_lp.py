@@ -5,7 +5,7 @@ import pytest
 
 from l1lattice import jsonio, lp
 from l1lattice.acceptance import random_small_lp
-from l1lattice.extension import _extension_lp
+from l1lattice.extension import extension_lp
 from l1lattice.generate import generate_instance
 from l1lattice.oracle import solve_exact
 
@@ -146,5 +146,5 @@ class TestGoldenBytes:
                                                    "dim": dim}, seed)
             x = jsonio.subspace_from_json(docs["subspace"])
             t = jsonio.images_from_json(docs["images"], x)
-            _solution_digest(h, lp.solve(_extension_lp(x, t)))
+            _solution_digest(h, lp.solve(extension_lp(x, t)))
         assert h.hexdigest() == self.EXTENSION
