@@ -63,9 +63,13 @@ MIN_NET_EPS = 1e-6
 #: n <= 2 with any k_max, n = 3 with k_max <= 3, n = 4 with k_max <= 2.  On
 #: 50 atoms n = 3, k_max = 3 (3,303, all infeasible) took 0.35 s when random
 #: and 6.2 s with the infeasible atoms last (46 atoms (1, 0, 0), then four
-#: cube vertices); n = 4, k_max = 2 (3,321) took 0.37 s and 1.3 s.  Each
-#: candidate solves up to one LP per atom (shared 2-core x86-64, one BLAS)
+#: cube vertices); n = 4, k_max = 2 (3,321) took 0.37 s and 1.3 s (shared
+#: 2-core x86-64, one BLAS).  Each candidate solves up to one LP per active
+#: atom, so MAX_LP_SOLVES bounds candidates x active atoms as well
 MAX_CANDIDATES = 4_000
+#: most LP solves optimal_k_search may need, candidates x active atoms: every
+#: search within MAX_CANDIDATES on at most 50 atoms fits
+MAX_LP_SOLVES = MAX_CANDIDATES * 50
 
 REAL_PREPRUNE = (2, 12, 78, 632, 6330)
 COMPLEX_PREPRUNE = (1, 4, 15, 64, 325)
@@ -475,7 +479,8 @@ def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
     Exhausts sign matrices in {-1, 0, 1}^(n x k) up to column permutation and
     duplicate columns (i.e. k-subsets of the 3^n distinct columns, in
     lexicographic order), checking per-atom feasibility with an LP.  Refuses
-    k_max outside 1..8 and more than MAX_CANDIDATES candidates up to k_max.
+    k_max outside 1..8, more than MAX_CANDIDATES candidates up to k_max and
+    more than MAX_LP_SOLVES candidates x active atoms.
     """
     if fs.mode != REAL:
         raise ValueError("optimal_k_search requires a real-mode family")
@@ -491,6 +496,11 @@ def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
     values = fs.value_matrix
     latmax = np.max(np.abs(values), axis=0)
     active = np.nonzero(latmax > 0.0)[0]
+    if candidates * active.size > MAX_LP_SOLVES:
+        raise ValueError(f"optimal_k_search with n = {n} and k_max = {k_max} "
+                         f"on {active.size:,} active atoms needs up to "
+                         f"{candidates * active.size:,} LP solves, above the "
+                         f"budget of {MAX_LP_SOLVES:,}")
     all_columns = [np.array(t, dtype=np.int8)
                    for t in itertools.product((-1, 0, 1), repeat=n)]
 

@@ -1,4 +1,4 @@
-"""Exact rational brute-force LP oracle: vertex enumeration with Fractions.
+"""Exact brute-force LP oracle: vertex enumeration in integer arithmetic.
 
 Cross-check only.  The solver in :mod:`l1lattice.lp` never calls into this
 module; it exists so the test suite and the selftest can compare simplex
@@ -7,144 +7,141 @@ and constraints; the enumeration is exponential).
 
 Every variable is nonnegative, the LP convention of :mod:`l1lattice.lp`.
 With x >= 0 the feasible set is pointed, so it is nonempty iff it has a
-vertex, and a finite minimum is attained at one.
-Unboundedness is decided exactly on the recession cone normalized by
-sum(d) = 1.
+vertex, and a finite minimum is attained at one.  Unboundedness is decided
+exactly on the recession cone normalized by sum(d) = 1.
+
+Arithmetic: every float is dyadic, so ``Fraction(float(v))`` is exact;
+each constraint row [a | b] and the objective c are scaled to Python ints
+by the lcm of their denominators.  Square systems are solved by
+fraction-free Gauss-Jordan elimination (Bareiss 1968) into Cramer
+numerators, x_j = N_j / D with D > 0.  The vertex tests are integer sign
+tests (N_j >= 0, a.N == b D, g.N <= h D), and one ``Fraction`` c.N / D is
+formed per feasible vertex.
 
 Enumeration details: a maximal independent subset of the equality rows is
 force-included in every candidate active set (equalities hold at every
 feasible point, so some rank basis through them defines each vertex);
 choosing an active bound x_j = 0 eliminates the variable, so only reduced
-square systems are solved exactly.
+square systems are solved.  A vertex reached from several active sets is
+yielded once per set, which changes neither the minimum nor a sign test.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from . import lp
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _scaled(values) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, as ints, and the lcm."""
+    exact = [Fraction(float(v)) for v in values]
+    scale = math.lcm(*(f.denominator for f in exact))
+    return [f.numerator * (scale // f.denominator) for f in exact], scale
 
 
-def _to_fractions(arr) -> list[list[Fraction]]:
-    return [[Fraction(float(v)) for v in row] for row in np.atleast_2d(arr)]
+def _dot(row, x) -> int:
+    """row . x over the first len(x) entries of ``row``."""
+    return sum(map(mul, row, x))
 
 
-def _solve_square(rows, rhs):
-    """Exact Gaussian elimination; returns None when singular."""
-    n = len(rows)
-    if n == 0:
-        return []
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
+def _solve_square(rows):
+    """Fraction-free Gauss-Jordan on the augmented integer rows [A | b].
+
+    Returns (D, N) with A x = b at x = N / D and D > 0, or None when A is
+    singular.  Every live entry stays an integer minor of [A | b], so each
+    division by the previous pivot is exact (Bareiss 1968).
+    """
+    a = [row[:] for row in rows]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k]), None)
+        if p is None:
             return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = _ONE / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+        a[k], a[p] = a[p], a[k]
+        pivot, tail = a[k][k], a[k][k + 1:]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                row[k + 1:] = [(pivot * v - f * w) // prev
+                               for v, w in zip(row[k + 1:], tail)]
+        prev = pivot
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [sign * row[n] for row in a]
 
 
 def _independent_rows(rows) -> list[int]:
-    """Indices of a maximal linearly independent subset, by exact elimination."""
-    basis: list[list[Fraction]] = []
+    """Indices of a maximal linearly independent subset (fraction-free)."""
+    basis: list[list[int]] = []
     picked: list[int] = []
     for idx, row in enumerate(rows):
         work = row[:]
         for b in basis:
-            lead = next((j for j, v in enumerate(b) if v != 0), None)
-            if lead is not None and work[lead] != 0:
-                factor = work[lead] / b[lead]
-                work = [w - factor * v for w, v in zip(work, b)]
-        if any(v != 0 for v in work):
+            lead = next(j for j, v in enumerate(b) if v)
+            if work[lead]:
+                work = [b[lead] * w - work[lead] * v for w, v in zip(work, b)]
+        if any(work):
             basis.append(work)
             picked.append(idx)
     return picked
 
 
-def _vertices(n, eq, beq, ub, hub, stop_when=None):
-    """Yield all vertices of {x >= 0, eq x = beq, ub x <= hub}, exactly.
+def _vertices(n, eq, ub):
+    """Yield (D, N) for the vertices N / D of {x >= 0, eq, ub}, exactly.
 
-    ``stop_when(x)`` may truncate the enumeration early (used for the
-    recession-direction test, where one witness suffices).
+    ``eq`` and ``ub`` hold augmented integer rows [a | b] for a.x = b and
+    a.x <= b; N has all n entries and D > 0.
     """
-    forced = _independent_rows(eq)
-    others = list(range(len(ub)))
-    vertices = []
-    seen = set()
+    forced = [eq[i] for i in _independent_rows([row[:n] for row in eq])]
     e = len(forced)
-    if e > n:
-        return vertices
     for b in range(0, n - e + 1):            # bound rows chosen
         r = n - e - b                        # inequality rows chosen
         if r > len(ub):
             continue
         for zero_vars in itertools.combinations(range(n), b):
             keep = [j for j in range(n) if j not in zero_vars]
-            base_rows = [[eq[i][j] for j in keep] for i in forced]
-            base_rhs = [beq[i] for i in forced]
-            for row_subset in itertools.combinations(others, r):
-                mat = base_rows + [[ub[i][j] for j in keep] for i in row_subset]
-                rhs = base_rhs + [hub[i] for i in row_subset]
-                sol = _solve_square(mat, rhs)
+            cols = keep + [n]
+            base = [[row[j] for j in cols] for row in forced]
+            projected = [[row[j] for j in cols] for row in ub]
+            for subset in itertools.combinations(projected, r):
+                sol = _solve_square(base + list(subset))
                 if sol is None:
                     continue
-                if any(v < 0 for v in sol):
+                d, num = sol
+                if any(v < 0 for v in num):
                     continue
-                x = [_ZERO] * n
-                for j, v in zip(keep, sol):
+                x = [0] * n
+                for j, v in zip(keep, num):
                     x[j] = v
-                if any(sum(row[j] * x[j] for j in range(n)) != bi
-                       for row, bi in zip(eq, beq)):
+                if any(_dot(row, x) != row[n] * d for row in eq):
                     continue
-                if any(sum(row[j] * x[j] for j in range(n)) > hi
-                       for row, hi in zip(ub, hub)):
+                if any(_dot(row, x) > row[n] * d for row in ub):
                     continue
-                key = tuple(x)
-                if key in seen:
-                    continue
-                seen.add(key)
-                vertices.append(x)
-                if stop_when is not None and stop_when(x):
-                    return vertices
-    return vertices
+                yield d, x
 
 
 def solve_exact(p: lp.LinearProgram):
     """Exact (status, optimal value or None) of the LP, with x >= 0."""
     n = p.n_vars
-    c = [Fraction(float(v)) for v in p.c]
-    eq = _to_fractions(p.a_eq) if p.n_eq else []
-    beq = [Fraction(float(v)) for v in p.b_eq]
-    ub = _to_fractions(p.g_ub) if p.n_ub else []
-    hub = [Fraction(float(v)) for v in p.h_ub]
+    c, c_scale = _scaled(p.c)
+    eq = [_scaled([*row, v])[0] for row, v in zip(p.a_eq, p.b_eq)]
+    ub = [_scaled([*row, v])[0] for row, v in zip(p.g_ub, p.h_ub)]
 
-    vertices = _vertices(n, eq, beq, ub, hub)
-    if not vertices:
+    best = min((Fraction(_dot(c, x), d) for d, x in _vertices(n, eq, ub)),
+               default=None)
+    if best is None:
         return lp.INFEASIBLE, None
 
     if any(ci < 0 for ci in c):
         # recession cone normalized to the simplex sum(d) = 1
-        cone_eq = eq + [[_ONE] * n]
-        cone_beq = [_ZERO] * len(beq) + [_ONE]
-
-        def negative_cost(d):
-            return sum(ci * di for ci, di in zip(c, d)) < 0
-
-        directions = _vertices(n, cone_eq, cone_beq, ub,
-                               [_ZERO] * len(hub), stop_when=negative_cost)
-        if directions and negative_cost(directions[-1]):
+        cone_eq = [row[:n] + [0] for row in eq] + [[1] * (n + 1)]
+        cone_ub = [row[:n] + [0] for row in ub]
+        if any(_dot(c, x) < 0 for _, x in _vertices(n, cone_eq, cone_ub)):
             return lp.UNBOUNDED, None
 
-    best = min(sum(ci * vi for ci, vi in zip(c, v)) for v in vertices)
-    return lp.OPTIMAL, best
+    return lp.OPTIMAL, best / c_scale

@@ -151,6 +151,17 @@ class TestSubcommands:
         assert ("n = 4 and k_max = 3 tries up to 88,641 sign matrices"
                 in capsys.readouterr().err)
 
+    def test_optimal_k_over_lp_budget_exits_2(self, tmp_path, capsys):
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(jsonio.dumps(jsonio.family_to_json(
+            random_family(rng_for(0), random_space(rng_for(0), 600), 3,
+                          "real"))))
+        code, seconds, _ = _measured(["optimal-k", "--input", str(fam_path),
+                                      "--kmax", "2", "--quiet"])
+        assert code == 2 and seconds < 1.0
+        assert ("n = 3 and k_max = 2 on 600 active atoms needs up to 226,800 "
+                "LP solves" in capsys.readouterr().err)
+
     def test_modulus_dominate_tensor_pair(self, tmp_path):
         op_path = tmp_path / "op.json"
         main(["generate", "--kind", "operator", "--atoms", "3",

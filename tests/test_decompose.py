@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -425,6 +426,25 @@ class TestOptimalKSearch:
         # n = 5 at k_max = 1 is 243 candidates
         assert optimal_k_search(FnFamily(unit_space(1), REAL, np.ones((5, 1))),
                                 1).k == 1
+
+    def test_lp_solve_budget(self):
+        # n = 3, k_max = 2 is 27 + 351 = 378 candidates; on 600 active atoms
+        # that is 226,800 per-atom LPs, above MAX_LP_SOLVES = 200,000
+        values = np.tile([[1.0], [1.0], [-1.0]], (1, 600))
+        fs = FnFamily(unit_space(600), REAL, values)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"n = 3 and k_max = 2 on 600 "
+                                             r"active atoms needs up to "
+                                             r"226,800 LP solves, above the "
+                                             r"budget of 200,000"):
+            optimal_k_search(fs, 2)
+        assert time.perf_counter() - start < 1.0
+        # atoms where every member vanishes need no LP: 500 active atoms
+        # (189,000 solves) pass the check, and one column already works
+        values[:, 500:] = 0.0
+        res = optimal_k_search(FnFamily(unit_space(600), REAL, values), 2)
+        assert res.k == 1 and res.candidates_tried <= 27
+
 
 def _pruned_n1(f):
     """The pruned complex decomposition of the one-function family (f)."""
