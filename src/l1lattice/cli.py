@@ -105,9 +105,13 @@ def _cmd_decompose(args) -> int:
         _emit(args, doc, f"{cd.n_parts} parts on {len(cd.cells)} cells, "
                          f"epsilon {cd.epsilon}")
     else:
+        # the residual checks in report order: parts sum, then each member
+        residuals = (report.sum_residual, *report.recombination_residuals)
+        worst = max(range(len(residuals)), key=residuals.__getitem__)
         doc = jsonio.decomposition_to_json(d)
         _emit(args, doc, f"{d.k} parts, counts per level {list(d.level_counts)}, "
-                         f"max residual {max(report.sum_residual, *report.recombination_residuals):.2e}")
+                         f"max residual {residuals[worst]:.2e} "
+                         f"at atom {report.worst_atoms[worst]}")
     return 0
 
 
@@ -204,11 +208,11 @@ def _cmd_extend(args) -> int:
         # written before solving, so a failed solve still leaves the dump
         program = extension_lp(x, t)
         jsonio.write_json(args.dump_lp, {
-            "c": list(program.c),
-            "a_eq": [list(r) for r in program.a_eq],
-            "b_eq": list(program.b_eq),
-            "g_ub": [list(r) for r in program.g_ub],
-            "h_ub": list(program.h_ub),
+            "c": program.c.tolist(),
+            "a_eq": program.a_eq.tolist(),
+            "b_eq": program.b_eq.tolist(),
+            "g_ub": program.g_ub.tolist(),
+            "h_ub": program.h_ub.tolist(),
         })
     result = alpha_via_lp(x, t)
     if not args.verify:

@@ -9,6 +9,8 @@ representation recovering the stored double).
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
 import numpy as np
@@ -28,8 +30,54 @@ def _missing_key(kind: str, exc: KeyError) -> SchemaError:
     return SchemaError(f"{kind}: missing key {exc.args[0]!r}")
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NUMBERS = {int, float}
+
+
+def _key(key) -> str:
+    if key is None or isinstance(key, (str, int, float)):
+        return _escape(key if isinstance(key, str) else _encode(key, ""))
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _encode(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` text for ``obj`` at this indent.  Lists
+    of numbers or [re, im] number pairs skip the per-item calls unless a NaN
+    or infinity (the only reprs with an "n") needs json's spelling."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None or isinstance(obj, bool):
+        return _CONSTANTS[obj]
+    if isinstance(obj, (int, float)):
+        text = (int if isinstance(obj, int) else float).__repr__(obj)
+        return _NONFINITE.get(text, text)
+    if not isinstance(obj, (list, tuple, dict)):
+        raise TypeError(f"Object of type {obj.__class__.__name__} "
+                        "is not JSON serializable")
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        text = sep.join([f"{_key(k)}: {_encode(v, inner)}" for k, v in obj.items()])
+        return f"{{\n{inner}{text}\n{indent}}}"
+    text, types = "n", set(map(type, obj))
+    if types <= _NUMBERS:
+        text = sep.join(map(repr, obj))
+    elif (types <= {list, tuple} and set(map(len, obj)) == {2}
+          and set(map(type, chain.from_iterable(obj))) <= _NUMBERS):
+        pair = f"[\n{inner}  %r,\n{inner}  %r\n{inner}]"
+        text = sep.join([pair] * len(obj)) % tuple(chain.from_iterable(obj))
+    if "n" in text:
+        text = sep.join([_encode(v, inner) for v in obj])
+    return f"[\n{inner}{text}\n{indent}]"
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2)`` plus a newline, byte for byte."""
+    return _encode(obj, "") + "\n"
 
 
 def write_json(path: str, obj: Any) -> None:
@@ -45,12 +93,6 @@ def read_json(path: str) -> Any:
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
-
-def _scalar_to_json(v, mode: str):
-    if mode == REAL:
-        return float(np.real(v))
-    return [float(np.real(v)), float(np.imag(v))]
-
 
 def _number(obj, field: str = "value") -> float:
     # JSON true and false decode to bool, a subclass of int
@@ -73,7 +115,11 @@ def _scalar_from_json(obj, mode: str):
 
 
 def _values_to_json(values: np.ndarray, mode: str) -> list:
-    return [_scalar_to_json(v, mode) for v in values]
+    """``values`` as nested lists of floats, or of [re, im] float pairs."""
+    if mode == REAL:
+        return np.real(values).astype(np.float64).tolist()
+    values = np.asarray(values, dtype=np.complex128)
+    return np.stack([values.real, values.imag], -1).tolist()
 
 
 def _values_from_json(obj, mode: str) -> np.ndarray:
@@ -122,12 +168,13 @@ def _registry(doc) -> dict[str, MeasureSpace]:
     return {name: space_from_json(s) for name, s in table.items()}
 
 
-def _row_to_json(space, mode: str, values: np.ndarray) -> dict:
-    return {"space": space, "mode": mode, "values": _values_to_json(values, mode)}
+def _rows_to_json(space, mode: str, matrix: np.ndarray) -> list:
+    return [{"space": space, "mode": mode, "values": values}
+            for values in _values_to_json(matrix, mode)]
 
 
 def fn_to_json(f: SimpleFn) -> dict:
-    return _row_to_json(space_to_json(f.space), f.mode, f.values)
+    return _rows_to_json(space_to_json(f.space), f.mode, f.values[None])[0]
 
 
 def fn_from_json(obj, registry: dict[str, MeasureSpace] | None = None,
@@ -163,8 +210,7 @@ def _stack(rows: list[SimpleFn], space: MeasureSpace, mode: str,
 
 def family_to_json(fs: FnFamily) -> dict:
     return {"spaces": {"mu": space_to_json(fs.space)},
-            "members": [_row_to_json("mu", fs.mode, row)
-                        for row in fs.value_matrix]}
+            "members": _rows_to_json("mu", fs.mode, fs.value_matrix)}
 
 
 def family_from_json(doc) -> FnFamily:
@@ -189,7 +235,7 @@ def operator_to_json(t: KernelOperator) -> dict:
     return {"domain": space_to_json(t.domain),
             "codomain": space_to_json(t.codomain),
             "mode": t.mode,
-            "kernel": [_values_to_json(row, t.mode) for row in t.kernel]}
+            "kernel": _values_to_json(t.kernel, t.mode)}
 
 
 def operator_from_json(doc) -> KernelOperator:
@@ -212,9 +258,9 @@ def tensor_to_json(g: TensorElement) -> dict:
     return {"mu": space_to_json(g.mu_space),
             "nu": space_to_json(g.nu_space),
             "mode": g.mode,
-            "terms": [{"f": _row_to_json("mu", g.mode, f),
-                       "phi": _row_to_json("nu", g.mode, phi)}
-                      for f, phi in zip(g.f_matrix, g.phi_matrix)]}
+            "terms": [{"f": f, "phi": phi} for f, phi in zip(
+                _rows_to_json("mu", g.mode, g.f_matrix),
+                _rows_to_json("nu", g.mode, g.phi_matrix))]}
 
 
 def tensor_from_json(doc) -> TensorElement:
@@ -245,7 +291,7 @@ def tensor_from_json(doc) -> TensorElement:
 
 def subspace_to_json(x: Subspace) -> dict:
     return {"ambient": space_to_json(x.ambient),
-            "basis": [_row_to_json("ambient", REAL, b) for b in x.basis_matrix]}
+            "basis": _rows_to_json("ambient", REAL, x.basis_matrix)}
 
 
 def subspace_from_json(doc) -> Subspace:
@@ -269,7 +315,7 @@ def subspace_from_json(doc) -> Subspace:
 
 def images_to_json(t: RestrictedOperator) -> dict:
     return {"space": space_to_json(t.codomain),
-            "images": [_row_to_json("space", REAL, y) for y in t.image_matrix]}
+            "images": _rows_to_json("space", REAL, t.image_matrix)}
 
 
 def images_from_json(doc, subspace: Subspace) -> RestrictedOperator:
@@ -300,14 +346,14 @@ def images_from_json(doc, subspace: Subspace) -> RestrictedOperator:
 def decomposition_to_json(d: Decomposition) -> dict:
     if d.signs is not None:
         coeffs = {"kind": "signs",
-                  "matrix": [[int(e) for e in row] for row in d.signs]}
+                  "matrix": d.signs.astype(np.int64).tolist()}
     else:
         coeffs = {"kind": "field",
-                  "entries": [[_row_to_json("mu", COMPLEX, field) for field in row]
-                              for row in d.coeffs]}
+                  "entries": [_rows_to_json("mu", COMPLEX, fields)
+                              for fields in d.coeffs]}
     return {"spaces": {"mu": space_to_json(d.space)},
             "mode": d.mode,
-            "parts": [_row_to_json("mu", REAL, row) for row in d.parts_matrix],
+            "parts": _rows_to_json("mu", REAL, d.parts_matrix),
             "coeffs": coeffs,
             "trace": {"pre_prune_counts": list(d.level_counts)}}
 
@@ -316,7 +362,6 @@ def cell_decomposition_to_json(cd: CellDecomposition) -> dict:
     return {"spaces": {"mu": space_to_json(cd.space)},
             "mode": cd.mode,
             "cells": [list(c) for c in cd.cells],
-            "parts": [_row_to_json("mu", REAL, row) for row in cd.parts_matrix],
-            "coeffs": [[_scalar_to_json(a, COMPLEX) for a in row]
-                       for row in cd.alphas],
+            "parts": _rows_to_json("mu", REAL, cd.parts_matrix),
+            "coeffs": _values_to_json(cd.alphas, COMPLEX),
             "epsilon": cd.epsilon}

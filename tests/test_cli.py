@@ -98,6 +98,18 @@ class TestSubcommands:
         assert doc["coeffs"] == {"kind": "signs", "matrix": [[1, -1]]}
         assert doc["trace"]["pre_prune_counts"] == [2]
 
+    def test_decompose_names_the_worst_residual_atom(self, tmp_path, capsys):
+        # residuals per check at this seed: sum 0, members 7.2e-17, 7.8e-17
+        # at a4 and 1.4e-16 at a2
+        rng = rng_for(4)
+        fam = tmp_path / "fam.json"
+        fam.write_text(jsonio.dumps(jsonio.family_to_json(
+            random_family(rng, random_space(rng, 6), 3, "complex"))))
+        assert main(["decompose", "--input", str(fam)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("15 parts, counts per level [15, 4, 1], ")
+        assert out.endswith(" at atom a2\n") and "max residual 1.4" in out
+
     def test_generate_then_full_pipeline(self, tmp_path):
         pair = tmp_path / "pair.json"
         assert main(["generate", "--kind", "inequality", "--atoms", "4",
@@ -550,6 +562,7 @@ class TestCertificationGoldenBytes:
                           "--images", "images.json", "--verify",
                           "--trials", "2000", "--seed", "1"],
         "selftest-fast": ["selftest", "--fast", "--seed", "7"],
+        "modulus": ["modulus", "--op", "op.json"],
     }
     PINS = {
         ("check-inequality-trace-real", "real"):
@@ -574,6 +587,10 @@ class TestCertificationGoldenBytes:
             "623fc93f8e0b5a584cd0bb3c9ffcc9b6e3a21b63619bea4adf55c2a5cff64ad6",
         ("selftest-fast", "real"):
             "328de6c4b6de8ccc29bab2814b7f71f252822b258cbee6b9c26ccccb2e0c0e7a",
+        ("modulus", "real"):
+            "98b16c7a233d6dc8874d020b7d127f542cdee205ea30d53a6985b1ea69d0436f",
+        ("modulus", "complex"):
+            "4ce83909bfbd90bc6878e7c6b81649037771bfeaddfd98f43069dc936daedaa8",
     }
 
     @pytest.mark.parametrize("command,mode", sorted(PINS))
@@ -585,3 +602,54 @@ class TestCertificationGoldenBytes:
         assert main([*argv, "--out", str(out), "--quiet"]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.PINS[command, mode]
+
+
+class TestGenerateGoldenBytes:
+    """The files of ``generate`` for every kind, in each mode the kind
+    reads, and the ``optimal-k`` report on a generated real n = 2 family,
+    pinned byte for byte (a kind that writes several files is pinned over
+    their bytes in file-name order)."""
+
+    PINS = {
+        ("family", "real"):
+            "9d0115c49b7f1591d2a6684f7eadd59cc929a4acaa2bf94b67c2cc24d207bcec",
+        ("family", "complex"):
+            "6b00aee8af9a1107403c4527a08c64ccc1d5783684411b964e6ed2a56d8a7f1b",
+        ("operator", "real"):
+            "ba595f89d66dba499afbcbb34c63a9da70623720a27766ddb8fc566ae5e3a583",
+        ("operator", "complex"):
+            "03a7a44c3eea4729c9fc45f5778821b4c6fffae0d2f3397d7ba9ccb063381e82",
+        ("inequality", "real"):
+            "6040cb4c8f44f79e44b695206a2250708251d26f978be4644ef0a294273ece47",
+        ("inequality", "complex"):
+            "d7cf3a841688db1254edb7e3d223840b9da29e6b879d436bb83952579f724cbd",
+        ("tensor", "real"):
+            "3c41017417b4ff66e33a51114a9f1eb12ef91fdf4e63be636470bdfb277dbc55",
+        ("tensor", "complex"):
+            "5e4092f96aa130dc5606c5c3407600afa5bf5c58e9bb5f345379d24ee4e4f2a6",
+        ("subspace", "real"):
+            "4a89ad9e28dc4eb2a066c6edc95f68e7ada6ee7f2f64b9d256ae715a4b931f17",
+        ("extension", "real"):
+            "27cdaa9c199bbd0fd04e3251a70759ed7e660ddd2139f39e5977ced90833c8e5",
+    }
+    OPTIMAL_K = "559d95b5ddcb4d589cdad3bcfa3fdd4996d1dc12f5d27f24a68e3545a43dd4ad"
+
+    @pytest.mark.parametrize("kind,mode", sorted(PINS))
+    def test_generate_bytes(self, tmp_path, kind, mode):
+        mode_flag = ["--mode", mode] if mode == "complex" else []
+        assert main(["generate", "--kind", kind, "--atoms", "5", *mode_flag,
+                     "--seed", "3", "--out", str(tmp_path / "g.json"),
+                     "--quiet"]) == 0
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            h.update(path.read_bytes())
+        assert h.hexdigest() == self.PINS[kind, mode]
+
+    def test_optimal_k_bytes(self, tmp_path):
+        fam, out = tmp_path / "fam.json", tmp_path / "k.json"
+        assert main(["generate", "--kind", "family", "--atoms", "5",
+                     "--n", "2", "--seed", "3", "--out", str(fam),
+                     "--quiet"]) == 0
+        assert main(["optimal-k", "--input", str(fam), "--kmax", "4",
+                     "--out", str(out), "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.OPTIMAL_K

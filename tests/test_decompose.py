@@ -567,3 +567,25 @@ class TestGoldenBytes:
         assert main(["decompose", "--input", str(fam), "--out", str(out),
                      "--quiet"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CLI_OUT
+
+    # the same report in the other mode and through each refinement flag
+    CLI_OUTS = {
+        (COMPLEX, ""): "e4f496d2db402d7c5eaa05beaeeb44265f30e25a45545711050739e760ba14b5",
+        (COMPLEX, "--prune --cells"):
+            "ea61d1c6b4613ea3f13d2713f2fc77d43e43f02a76e59a19b21227e973dd605c",
+        (COMPLEX, "--eps 0.1"):
+            "68fff65bdfbbddc4f1b30306d64e1e1cfbaec4830801505cf95a3738c538b208",
+        (REAL, "--prune --cells"):
+            "7cf701a3ce21085f280475f48a74a054237c262429dbf2b246410ce86aa3c092",
+    }
+
+    @pytest.mark.parametrize("mode,flags", sorted(CLI_OUTS))
+    def test_decompose_out_bytes_by_flags(self, tmp_path, mode, flags):
+        fam = tmp_path / "fam.json"
+        fam.write_text(jsonio.dumps(jsonio.family_to_json(
+            _golden_family(3, 6, mode))))
+        out = tmp_path / "dec.json"
+        assert main(["decompose", "--input", str(fam), *flags.split(),
+                     "--out", str(out), "--quiet"]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.CLI_OUTS[mode, flags]

@@ -3,6 +3,7 @@ round trip keeps every matrix bit for bit, and rows that disagree with the
 container's space or mode are refused with the message naming the rule."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -166,3 +167,72 @@ class TestImages:
     def test_bare_list_refused(self):
         with pytest.raises(jsonio.SchemaError, match="'images' list"):
             jsonio.images_from_json([fn(SP2, [1.0, 0.0])], self.X)
+
+
+# JSON trees for the writer: the floats json spells specially or that sit
+# on a repr boundary, ints past 2**53, bools among numbers, escapes in
+# strings and keys, empty containers, tuples, and [re, im] pairs beside
+# other lists
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 2 ** 53 + 1,
+           -(2 ** 64), 10 ** 30, math.nan, math.inf, -math.inf]
+numbers = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.integers())
+pairs = st.lists(st.lists(numbers, min_size=2, max_size=2), max_size=4)
+leaves = st.one_of(numbers, st.booleans(), st.none(), st.text(), pairs,
+                   st.lists(st.one_of(numbers, st.booleans()), max_size=5))
+trees = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner), st.tuples(),
+        st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+def _old_values_to_json(values, mode):
+    """The per-scalar converter the one-call ``_values_to_json`` replaced."""
+    if mode == REAL:
+        return [float(np.real(v)) for v in values]
+    return [[float(np.real(v)), float(np.imag(v))] for v in values]
+
+
+class TestWriter:
+    """``jsonio.dumps`` writes what ``json.dumps(indent=2)`` writes, and the
+    array converters give the lists the per-scalar conversion gave."""
+
+    @given(trees)
+    @settings(deadline=None, max_examples=400)
+    def test_matches_json_dumps(self, doc):
+        assert jsonio.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        [np.float64(1.5), np.float64(-0.0)], {"x": np.float64(math.nan)},
+        [[np.float64(0.1), 2.0]]])
+    def test_float_subclasses_as_floats(self, doc):
+        assert jsonio.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        np.int64(3), [1.0, np.int64(3)], [[1.0, np.int64(2)]],
+        {"a": np.bool_(True)}, {(1, 2): 0.0}, {1, 2}])
+    def test_not_json_raises_as_json_does(self, doc):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError) as got:
+            jsonio.dumps(doc)
+        assert str(got.value) == str(want.value)
+
+    @given(st.data(), modes, st.integers(0, 3), st.integers(0, 5))
+    @settings(deadline=None, max_examples=100)
+    def test_values_match_per_scalar_conversion(self, data, mode, rows, atoms):
+        values = data.draw(matrices(rows, atoms))
+        if mode == COMPLEX:         # every pair of signs, zeros included
+            values = values.astype(np.complex128)
+            values.imag = data.draw(matrices(rows, atoms))
+        want = [_old_values_to_json(row, mode) for row in values]
+        # repr tells -0.0 from 0.0 and an int from a float
+        assert repr(jsonio._values_to_json(values, mode)) == repr(want)
+        for row, want_row in zip(values, want):
+            assert repr(jsonio._values_to_json(row, mode)) == repr(want_row)
+
+    def test_sign_coefficients_become_complex_pairs(self):
+        signs = np.array([[1, -1, 0]], dtype=np.int8)
+        assert (repr(jsonio._values_to_json(signs, COMPLEX))
+                == repr([_old_values_to_json(signs[0], COMPLEX)]))
