@@ -8,6 +8,7 @@ produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -44,29 +45,39 @@ class CriterionOutcome:
                 "runtime_ok": self.runtime_ok, "details": self.details}
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"criterion {self.number:2d} [{status}] {self.name}"
+        return status_line(self.number, self.name, self.passed)
+
+
+def status_line(number: int, name: str, passed: bool) -> str:
+    """The one-line summary of a criterion, as ``selftest`` prints it."""
+    return f"criterion {number:2d} [{'PASS' if passed else 'FAIL'}] {name}"
 
 
 def _count(base: int, scale: float) -> int:
     return max(1, int(round(base * scale)))
 
 
-def _timed(cap: float | None):
-    start = time.perf_counter()
-
-    def finish() -> tuple[float, bool | None]:
-        elapsed = time.perf_counter() - start
-        return elapsed, (None if cap is None else elapsed <= cap)
-
-    return finish
+def _criterion(number: int, name: str, cap: float | None = None):
+    """Make a body ``(seed, scale) -> (ok, details)`` a timed criterion: it
+    passes when ok and, given a ``cap`` in seconds, when it ran within it."""
+    def decorate(body):
+        @functools.wraps(body)
+        def criterion(seed: int, scale: float = 1.0) -> CriterionOutcome:
+            start = time.perf_counter()
+            ok, details = body(seed, scale)
+            elapsed = time.perf_counter() - start
+            runtime_ok = None if cap is None else elapsed <= cap
+            return CriterionOutcome(number, name, ok and runtime_ok is not False,
+                                    runtime_ok, elapsed, details)
+        return criterion
+    return decorate
 
 
 # ---------------------------------------------------------------------------
 
-def criterion_1(seed: int, scale: float = 1.0) -> CriterionOutcome:
+@_criterion(1, "decomposition soundness", cap=60.0)
+def criterion_1(seed: int, scale: float):
     """Decomposition soundness on seeded random families, both modes."""
-    finish = _timed(60.0)
     rng = rng_for(seed + 101)
     trials = _count(1000, scale)
     worst = {"real": 0.0, "complex": 0.0}
@@ -82,19 +93,15 @@ def criterion_1(seed: int, scale: float = 1.0) -> CriterionOutcome:
             worst[mode] = max(worst[mode], residual)
             if not report.passed or residual > 1e-10:
                 failures += 1
-    elapsed, runtime_ok = finish()
-    return CriterionOutcome(
-        1, "decomposition soundness", failures == 0 and bool(runtime_ok),
-        runtime_ok, elapsed,
-        {"trials_per_mode": trials, "failures": failures,
-         "max_residual_real": worst["real"],
-         "max_residual_complex": worst["complex"]})
+    return failures == 0, {"trials_per_mode": trials, "failures": failures,
+                           "max_residual_real": worst["real"],
+                           "max_residual_complex": worst["complex"]}
 
 
-def criterion_2(seed: int, scale: float = 1.0) -> CriterionOutcome:
+@_criterion(2, "recursion part counts")
+def criterion_2(seed: int, scale: float):
     """Pre-prune part counts match the recursion exactly and respect the
     factorial growth bounds."""
-    finish = _timed(None)
     rng = rng_for(seed + 202)
     ok = True
     observed = {"real": [], "complex": []}
@@ -112,11 +119,8 @@ def criterion_2(seed: int, scale: float = 1.0) -> CriterionOutcome:
         ok &= verify_trace_counts(d_c.level_counts, COMPLEX)
         ok &= d_r.k <= math.exp(0.5) * 2 ** n * math.factorial(n)
         ok &= d_c.k <= math.e * math.factorial(n)
-    elapsed, runtime_ok = finish()
-    return CriterionOutcome(2, "recursion part counts", ok, runtime_ok, elapsed,
-                            {"observed": observed,
-                             "expected_real": list(REAL_PREPRUNE),
-                             "expected_complex": list(COMPLEX_PREPRUNE)})
+    return ok, {"observed": observed, "expected_real": list(REAL_PREPRUNE),
+                "expected_complex": list(COMPLEX_PREPRUNE)}
 
 
 def pattern_family_n2() -> FnFamily:
@@ -128,11 +132,11 @@ def pattern_family_n2() -> FnFamily:
                      [1.0, -1.0, 1.0, -1.0, 1.0, 2.0, 0.0, 1.0, -1.0]])
 
 
-def criterion_3(seed: int, scale: float = 1.0) -> CriterionOutcome:
+@_criterion(3, "minimal part counts", cap=300.0)
+def criterion_3(seed: int, scale: float):
     """Minimal part counts at desk scale: 2^n for the sign search (n = 1, 2,
     with the n = 2 infeasibility of k = 3 certified by exhaustion) and
     2^n - 1 = 1 for one complex function."""
-    finish = _timed(300.0)
     space2 = MeasureSpace(("u", "v"), (1.0, 1.0))
     fs1 = FnFamily(space2, REAL, [[1.0, -1.0]])
     res1 = optimal_k_search(fs1, k_max=4)
@@ -144,18 +148,16 @@ def criterion_3(seed: int, scale: float = 1.0) -> CriterionOutcome:
     fc = FnFamily(space2, COMPLEX, [[1j, 2.0 + 0.0j]])
     resc = prune(decompose_complex(fc))
     ok &= resc.k == 1
-    elapsed, runtime_ok = finish()
-    return CriterionOutcome(
-        3, "minimal part counts", ok and bool(runtime_ok), runtime_ok, elapsed,
-        {"n1_k": res1.k, "n2_k": res2.k,
-         "n2_infeasible": list(res2.infeasible_k),
-         "n2_candidates_tried": res2.candidates_tried, "complex_n1_k": resc.k})
+    return ok, {"n1_k": res1.k, "n2_k": res2.k,
+                "n2_infeasible": list(res2.infeasible_k),
+                "n2_candidates_tried": res2.candidates_tried,
+                "complex_n1_k": resc.k}
 
 
-def criterion_4(seed: int, scale: float = 1.0) -> CriterionOutcome:
+@_criterion(4, "L1 inequality")
+def criterion_4(seed: int, scale: float):
     """The L1 inequality holds on random instances, with equality at the
     identity."""
-    finish = _timed(None)
     rng = rng_for(seed + 404)
     trials = _count(1000, scale)
     violations = 0
@@ -178,17 +180,15 @@ def criterion_4(seed: int, scale: float = 1.0) -> CriterionOutcome:
         fs = random_family(rng, space, int(rng.integers(1, 6)), REAL)
         report = check_grothendieck(t, fs)
         tight_ok &= report.holds and report.tight
-    elapsed, runtime_ok = finish()
-    return CriterionOutcome(
-        4, "L1 inequality", violations == 0 and tight_ok, runtime_ok, elapsed,
-        {"trials_per_mode": trials, "violations": violations,
-         "max_ratio": worst_ratio, "identity_tight": tight_ok})
+    return violations == 0 and tight_ok, {
+        "trials_per_mode": trials, "violations": violations,
+        "max_ratio": worst_ratio, "identity_tight": tight_ok}
 
 
-def criterion_5(seed: int, scale: float = 1.0) -> CriterionOutcome:
+@_criterion(5, "proof traces")
+def criterion_5(seed: int, scale: float):
     """Proof traces carry no negative slack; the tensor trace reproduces the
     inequality report's bound."""
-    finish = _timed(None)
     rng = rng_for(seed + 505)
     trials = _count(200, scale)
     bad_steps = 0
@@ -217,16 +217,14 @@ def criterion_5(seed: int, scale: float = 1.0) -> CriterionOutcome:
             bad_steps += 1
         rhs = check_grothendieck(tt, fst).rhs
         mismatch = max(mismatch, abs(trace.final_rhs - rhs) / (1.0 + abs(rhs)))
-    ok = bad_steps == 0 and mismatch <= 1e-9
-    elapsed, runtime_ok = finish()
-    return CriterionOutcome(5, "proof traces", ok, runtime_ok, elapsed,
-                            {"trials": trials, "bad_steps": bad_steps,
-                             "max_final_bound_mismatch": mismatch})
+    return bad_steps == 0 and mismatch <= 1e-9, {
+        "trials": trials, "bad_steps": bad_steps,
+        "max_final_bound_mismatch": mismatch}
 
 
-def criterion_6(seed: int, scale: float = 1.0) -> CriterionOutcome:
+@_criterion(6, "operator modulus and domination")
+def criterion_6(seed: int, scale: float):
     """Modulus identities and domination of order intervals."""
-    finish = _timed(None)
     rng = rng_for(seed + 606)
     trials = _count(1000, scale)
     ok = True
@@ -247,11 +245,7 @@ def criterion_6(seed: int, scale: float = 1.0) -> CriterionOutcome:
 
         phi = SimpleFn(dom, REAL, np.abs(random_fn(rng, dom, REAL).values))
         ok &= check_domination(t, phi, dominate(t, phi), rng)[2] is None
-    elapsed, runtime_ok = finish()
-    return CriterionOutcome(6, "operator modulus and domination", ok,
-                            runtime_ok, elapsed,
-                            {"trials": trials,
-                             "max_pointwise_excess": worst_pointwise})
+    return ok, {"trials": trials, "max_pointwise_excess": worst_pointwise}
 
 
 def _recombined_reps(rng, g: TensorElement, count: int) -> list[TensorElement]:
@@ -272,10 +266,10 @@ def _recombined_reps(rng, g: TensorElement, count: int) -> list[TensorElement]:
     return reps
 
 
-def criterion_7(seed: int, scale: float = 1.0) -> CriterionOutcome:
+@_criterion(7, "representation minimality")
+def criterion_7(seed: int, scale: float):
     """Every representation certifies an upper bound for the tensor norm; the
     canonical one attains it."""
-    finish = _timed(None)
     rng = rng_for(seed + 707)
     trials = _count(200, scale)
     reps_per = _count(100, scale)
@@ -292,17 +286,14 @@ def criterion_7(seed: int, scale: float = 1.0) -> CriterionOutcome:
         worst_gap = max(worst_gap,
                         abs(report.canonical_product - report.norm)
                         / (1.0 + report.norm))
-    elapsed, runtime_ok = finish()
-    return CriterionOutcome(7, "representation minimality", ok, runtime_ok,
-                            elapsed, {"trials": trials,
-                                      "reps_per_trial": reps_per,
-                                      "max_canonical_gap": worst_gap})
+    return ok, {"trials": trials, "reps_per_trial": reps_per,
+                "max_canonical_gap": worst_gap}
 
 
-def criterion_8(seed: int, scale: float = 1.0) -> CriterionOutcome:
+@_criterion(8, "extension theorem", cap=600.0)
+def criterion_8(seed: int, scale: float):
     """Extension theorem end to end: restriction, norm, certificate,
     sampled condition (b) and the bracket between the two alpha bounds."""
-    finish = _timed(600.0)
     rng = rng_for(seed + 808)
     instances = _count(100, scale)
     trials = _count(10_000, scale)
@@ -325,12 +316,9 @@ def criterion_8(seed: int, scale: float = 1.0) -> CriterionOutcome:
             if report.bracket_width <= 1e-3 * report.alpha:
                 tight_brackets += 1
     ok = failures == 0 and tight_brackets >= int(0.9 * nonzero)
-    elapsed, runtime_ok = finish()
-    return CriterionOutcome(
-        8, "extension theorem", ok and bool(runtime_ok), runtime_ok, elapsed,
-        {"instances": instances, "failures": failures,
-         "nonzero_alpha": nonzero, "tight_brackets": tight_brackets,
-         "condition_b_trials": trials})
+    return ok, {"instances": instances, "failures": failures,
+                "nonzero_alpha": nonzero, "tight_brackets": tight_brackets,
+                "condition_b_trials": trials}
 
 
 def random_small_lp(rng) -> lp.LinearProgram:
@@ -352,10 +340,10 @@ def random_small_lp(rng) -> lp.LinearProgram:
                             g if m_ub else None, h if m_ub else None)
 
 
-def criterion_9(seed: int, scale: float = 1.0) -> CriterionOutcome:
+@_criterion(9, "LP oracle agreement")
+def criterion_9(seed: int, scale: float):
     """Simplex answers agree with the exact rational vertex-enumeration
     oracle."""
-    finish = _timed(None)
     rng = rng_for(seed + 909)
     trials = _count(500, scale)
     disagreements = 0
@@ -371,25 +359,21 @@ def criterion_9(seed: int, scale: float = 1.0) -> CriterionOutcome:
             exact = float(value)
             if abs(sol.objective_value - exact) > 1e-7 * (1.0 + abs(exact)):
                 disagreements += 1
-    elapsed, runtime_ok = finish()
-    return CriterionOutcome(9, "LP oracle agreement", disagreements == 0,
-                            runtime_ok, elapsed,
-                            {"trials": trials, "disagreements": disagreements,
-                             "statuses": statuses})
+    return disagreements == 0, {"trials": trials,
+                                "disagreements": disagreements,
+                                "statuses": statuses}
 
 
-def criterion_10(seed: int, scale: float = 1.0) -> CriterionOutcome:
+@_criterion(10, "determinism")
+def criterion_10(seed: int, scale: float):
     """In-process determinism: re-running sample criteria with the same seed
     yields byte-identical reports.  (The CLI selftest is additionally
     compared byte for byte across two runs by the test suite.)"""
-    finish = _timed(None)
     light = min(scale, 0.02)
     first = [criterion_1(seed, light).to_json(), criterion_4(seed, light).to_json()]
     second = [criterion_1(seed, light).to_json(), criterion_4(seed, light).to_json()]
-    ok = jsonio.dumps(first) == jsonio.dumps(second)
-    elapsed, runtime_ok = finish()
-    return CriterionOutcome(10, "determinism", ok, runtime_ok, elapsed,
-                            {"compared_bytes": len(jsonio.dumps(first))})
+    return (jsonio.dumps(first) == jsonio.dumps(second),
+            {"compared_bytes": len(jsonio.dumps(first))})
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -47,14 +47,6 @@ def _trials(text: str) -> int:
     return value
 
 
-class _StoreGiven(argparse.Action):
-    """Store the value and record on the namespace that the flag was given."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_given", True)
-
-
 def _seed_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
@@ -100,7 +92,10 @@ def _cmd_decompose(args) -> int:
               else refine_to_constant_coeffs(d))
         cell_report = verify_cell_decomposition(cd, fs)
         if not cell_report.passed:
-            raise CheckFailed("constant-coefficient refinement failed its bound")
+            raise CheckFailed(
+                "constant-coefficient refinement failed its bound: sum residual "
+                f"{cell_report.sum_residual:.3e}, bound excess "
+                f"{cell_report.bound_excess:.3e}")
         doc = jsonio.cell_decomposition_to_json(cd)
         _emit(args, doc, f"{cd.n_parts} parts on {len(cd.cells)} cells, "
                          f"epsilon {cd.epsilon}")
@@ -139,7 +134,8 @@ def _cmd_check_inequality(args) -> int:
         if args.trace == "real":
             trace = proof_trace_real(t, fs, args.tol)
         else:
-            trace = proof_trace_complex(t, fs, args.eps, args.tol)
+            eps = 0.1 if args.eps is None else args.eps
+            trace = proof_trace_complex(t, fs, eps, args.tol)
         doc["trace"] = trace.to_json()
         summary += f"; trace {'passed' if trace.all_passed else 'FAILED'}"
         if not trace.all_passed:
@@ -267,8 +263,8 @@ def _cmd_selftest(args) -> int:
         jsonio.write_json(args.out, report)
     if not args.quiet:
         for item in report["criteria"]:
-            status = "PASS" if item["passed"] else "FAIL"
-            print(f"criterion {item['number']:2d} [{status}] {item['name']}")
+            print(acceptance.status_line(item["number"], item["name"],
+                                         item["passed"]))
         print("selftest " + ("PASSED" if report["all_passed"] else "FAILED"))
     if not report["all_passed"]:
         raise CheckFailed("selftest criteria failed")
@@ -306,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="family JSON")
     p.add_argument("--trace", choices=["real", "complex"], default=None,
                    help="also certify a step-by-step proof trace")
-    p.add_argument("--eps", type=float, default=0.1, action=_StoreGiven,
-                   help="net mesh for --trace complex (default %(default)s)")
+    p.add_argument("--eps", type=float, default=None,
+                   help="net mesh for --trace complex (default 0.1)")
     p.add_argument("--tol", type=_tolerance, default=INEQ_TOL,
                    help="inequality and trace tolerance (default %(default)s)")
     _common_flags(p)
-    p.set_defaults(func=_cmd_check_inequality, eps_given=False)
+    p.set_defaults(func=_cmd_check_inequality)
 
     p = subs.add_parser("modulus", help="entrywise absolute value of an operator")
     p.add_argument("--op", required=True)
@@ -379,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "eps_given", False) and args.trace != "complex":
+    if (args.command == "check-inequality" and args.eps is not None
+            and args.trace != "complex"):
         parser.error("argument --eps: only honoured with --trace complex")
     if args.command == "generate":
         for key in ("n", "nu_atoms", "dim", "mode"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import jsonio
 from .core import REAL, FnFamily, MeasureSpace, SimpleFn
 from .extension import MAX_AMBIENT_ATOMS, RestrictedOperator, Subspace
 from .operators import KernelOperator
@@ -99,8 +100,6 @@ def generate_instance(kind: str, params: dict, seed: int) -> dict:
     Returns a mapping from a file stem to the document; the CLI writes each
     as ``<out>/<stem>.json`` (or a single file when there is one document).
     """
-    from . import jsonio
-
     if kind not in KIND_PARAMS:
         raise ValueError(f"unknown instance kind {kind!r}")
     for key in params:

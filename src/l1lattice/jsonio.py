@@ -4,10 +4,15 @@ Spaces may appear inline or as names resolved against a top-level "spaces"
 table in the same document.  Real scalars serialize as plain numbers,
 complex scalars as [re, im] pairs; numbers round-trip exactly (shortest
 representation recovering the stored double).
+
+Every reader decodes through one boundary, ``_reader``, which turns a
+malformed document into a SchemaError naming the field, and reads the rows of
+every container through ``_rows_from_json`` into one matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
@@ -24,10 +29,6 @@ from .tensor import TensorElement
 
 class SchemaError(ValueError):
     """Malformed or inconsistent input document."""
-
-
-def _missing_key(kind: str, exc: KeyError) -> SchemaError:
-    return SchemaError(f"{kind}: missing key {exc.args[0]!r}")
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -87,7 +88,35 @@ def write_json(path: str, obj: Any) -> None:
 
 def read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
+
+
+def _reader(kind: str, refusal: str, needs: tuple[str, ...] = ()):
+    """The schema boundary of a reader: a document that is not an object, or
+    lacks a key of ``needs``, is refused with ``refusal``; any other missing
+    key is named after ``kind``; a constructor's ValueError keeps its text."""
+    def decorate(read):
+        @functools.wraps(read)
+        def reader(doc, *args, **kwargs):
+            if not isinstance(doc, dict) or not all(k in doc for k in needs):
+                raise SchemaError(refusal)
+            try:
+                return read(doc, *args, **kwargs)
+            except KeyError as exc:
+                raise SchemaError(f"{kind}: missing key {exc.args[0]!r}") from exc
+            except ValueError as exc:
+                raise SchemaError(str(exc)) from exc
+        return reader
+    return decorate
+
+
+def _list(obj, field: str) -> list:
+    if not isinstance(obj, list):
+        raise SchemaError(f"{field} must be a list")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +152,7 @@ def _values_to_json(values: np.ndarray, mode: str) -> list:
 
 
 def _values_from_json(obj, mode: str) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise SchemaError("values must be a list")
-    vals = [_scalar_from_json(v, mode) for v in obj]
+    vals = [_scalar_from_json(v, mode) for v in _list(obj, "values")]
     return np.array(vals, dtype=np.complex128 if mode == COMPLEX else np.float64)
 
 
@@ -143,16 +170,11 @@ def space_to_json(space: MeasureSpace) -> dict:
     return {"atoms": list(space.atoms), "weights": [float(w) for w in space.weights]}
 
 
+@_reader("space", "a space needs 'atoms' and 'weights'", ("atoms", "weights"))
 def space_from_json(obj) -> MeasureSpace:
-    if not isinstance(obj, dict) or "atoms" not in obj or "weights" not in obj:
-        raise SchemaError("a space needs 'atoms' and 'weights'")
-    if not isinstance(obj["weights"], list):
-        raise SchemaError("space weights must be a list")
-    try:
-        weights = tuple(_number(w, "space weight") for w in obj["weights"])
-        return MeasureSpace(tuple(obj["atoms"]), weights)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from exc
+    weights = tuple(_number(w, "space weight")
+                    for w in _list(obj["weights"], "space weights"))
+    return MeasureSpace(tuple(_list(obj["atoms"], "space atoms")), weights)
 
 
 def _resolve_space(obj, registry: dict[str, MeasureSpace] | None) -> MeasureSpace:
@@ -163,8 +185,10 @@ def _resolve_space(obj, registry: dict[str, MeasureSpace] | None) -> MeasureSpac
     return space_from_json(obj)
 
 
-def _registry(doc) -> dict[str, MeasureSpace]:
-    table = doc.get("spaces", {}) if isinstance(doc, dict) else {}
+def _registry(doc: dict) -> dict[str, MeasureSpace]:
+    table = doc.get("spaces", {})
+    if not isinstance(table, dict):
+        raise SchemaError("spaces must be an object")
     return {name: space_from_json(s) for name, s in table.items()}
 
 
@@ -177,10 +201,9 @@ def fn_to_json(f: SimpleFn) -> dict:
     return _rows_to_json(space_to_json(f.space), f.mode, f.values[None])[0]
 
 
+@_reader("simple function", "a simple function must be an object")
 def fn_from_json(obj, registry: dict[str, MeasureSpace] | None = None,
                  default_space: MeasureSpace | None = None) -> SimpleFn:
-    if not isinstance(obj, dict):
-        raise SchemaError("a simple function must be an object")
     mode = _mode_from_json(obj.get("mode", REAL))
     if "space" in obj:
         space = _resolve_space(obj["space"], registry)
@@ -188,24 +211,24 @@ def fn_from_json(obj, registry: dict[str, MeasureSpace] | None = None,
         space = default_space
     else:
         raise SchemaError("a simple function needs a 'space'")
-    try:
-        return SimpleFn(space, mode, _values_from_json(obj["values"], mode))
-    except KeyError as exc:
-        raise _missing_key("simple function", exc) from exc
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return SimpleFn(space, mode, _values_from_json(obj["values"], mode))
 
 
-def _stack(rows: list[SimpleFn], space: MeasureSpace, mode: str,
-           space_error: str, mode_error: str) -> np.ndarray:
-    """The values of functions decoded one per row, as one (rows, atoms)
-    matrix, once each is checked to live on ``space`` in ``mode``."""
-    for f in rows:
+def _rows_from_json(items: list, registry: dict, space: MeasureSpace | None,
+                    mode: str | None, space_error: str, mode_error: str):
+    """(space, mode, values): the function objects ``items`` as the rows of
+    ``values``, each refused unless on ``space`` (the default of a row naming
+    none) in ``mode``; None stands for the first row's (``items`` nonempty)."""
+    default, rows = space, []
+    for obj in items:
+        f = fn_from_json(obj, registry, default_space=default)
+        space, mode = space or f.space, mode or f.mode
         if f.space != space:
             raise SchemaError(space_error)
         if f.mode != mode:
             raise SchemaError(mode_error)
-    return np.array([f.values for f in rows]).reshape(len(rows), space.size)
+        rows.append(f.values)
+    return space, mode, np.array(rows).reshape(len(rows), space.size)
 
 
 def family_to_json(fs: FnFamily) -> dict:
@@ -213,18 +236,16 @@ def family_to_json(fs: FnFamily) -> dict:
             "members": _rows_to_json("mu", fs.mode, fs.value_matrix)}
 
 
+@_reader("family", "a family needs a 'members' list", ("members",))
 def family_from_json(doc) -> FnFamily:
-    if not isinstance(doc, dict) or "members" not in doc:
-        raise SchemaError("a family needs a 'members' list")
     registry = _registry(doc)
-    members = [fn_from_json(m, registry) for m in doc["members"]]
+    members = _list(doc["members"], "members")
     if not members:
         raise SchemaError("a family needs at least one member")
-    space, mode = members[0].space, members[0].mode
-    values = _stack(members, space, mode,
-                    "family members must live on the same space",
-                    "family members must share the same mode")
-    return FnFamily(space, mode, values)
+    return FnFamily(*_rows_from_json(
+        members, registry, None, None,
+        "family members must live on the same space",
+        "family members must share the same mode"))
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +259,15 @@ def operator_to_json(t: KernelOperator) -> dict:
             "kernel": _values_to_json(t.kernel, t.mode)}
 
 
+@_reader("operator", "an operator must be an object")
 def operator_from_json(doc) -> KernelOperator:
-    if not isinstance(doc, dict):
-        raise SchemaError("an operator must be an object")
     registry = _registry(doc)
-    try:
-        domain = _resolve_space(doc["domain"], registry)
-        codomain = _resolve_space(doc["codomain"], registry)
-        mode = _mode_from_json(doc.get("mode", REAL))
-        rows = [_values_from_json(r, mode) for r in doc["kernel"]]
-        return KernelOperator(domain, codomain, np.vstack(rows), mode)
-    except KeyError as exc:
-        raise _missing_key("operator", exc) from exc
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    domain = _resolve_space(doc["domain"], registry)
+    codomain = _resolve_space(doc["codomain"], registry)
+    mode = _mode_from_json(doc.get("mode", REAL))
+    rows = [_values_from_json(r, mode) for r in _list(doc["kernel"], "kernel")]
+    kernel = np.vstack(rows) if rows else np.empty((0, domain.size))
+    return KernelOperator(domain, codomain, kernel, mode)
 
 
 def tensor_to_json(g: TensorElement) -> dict:
@@ -263,30 +279,24 @@ def tensor_to_json(g: TensorElement) -> dict:
                 _rows_to_json("nu", g.mode, g.phi_matrix))]}
 
 
+@_reader("tensor element", "a tensor element must be an object")
 def tensor_from_json(doc) -> TensorElement:
-    if not isinstance(doc, dict):
-        raise SchemaError("a tensor element must be an object")
     registry = _registry(doc)
-    try:
-        mu = _resolve_space(doc["mu"], registry)
-        nu = _resolve_space(doc["nu"], registry)
-        registry = {**registry, "mu": mu, "nu": nu}
-        mode = _mode_from_json(doc.get("mode", REAL))
-        fs, phis = [], []
-        for item in doc["terms"]:
-            fs.append(fn_from_json(item["f"], registry, default_space=mu))
-            phis.append(fn_from_json(item["phi"], registry, default_space=nu))
-        mode_error = "term modes must match the tensor mode"
-        return TensorElement(
-            mu, nu, mode,
-            _stack(fs, mu, mode, "left factors must live on the mu space",
-                   mode_error),
-            _stack(phis, nu, mode, "right factors must live on the nu space",
-                   mode_error))
-    except KeyError as exc:
-        raise _missing_key("tensor element", exc) from exc
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    mu = _resolve_space(doc["mu"], registry)
+    nu = _resolve_space(doc["nu"], registry)
+    registry = {**registry, "mu": mu, "nu": nu}
+    mode = _mode_from_json(doc.get("mode", REAL))
+    terms = _list(doc["terms"], "terms")
+    if not all(isinstance(term, dict) for term in terms):
+        raise SchemaError("each term must be an object")
+    mode_error = "term modes must match the tensor mode"
+    _, _, fs = _rows_from_json([term["f"] for term in terms], registry, mu,
+                               mode, "left factors must live on the mu space",
+                               mode_error)
+    _, _, phis = _rows_from_json([term["phi"] for term in terms], registry, nu,
+                                 mode, "right factors must live on the nu space",
+                                 mode_error)
+    return TensorElement(mu, nu, mode, fs, phis)
 
 
 def subspace_to_json(x: Subspace) -> dict:
@@ -294,23 +304,15 @@ def subspace_to_json(x: Subspace) -> dict:
             "basis": _rows_to_json("ambient", REAL, x.basis_matrix)}
 
 
+@_reader("subspace", "a subspace must be an object")
 def subspace_from_json(doc) -> Subspace:
-    if not isinstance(doc, dict):
-        raise SchemaError("a subspace must be an object")
     registry = _registry(doc)
-    try:
-        ambient = _resolve_space(doc["ambient"], registry)
-        registry = {**registry, "ambient": ambient}
-        basis = [fn_from_json(b, registry, default_space=ambient)
-                 for b in doc["basis"]]
-        return Subspace(ambient, _stack(
-            basis, ambient, REAL,
-            "basis elements must live on the ambient space",
-            "subspaces are real-mode only"))
-    except KeyError as exc:
-        raise _missing_key("subspace", exc) from exc
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    ambient = _resolve_space(doc["ambient"], registry)
+    _, _, basis = _rows_from_json(
+        _list(doc["basis"], "basis"), {**registry, "ambient": ambient},
+        ambient, REAL, "basis elements must live on the ambient space",
+        "subspaces are real-mode only")
+    return Subspace(ambient, basis)
 
 
 def images_to_json(t: RestrictedOperator) -> dict:
@@ -318,25 +320,20 @@ def images_to_json(t: RestrictedOperator) -> dict:
             "images": _rows_to_json("space", REAL, t.image_matrix)}
 
 
+@_reader("images", "images must be an object with an 'images' list",
+         ("images",))
 def images_from_json(doc, subspace: Subspace) -> RestrictedOperator:
-    if not isinstance(doc, dict) or "images" not in doc:
-        raise SchemaError("images must be an object with an 'images' list")
     registry = _registry(doc)
     if "space" in doc:
         registry = {**registry, "space": _resolve_space(doc["space"], registry)}
-    try:
-        images = [fn_from_json(y, registry, default_space=registry.get("space"))
-                  for y in doc["images"]]
-        if len(images) != subspace.dim:
-            raise SchemaError("need exactly one image per basis element")
-        codomain = images[0].space
-        return RestrictedOperator(subspace, codomain, _stack(
-            images, codomain, REAL, "images must share one codomain space",
-            "restricted operators are real-mode only"))
-    except KeyError as exc:
-        raise _missing_key("images", exc) from exc
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    images = _list(doc["images"], "images")
+    if len(images) != subspace.dim:
+        raise SchemaError("need exactly one image per basis element")
+    codomain, _, values = _rows_from_json(
+        images, registry, registry.get("space"), REAL,
+        "images must share one codomain space",
+        "restricted operators are real-mode only")
+    return RestrictedOperator(subspace, codomain, values)
 
 
 # ---------------------------------------------------------------------------

@@ -124,12 +124,6 @@ class RepresentationReport:
     passed: bool
     tolerance: float
 
-    def to_json(self) -> dict:
-        return {"norm": self.norm, "products": list(self.products),
-                "canonical_product": self.canonical_product,
-                "canonical_cells": self.canonical_cells,
-                "passed": self.passed, "tolerance": self.tolerance}
-
 
 def verify_min_representation(g: TensorElement, alt_reps: list[TensorElement]
                               ) -> RepresentationReport:

@@ -12,6 +12,7 @@ import pytest
 from l1lattice import cli, jsonio, lp
 from l1lattice.cli import main
 from l1lattice.core import SimpleFn
+from l1lattice.decompose import CellReport
 from l1lattice.extension import RestrictedOperator, Subspace, alpha_via_lp
 from l1lattice.generate import (generate_instance, random_family,
                                 random_operator, random_space, random_subspace,
@@ -238,6 +239,46 @@ BAD_INPUTS = {
         "operator: missing key 'domain'"),
 }
 
+# (argv, document, message): containers of the wrong JSON type and JSON
+# nested past the parser's depth; "doc" is the malformed file, "sub" and
+# "img" a well-formed subspace and images on one atom
+MALFORMED = {
+    "spaces-not-object": (
+        "decompose --input doc", '{"spaces": [1], "members": []}',
+        "spaces must be an object"),
+    "members-not-list": (
+        "decompose --input doc", '{"members": 5}', "members must be a list"),
+    "atoms-not-list": (
+        "decompose --input doc",
+        '{"spaces": {"mu": {"atoms": 5, "weights": [1.0]}}, "members": []}',
+        "space atoms must be a list"),
+    "kernel-not-list": (
+        "modulus --op doc",
+        '{"domain": %s, "codomain": %s, "kernel": 5}' % (SPACE_1, SPACE_1),
+        "kernel must be a list"),
+    "kernel-empty": (
+        "modulus --op doc",
+        '{"domain": %s, "codomain": %s, "kernel": []}' % (SPACE_1, SPACE_1),
+        "kernel entries must have shape (1, 1), got (0, 1)"),
+    "terms-not-list": (
+        "tensor-norm --input doc",
+        '{"mu": %s, "nu": %s, "terms": 5}' % (SPACE_1, SPACE_1),
+        "terms must be a list"),
+    "term-not-object": (
+        "tensor-norm --input doc",
+        '{"mu": %s, "nu": %s, "terms": [5]}' % (SPACE_1, SPACE_1),
+        "each term must be an object"),
+    "basis-not-list": (
+        "extend --subspace doc --images img",
+        '{"ambient": %s, "basis": 5}' % SPACE_1, "basis must be a list"),
+    "images-not-list": (
+        "extend --subspace sub --images doc", '{"images": 5}',
+        "images must be a list"),
+    "nested-too-deeply": (
+        "decompose --input doc", "[" * 100_000,
+        "doc.json: JSON nested too deeply"),
+}
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -248,6 +289,20 @@ class TestExitCodes:
         flag = "--input" if command == "decompose" else "--op"
         assert main([command, flag, str(path), "--quiet"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_container_names_the_field(self, tmp_path, capsys, case):
+        argv, text, message = MALFORMED[case]
+        (tmp_path / "doc.json").write_text(text)
+        (tmp_path / "sub.json").write_text(
+            '{"ambient": %s, "basis": [{"values": [1.0]}]}' % SPACE_1)
+        (tmp_path / "img.json").write_text(
+            '{"space": %s, "images": [{"values": [1.0]}]}' % SPACE_1)
+        files = {name: str(tmp_path / f"{name}.json")
+                 for name in ("doc", "sub", "img")}
+        assert main([files.get(a, a) for a in argv.split()] + ["--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_malformed_json_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -486,6 +541,21 @@ class TestExitCodes:
         assert err.startswith("check failed: certificate ratio ")
         assert "below alpha" in err
         assert not out.exists()
+
+    def test_failed_refinement_reports_its_residuals(self, tmp_path,
+                                                     monkeypatch, capsys):
+        fam = tmp_path / "fam.json"
+        main(["generate", "--kind", "family", "--atoms", "4", "--seed", "3",
+              "--out", str(fam), "--quiet"])
+        failing = CellReport(passed=False, sum_residual=2.5e-9,
+                             bound_excess=0.125, tolerance=1e-10)
+        monkeypatch.setattr(cli, "verify_cell_decomposition",
+                            lambda cd, fs: failing)
+        assert main(["decompose", "--input", str(fam), "--cells",
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: constant-coefficient refinement failed its bound: "
+            "sum residual 2.500e-09, bound excess 1.250e-01\n")
 
 
 class TestDeterminism:

@@ -169,6 +169,40 @@ class TestImages:
             jsonio.images_from_json([fn(SP2, [1.0, 0.0])], self.X)
 
 
+# JSON trees for the readers: the schema's keys over any JSON values, with
+# well-formed fragments (a space, rows of values, a function object) among
+# the leaves so that trees reach past the first type check
+KEYS = ["spaces", "members", "space", "mode", "values", "atoms", "weights",
+        "domain", "codomain", "kernel", "mu", "nu", "terms", "f", "phi",
+        "ambient", "basis", "images"]
+FRAGMENTS = [SP2, [1.0, 0.0], [[1.0, 0.0]], {"values": [0.0, 1.0]}]
+schema_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+    st.sampled_from(KEYS + [REAL, COMPLEX, "a"]), st.sampled_from(FRAGMENTS))
+schema_trees = st.recursive(
+    schema_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(KEYS), inner, max_size=5)),
+    max_leaves=25)
+READERS = (jsonio.fn_from_json, jsonio.family_from_json,
+           jsonio.operator_from_json, jsonio.tensor_from_json,
+           jsonio.subspace_from_json,
+           lambda doc: jsonio.images_from_json(doc, TestImages.X))
+
+
+@given(schema_trees)
+@settings(deadline=None, max_examples=600)
+def test_readers_return_or_raise_schema_error(doc):
+    """Whatever JSON a file holds, a reader returns a value or raises
+    SchemaError, which the CLI maps to exit 2 -- never another exception."""
+    for reader in READERS:
+        try:
+            reader(doc)
+        except jsonio.SchemaError:
+            pass
+
+
 # JSON trees for the writer: the floats json spells specially or that sit
 # on a repr boundary, ints past 2**53, bools among numbers, escapes in
 # strings and keys, empty containers, tuples, and [re, im] pairs beside
