@@ -123,10 +123,22 @@ def _list(obj, field: str) -> list:
 # scalars
 # ---------------------------------------------------------------------------
 
+#: longest repr of an offending value that a message echoes in full
+_SHOWN_CHARS = 80
+
+
+def _shown(obj) -> str:
+    """repr(obj) for a message, cut after _SHOWN_CHARS characters."""
+    text = repr(obj)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({len(text):,} characters)"
+
+
 def _number(obj, field: str = "value") -> float:
     # JSON true and false decode to bool, a subclass of int
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise SchemaError(f"{field} must be a number, got {obj!r}")
+        raise SchemaError(f"{field} must be a number, got {_shown(obj)}")
     try:
         return float(obj)
     except OverflowError:
@@ -137,7 +149,7 @@ def _number(obj, field: str = "value") -> float:
 def _scalar_from_json(obj, mode: str):
     if mode == COMPLEX and isinstance(obj, list):
         if len(obj) != 2:
-            raise SchemaError(f"expected [re, im], got {obj!r}")
+            raise SchemaError(f"expected [re, im], got {_shown(obj)}")
         return complex(_number(obj[0]), _number(obj[1]))
     x = _number(obj)
     return x if mode == REAL else complex(x, 0.0)
@@ -158,7 +170,7 @@ def _values_from_json(obj, mode: str) -> np.ndarray:
 
 def _mode_from_json(obj) -> str:
     if obj not in (REAL, COMPLEX):
-        raise SchemaError(f'mode must be "real" or "complex", got {obj!r}')
+        raise SchemaError(f'mode must be "real" or "complex", got {_shown(obj)}')
     return obj
 
 
@@ -181,7 +193,7 @@ def _resolve_space(obj, registry: dict[str, MeasureSpace] | None) -> MeasureSpac
     if isinstance(obj, str):
         if registry and obj in registry:
             return registry[obj]
-        raise SchemaError(f"unknown space name {obj!r}")
+        raise SchemaError(f"unknown space name {_shown(obj)}")
     return space_from_json(obj)
 
 
@@ -265,8 +277,15 @@ def operator_from_json(doc) -> KernelOperator:
     domain = _resolve_space(doc["domain"], registry)
     codomain = _resolve_space(doc["codomain"], registry)
     mode = _mode_from_json(doc.get("mode", REAL))
-    rows = [_values_from_json(r, mode) for r in _list(doc["kernel"], "kernel")]
-    kernel = np.vstack(rows) if rows else np.empty((0, domain.size))
+    rows = _list(doc["kernel"], "kernel")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise SchemaError(f"kernel row {i} must be a list")
+        if len(row) != len(rows[0]):
+            raise SchemaError(f"kernel row {i} has {len(row)} entries, "
+                              f"row 0 has {len(rows[0])}")
+    kernel = (np.vstack([_values_from_json(r, mode) for r in rows]) if rows
+              else np.empty((0, domain.size)))
     return KernelOperator(domain, codomain, kernel, mode)
 
 

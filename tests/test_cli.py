@@ -260,6 +260,14 @@ MALFORMED = {
         "modulus --op doc",
         '{"domain": %s, "codomain": %s, "kernel": []}' % (SPACE_1, SPACE_1),
         "kernel entries must have shape (1, 1), got (0, 1)"),
+    "kernel-ragged": (
+        "modulus --op doc",
+        '{"domain": %s, "codomain": %s, "kernel": [[1.0, 2.0], [1.0]]}'
+        % (SPACE_2, SPACE_2), "kernel row 1 has 1 entries, row 0 has 2"),
+    "kernel-row-not-list": (
+        "modulus --op doc",
+        '{"domain": %s, "codomain": %s, "kernel": [[1.0, 2.0], 5]}'
+        % (SPACE_2, SPACE_2), "kernel row 1 must be a list"),
     "terms-not-list": (
         "tensor-norm --input doc",
         '{"mu": %s, "nu": %s, "terms": 5}' % (SPACE_1, SPACE_1),
@@ -303,6 +311,18 @@ class TestExitCodes:
         assert main([files.get(a, a) for a in argv.split()] + ["--quiet"]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_long_offending_value_is_cut_in_the_message(self, tmp_path,
+                                                        capsys):
+        # one value of a family replaced by 200,000 zeros: a 1 MB document
+        path = tmp_path / "doc.json"
+        path.write_text('{"spaces": {"mu": %s}, "members": [{"space": "mu", '
+                        '"values": [[%s], 0.0]}]}'
+                        % (SPACE_2, ", ".join(["0.0"] * 200_000)))
+        assert main(["decompose", "--input", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "value must be a number, got [0.0, 0.0" in err
+        assert len(err.encode()) < 300
 
     def test_malformed_json_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -654,7 +674,7 @@ class TestCertificationGoldenBytes:
         ("tensor-norm", "complex"):
             "bd1f899ed10873f8622f933cdb7fde671123c38fd6ee96015b583d0863e12d39",
         ("extend-verify", "real"):
-            "623fc93f8e0b5a584cd0bb3c9ffcc9b6e3a21b63619bea4adf55c2a5cff64ad6",
+            "4a841f3a070db93fbb50ffa88171f60f79f501ae5b0e1ac4bf5acb8904ba2d72",
         ("selftest-fast", "real"):
             "328de6c4b6de8ccc29bab2814b7f71f252822b258cbee6b9c26ccccb2e0c0e7a",
         ("modulus", "real"):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,9 +10,11 @@ from l1lattice import (REAL, MeasureSpace, RestrictedOperator, SimpleFn,
                        pair_operator_tensor, point_mass, tensor_norm,
                        verify_extension_theorem)
 from l1lattice import cli, extension, jsonio, lp
-from l1lattice.extension import certificate_family_coeffs, extension_lp
+from l1lattice.extension import (CONDITION_D_TRIALS, certificate_family_coeffs,
+                                  extension_lp)
 from l1lattice.generate import (generate_instance, random_restricted,
                                 random_space, random_subspace, rng_for)
+from l1lattice.operators import INEQ_TOL
 
 
 def unit_space(n, prefix="a"):
@@ -277,6 +280,91 @@ class TestVerifyExtensionTheorem:
         assert report.passed
         assert report.alpha == pytest.approx(
             op_norm(alpha_via_lp(x, t).extension), rel=1e-12)
+
+
+def condition_d_loop(x, t, alphas, seed):
+    """Condition (d) checked one random tensor at a time, as the verifier did
+    before it evaluated all tensors in one batch, against each of ``alphas``
+    in one pass; the check of an alpha stops at its first violation.
+
+    Returns the tensors drawn, as (coeffs, phis) per trial, and per alpha
+    the largest ratio up to its first violation and that violation's
+    message (or None)."""
+    rng = np.random.default_rng(np.uint64(seed) + np.uint64(0x9E3779B9))
+    mu_w, nu_w = x.ambient.weight_array, t.codomain.weight_array
+    d_max = [0.0] * len(alphas)
+    failure = [None] * len(alphas)
+    draws = []
+    for _ in range(CONDITION_D_TRIALS):
+        if all(failure):
+            break
+        n = int(rng.integers(1, 4))
+        coeffs = rng.standard_normal((n, x.dim))
+        phis = rng.uniform(-1.0, 1.0, size=(n, t.codomain.size))
+        draws.append((coeffs, phis))
+        # f stacked from per-row products; integral_of_sup and pair_rows as
+        # they were then, inlined
+        f = np.array([coeffs[i] @ x.basis_matrix for i in range(n)])
+        norm = float(mu_w @ np.abs(f.T @ phis).max(axis=1))
+        if norm == 0.0:
+            continue
+        pairing = abs(float((((coeffs @ t.image_matrix) * phis) @ nu_w).sum()))
+        for a, alpha in enumerate(alphas):
+            if failure[a] is not None:
+                continue
+            d_max[a] = max(d_max[a], pairing / norm)
+            if pairing > alpha * norm * (1.0 + INEQ_TOL) + 1e-15:
+                failure[a] = f"condition (d) violated: ratio {pairing / norm:.12g}"
+    return draws, list(zip(d_max, failure))
+
+
+class TestConditionD:
+    def test_batch_matches_per_trial_loop(self):
+        # on generated instances at the true alpha and at 0.6 alpha, the
+        # batch checks the tensors the loop drew, reaches the same verdict
+        # with the same message, and its largest ratio differs only in the
+        # last bits of the products
+        rng = rng_for(40)
+        violations = 0
+        for i in range(200):
+            mu = random_space(rng, int(rng.integers(1, 9)))
+            nu = random_space(rng, int(rng.integers(1, 9)), prefix="s")
+            x = random_subspace(rng, mu, int(rng.integers(1, 1 + min(3, mu.size))))
+            t = random_restricted(rng, x, nu)
+            alpha = alpha_via_lp(x, t).alpha
+            coeffs, phis = extension.condition_d_tensors(x, t, i)
+            draws, loop = condition_d_loop(x, t, (alpha, 0.6 * alpha), i)
+            assert len(draws) == CONDITION_D_TRIALS or all(m for _, m in loop)
+            padded = np.zeros_like(coeffs), np.zeros_like(phis)
+            for k, (c, p) in enumerate(draws):
+                padded[0][k, :len(c)], padded[1][k, :len(p)] = c, p
+            assert np.array_equal(coeffs[:len(draws)], padded[0][:len(draws)])
+            assert np.array_equal(phis[:len(draws)], padded[1][:len(draws)])
+            for scale, (d_max, message) in zip((1.0, 0.6), loop):
+                batch_max, batch_message = extension.check_condition_d(
+                    x, t, scale * alpha, coeffs, phis)
+                assert batch_message == message
+                assert batch_max == pytest.approx(d_max, rel=1e-14, abs=0.0)
+                violations += message is not None
+        assert violations > 100
+
+    def test_deflated_alpha_fails_conditions_b_and_d(self):
+        docs = generate_instance("extension", {"atoms": 6, "nu_atoms": 5,
+                                               "dim": 3}, 4)
+        x = jsonio.subspace_from_json(docs["subspace"])
+        t = jsonio.images_from_json(docs["images"], x)
+        result = alpha_via_lp(x, t)
+        deflated = dataclasses.replace(result, alpha=0.6 * result.alpha)
+        report = verify_extension_theorem(x, t, trials=2000, seed=1,
+                                          result=deflated)
+        assert not report.passed
+        assert not report.condition_b.passed
+        assert (f"{report.condition_b.violations} sampled families exceed "
+                "alpha") in report.failures
+        [message] = [f for f in report.failures
+                     if f.startswith("condition (d) violated: ratio ")]
+        assert float(message.rsplit(" ", 1)[1]) > deflated.alpha
+        assert report.condition_d_max_ratio > deflated.alpha
 
 
 def reference_u_lp(x, t):
