@@ -119,7 +119,7 @@ def _cmd_optimal_k(args) -> int:
         summary = f"minimal k = {result.k} (infeasible: {list(result.infeasible_k)})"
     else:
         summary = f"infeasible up to k = {result.k_max_tried}"
-    _emit(args, doc, summary)
+    _emit(args, doc, f"{summary}; {result.lp_solves} LP solves")
     return 0
 
 

@@ -61,11 +61,13 @@ MIN_NET_EPS = 1e-6
 
 #: most sign matrices optimal_k_search may try, sum_{k <= k_max} C(3^n, k):
 #: n <= 2 with any k_max, n = 3 with k_max <= 3, n = 4 with k_max <= 2.  On
-#: 50 atoms n = 3, k_max = 3 (3,303, all infeasible) took 0.35 s when random
-#: and 6.2 s with the infeasible atoms last (46 atoms (1, 0, 0), then four
-#: cube vertices); n = 4, k_max = 2 (3,321) took 0.37 s and 1.3 s (shared
-#: 2-core x86-64, one BLAS).  Each candidate solves up to one LP per active
-#: atom, so MAX_LP_SOLVES bounds candidates x active atoms as well
+#: 50 atoms n = 3, k_max = 3 (3,303, all infeasible) took 0.02 s both when
+#: random and with the infeasible atoms last (46 atoms (1, 0, 0), then four
+#: cube vertices), and n = 4, k_max = 2 (3,321) 0.02 s in both cases: the
+#: face bound refuted every candidate without an LP (one LP per candidate
+#: and atom took 0.6 s, 6.9 s, 0.5 s and 1.6 s; shared 2-core x86-64, one
+#: BLAS).  A candidate the bound cannot refute still solves up to one LP per
+#: active atom, so MAX_LP_SOLVES bounds candidates x active atoms as well
 MAX_CANDIDATES = 4_000
 #: most LP solves optimal_k_search may need, candidates x active atoms: every
 #: search within MAX_CANDIDATES on at most 50 atoms fits
@@ -450,6 +452,7 @@ class OptimalKResult:
     infeasible_k: tuple[int, ...]
     k_max_tried: int
     candidates_tried: int
+    lp_solves: int                      # per-atom LPs run; not in to_json
 
     def to_json(self) -> dict:
         out = {
@@ -473,14 +476,70 @@ def _atom_feasible(columns: np.ndarray, target: np.ndarray, total: float) -> lp.
     return sol if sol.status == lp.OPTIMAL else None
 
 
+def _face_rejected(matrices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Which (candidate, atom) pairs of the (N, n, k) sign ``matrices`` and
+    the (n, atoms) ``values`` of active atoms are infeasible by a cube-face
+    bound, as an (N, atoms) mask.
+
+    Atom w has L = max_i |f_i(w)| > 0, the point p = f(w) / L and the face
+    (a, s) of [-1, 1]^n that p lies on: a is the first row with |f_a(w)| ==
+    L and s = sign f_a(w).  The face columns of a candidate C are those
+    with C[a, j] == s; M_i and m_i are the max and min of C[i, j] over
+    them.  The violation is v = max_i max(p_i - M_i, m_i - p_i, 0), or
+    v = 1 when no face column exists, and the pair is rejected iff
+
+        L v > 100 FEAS_TOL (1 + L).
+
+    No pair that ``_atom_feasible`` accepts is rejected.  ``lp.solve``
+    declares INFEASIBLE iff its phase-1 objective, the sum of |row
+    residuals|, exceeds FEAS_TOL (1 + L), since 1 + max |rhs| = 1 + L.  Let
+    h >= 0 have residuals r_0 = L - sum h and r_i = f_i - (C h)_i, and obj =
+    sum |r|.  Off-face columns have 1 - s C[a, j] >= 1 and face columns 0,
+    so their weight W satisfies
+
+        W <= sum_j h_j (1 - s C[a, j]) = s r_a - r_0 <= obj.
+
+    Splitting C h into face and off-face columns gives
+    L (p_i - M_i) <= |r_i| + |r_0| + 2 W <= 3 obj, and the same for
+    m_i - p_i; with an empty face, L - r_0 = W <= obj, so obj >= L / 2.
+    Hence a rejected pair has a phase-1 optimum above 33 times the LP's
+    threshold, and a phase 1 that stops at a worse vertex only reports
+    more.  For n <= 2 the face is a point or a segment, so v == 0 exactly
+    when p is in the convex hull: an LP then runs only on the accepted
+    candidate and on survivors within the margin.  For n >= 3 the bound is
+    a necessary condition only.
+    """
+    n = matrices.shape[1]
+    latmax = np.max(np.abs(values), axis=0)
+    tight = np.argmax(np.abs(values) == latmax, axis=0)
+    faces = 2 * tight + (values[tight, np.arange(values.shape[1])] > 0.0)
+    points = (values / latmax).T
+    rows = np.repeat(np.arange(n), 2)           # face 2 a + (s > 0)
+    signs = np.tile(np.array([-1, 1], dtype=np.int8), n)
+    in_face = (matrices[:, rows, :] == signs[:, None])[:, :, None, :]
+    cols = matrices[:, None]                    # candidate, face, row, column
+    hi = np.where(in_face, cols, -1).max(axis=3)
+    lo = np.where(in_face, cols, 1).min(axis=3)
+    viol = np.zeros((matrices.shape[0], faces.size))
+    for i in range(n):
+        np.maximum(viol, points[:, i] - hi[:, faces, i], out=viol)
+        np.maximum(viol, lo[:, faces, i] - points[:, i], out=viol)
+    viol[~in_face.any(axis=3)[:, faces, 0]] = 1.0
+    return latmax * viol > 100.0 * lp.FEAS_TOL * (1.0 + latmax)
+
+
 def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
     """Smallest k admitting one global sign matrix that decomposes the family.
 
     Exhausts sign matrices in {-1, 0, 1}^(n x k) up to column permutation and
     duplicate columns (i.e. k-subsets of the 3^n distinct columns, in
-    lexicographic order), checking per-atom feasibility with an LP.  Refuses
-    k_max outside 1..8, more than MAX_CANDIDATES candidates up to k_max and
-    more than MAX_LP_SOLVES candidates x active atoms.
+    lexicographic order), checking per-atom feasibility with an LP.  The
+    cube-face bound of ``_face_rejected`` first refutes, per k and without
+    an LP, every candidate that it proves infeasible on some atom; the
+    survivors run the per-atom LPs in order, so the answer and
+    ``candidates_tried`` are those of trying every candidate by LP.
+    Refuses k_max outside 1..8, more than MAX_CANDIDATES candidates up to
+    k_max and more than MAX_LP_SOLVES candidates x active atoms.
     """
     if fs.mode != REAL:
         raise ValueError("optimal_k_search requires a real-mode family")
@@ -501,31 +560,36 @@ def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
                          f"on {active.size:,} active atoms needs up to "
                          f"{candidates * active.size:,} LP solves, above the "
                          f"budget of {MAX_LP_SOLVES:,}")
-    all_columns = [np.array(t, dtype=np.int8)
-                   for t in itertools.product((-1, 0, 1), repeat=n)]
+    all_columns = np.array(list(itertools.product((-1, 0, 1), repeat=n)),
+                           dtype=np.int8)
+    active_values = values[:, active]
 
     tried = 0
+    solves = 0
     infeasible: list[int] = []
     for k in range(1, k_max + 1):
-        for combo in itertools.combinations(all_columns, k):
-            tried += 1
-            matrix = np.stack(combo, axis=1).astype(np.float64)
+        combos = np.array(list(itertools.combinations(range(3 ** n), k)),
+                          dtype=np.intp).reshape(-1, k)
+        matrices = all_columns[combos].transpose(0, 2, 1)
+        rejected = np.any(_face_rejected(matrices, active_values), axis=1)
+        for c in np.flatnonzero(~rejected):
+            matrix = matrices[c].astype(np.float64)
             sols = []
-            ok = True
             for w in active:
+                solves += 1
                 sol = _atom_feasible(matrix, values[:, w], float(latmax[w]))
                 if sol is None:
-                    ok = False
                     break
                 sols.append((w, sol))
-            if not ok:
-                continue
-            parts_matrix = np.zeros((k, fs.space.size))
-            for w, sol in sols:
-                parts_matrix[:, w] = sol.primal
-            parts = tuple(SimpleFn(fs.space, REAL, row) for row in parts_matrix)
-            return OptimalKResult(True, k, matrix.astype(np.int8), parts,
-                                  tuple(infeasible), k_max, tried)
+            else:
+                parts_matrix = np.zeros((k, fs.space.size))
+                for w, sol in sols:
+                    parts_matrix[:, w] = sol.primal
+                parts = tuple(SimpleFn(fs.space, REAL, row) for row in parts_matrix)
+                return OptimalKResult(True, k, matrix.astype(np.int8), parts,
+                                      tuple(infeasible), k_max,
+                                      tried + int(c) + 1, solves)
+        tried += len(combos)
         infeasible.append(k)
-    return OptimalKResult(False, None, None, None, tuple(infeasible), k_max, tried)
-
+    return OptimalKResult(False, None, None, None, tuple(infeasible), k_max,
+                          tried, solves)

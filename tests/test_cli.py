@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from l1lattice import cli, jsonio, lp
+from l1lattice.acceptance import pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import SimpleFn
 from l1lattice.decompose import CellReport
@@ -153,6 +154,18 @@ class TestSubcommands:
                      "--out", str(out), "--quiet"]) == 0
         doc = json.loads(out.read_text())
         assert doc["k"] == 2 and doc["infeasible_k"] == [1]
+
+    def test_optimal_k_summary_counts_lp_solves(self, tmp_path, capsys):
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(jsonio.dumps(jsonio.family_to_json(
+            pattern_family_n2())))
+        assert main(["optimal-k", "--input", str(fam_path), "--kmax", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "minimal k = 4 (infeasible: [1, 2, 3]); 9 LP solves\n")
+        # every sign matrix of at most 3 columns misses a corner atom's
+        # vertex, so the face bound refutes all 129 without an LP
+        assert main(["optimal-k", "--input", str(fam_path), "--kmax", "3"]) == 0
+        assert capsys.readouterr().out == "infeasible up to k = 3; 0 LP solves\n"
 
     def test_optimal_k_over_budget_exits_2(self, tmp_path, capsys):
         fam_path = tmp_path / "fam.json"

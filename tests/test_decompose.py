@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -14,11 +15,13 @@ from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        prune, refine_to_constant_coeffs,
                        verify_cell_decomposition, verify_decomposition,
                        verify_trace_counts, zero_fn)
-from l1lattice import jsonio
+from l1lattice import jsonio, lp
+from l1lattice.acceptance import pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import unit_phases
 from l1lattice.decompose import (COMPLEX_PREPRUNE, REAL_PREPRUNE,
-                                 Decomposition, circle_net)
+                                 Decomposition, OptimalKResult, _atom_feasible,
+                                 _face_rejected, circle_net)
 from l1lattice.generate import random_family, random_space, rng_for
 
 
@@ -444,6 +447,148 @@ class TestOptimalKSearch:
         values[:, 500:] = 0.0
         res = optimal_k_search(FnFamily(unit_space(600), REAL, values), 2)
         assert res.k == 1 and res.candidates_tried <= 27
+
+
+def _reference_optimal_k(fs, k_max):
+    """The search before the face bound: every candidate, in order, solves
+    the per-atom LPs until one fails (the budget checks left out)."""
+    values = fs.value_matrix
+    latmax = np.max(np.abs(values), axis=0)
+    active = np.nonzero(latmax > 0.0)[0]
+    all_columns = [np.array(t, dtype=np.int8)
+                   for t in itertools.product((-1, 0, 1), repeat=fs.size)]
+    tried = solves = 0
+    infeasible = []
+    for k in range(1, k_max + 1):
+        for combo in itertools.combinations(all_columns, k):
+            tried += 1
+            matrix = np.stack(combo, axis=1).astype(np.float64)
+            sols = []
+            ok = True
+            for w in active:
+                solves += 1
+                sol = _atom_feasible(matrix, values[:, w], float(latmax[w]))
+                if sol is None:
+                    ok = False
+                    break
+                sols.append((w, sol))
+            if not ok:
+                continue
+            parts_matrix = np.zeros((k, fs.space.size))
+            for w, sol in sols:
+                parts_matrix[:, w] = sol.primal
+            parts = tuple(SimpleFn(fs.space, REAL, row) for row in parts_matrix)
+            return OptimalKResult(True, k, matrix.astype(np.int8), parts,
+                                  tuple(infeasible), k_max, tried, solves)
+        infeasible.append(k)
+    return OptimalKResult(False, None, None, None, tuple(infeasible), k_max,
+                          tried, solves)
+
+
+VALUE_CLASSES = ("generated", "halves", "signs", "near-ties")
+
+
+def _class_values(rng, kind, n, atoms):
+    """(n, atoms) values of one class: as ``generate`` draws them, multiples
+    of 1/2, {-1, 0, 1} times a scale, halves with near-ties of +-1e-12 and
+    1e-9 (which also makes atoms with a tiny lattice max), or "tiny",
+    uniform values of magnitude 1e-12 to 1e-5."""
+    if kind == "generated":
+        return random_family(rng, unit_space(atoms), n, REAL).value_matrix
+    if kind == "halves":
+        return rng.integers(-4, 5, size=(n, atoms)) / 2.0
+    if kind == "signs":
+        return rng.integers(-1, 2, size=(n, atoms)) * 10.0 ** rng.uniform(-3, 3)
+    if kind == "tiny":
+        return rng.uniform(-1.0, 1.0, size=(n, atoms)) * 10.0 ** rng.uniform(-12, -5)
+    return (rng.integers(-2, 3, size=(n, atoms)) / 2.0
+            + rng.choice([0.0, 1e-12, -1e-12, 1e-9], size=(n, atoms)))
+
+
+def _random_pairs(rng, n_max, kinds, count=100):
+    """Random sign matrices and value columns of the ``kinds`` at n in
+    1..n_max, with the face bound's (candidate, atom) verdicts on them."""
+    for i in range(count):
+        n = int(rng.integers(1, n_max + 1))
+        k = int(rng.integers(1, 2 ** n + 2))
+        matrices = rng.integers(-1, 2, size=(8, n, k)).astype(np.int8)
+        values = _class_values(rng, kinds[i % len(kinds)], n, 6)
+        values = values[:, np.max(np.abs(values), axis=0) > 0.0]
+        yield matrices, values, _face_rejected(matrices, values)
+
+
+def assert_same_search(fs, k_max):
+    got, want = optimal_k_search(fs, k_max), _reference_optimal_k(fs, k_max)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    if want.signs is not None:
+        assert_same_bytes(got.signs, want.signs)
+    assert ([p.values.tobytes() for p in got.parts or ()]
+            == [p.values.tobytes() for p in want.parts or ()])
+    assert got.lp_solves <= want.lp_solves
+
+
+class TestFaceBound:
+    """The cube-face bound in front of the per-atom LPs: the same results,
+    byte for byte, as trying every candidate by LP, and no rejected pair
+    that the LP accepts."""
+
+    # the old loop costs about 20-40 ms per n <= 2 family and 0.3 s per
+    # n = 3 family, so each value class is its own test
+    @pytest.mark.parametrize("kind", VALUE_CLASSES)
+    def test_matches_lp_enumeration_n_le_2(self, kind):
+        rng = rng_for(1500 + VALUE_CLASSES.index(kind))
+        for i in range(50):
+            n = 1 + i % 2
+            values = _class_values(rng, kind, n, int(rng.integers(1, 21)))
+            assert_same_search(FnFamily(unit_space(values.shape[1]), REAL,
+                                        values), 2 ** n + 1)
+
+    @pytest.mark.parametrize("kind", VALUE_CLASSES)
+    def test_matches_lp_enumeration_n3(self, kind):
+        rng = rng_for(1510 + VALUE_CLASSES.index(kind))
+        for _ in range(4):
+            values = _class_values(rng, kind, 3, int(rng.integers(1, 6)))
+            assert_same_search(FnFamily(unit_space(values.shape[1]), REAL,
+                                        values), 3)
+
+    @pytest.mark.parametrize("values", [
+        [[2.0, -1e-12]], [[2.0, -1e-9]], [[2.0, -1e-7]],
+        [[1.0, 0.5], [-1e-12, 1.0]]])
+    def test_matches_lp_enumeration_on_tiny_values(self, values):
+        fs = FnFamily(unit_space(2), REAL, values)
+        assert_same_search(fs, 2 ** fs.size + 1)
+
+    def test_rejects_only_lp_infeasible_pairs(self):
+        rng = rng_for(1520)
+        rejected = 0
+        for matrices, values, mask in _random_pairs(rng, 3, (*VALUE_CLASSES, "tiny")):
+            latmax = np.max(np.abs(values), axis=0)
+            for c, w in zip(*np.nonzero(mask)):
+                rejected += 1
+                assert _atom_feasible(matrices[c].astype(np.float64),
+                                      values[:, w], float(latmax[w])) is None
+        assert rejected > 1000
+
+    def test_exact_at_n_le_2(self):
+        # the face is a point or a segment, and these values are off its
+        # hull by at least 1/2 or the scale: no survivor fails its LP
+        rng = rng_for(1521)
+        survivors = 0
+        for matrices, values, mask in _random_pairs(rng, 2, ("halves", "signs")):
+            latmax = np.max(np.abs(values), axis=0)
+            for c, w in zip(*np.nonzero(~mask)):
+                survivors += 1
+                assert _atom_feasible(matrices[c].astype(np.float64),
+                                      values[:, w], float(latmax[w])) is not None
+        assert survivors > 100
+
+    def test_lp_count_on_the_pattern_family(self, monkeypatch):
+        calls = []
+        solve = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda p: calls.append(p) or solve(p))
+        res = optimal_k_search(pattern_family_n2(), 5)
+        assert len(calls) == res.lp_solves == 9
+        assert res.k == 4 and res.candidates_tried == 164
 
 
 def _pruned_n1(f):
