@@ -22,9 +22,9 @@ COMPLEX = "complex"
 #: It admits every family of at most 5 members on at most 50 atoms (the
 #: largest, 5 real members on 50 atoms, needs 6330 x 50 = 316,500).  The
 #: costliest family under it, 7 complex members on 3 atoms, decomposes in
-#: 0.02 s at 45 MB peak RSS (30 MB after import); ``decompose --out`` on it
-#: takes 3.2 s and 309 MB and writes 32 MB of JSON (shared 2-core x86-64,
-#: Python 3.11, one BLAS thread)
+#: 0.003 s at 41 MB peak RSS (36 MB after import); ``decompose --out`` on it
+#: takes 1.4-1.9 s and 209 MB and writes 32 MB of JSON (shared 2-core
+#: x86-64, Python 3.11, one BLAS thread)
 MAX_ENTRIES = 320_000
 
 

@@ -9,29 +9,25 @@ and, per input function, coefficients recombining the parts into f_i: a
 global sign matrix with entries in {-1, 0, 1} in real mode, or per-atom
 unimodular coefficient fields in complex mode.  Both constructions are
 recursive on n: split the atoms into the lowest-index argmax cells of the
-moduli, and decompose the other functions restricted to each cell.
-
-The recursion tree depends only on n: a node of m functions has one child
-of m - 1 functions per cell.  So the tree is built one level at a time,
-all n! / m! nodes of the level of m functions as one array:
-
-- Top down, shared by both modes: the (nodes, m, atoms) values of a level
-  give its cells, the (nodes * m, m - 1, atoms) sub-families of the level
-  below, and tau_i, the pointwise max of the other moduli on cell i.
-- Bottom up, per mode.  In real mode cell i contributes the
-  sub-decomposition's parts restricted to where f_i >= 0, the same parts
-  restricted to where f_i < 0, and the two residual parts (+-f_i - tau_i)
-  on those sets.  Its sign block has +1 / -1 by orientation in row i and
-  the sub-decomposition's signs (twice, then two zero columns) in the other
-  rows, so the signs depend on n alone.  In complex mode the cell
-  contributes the sub-decomposition's parts and one residual part
-  (|f_i| - tau_i); its coefficient block has the phase of f_i in row i and
-  the sub-decomposition's coefficients (then 0 for the residual) elsewhere.
-
-All nodes of a level emit the same number of parts before pruning:
+moduli, and decompose the other functions restricted to each cell.  Cell i
+contributes the sub-decomposition's parts and the residual |f_i| - tau_i,
+tau_i being the max of the other moduli; real mode does so twice, on
+f_i >= 0 and on f_i < 0, with signs +1 / -1 in row i and the
+sub-decomposition's signs (then 0) in the other rows, so the sign matrix
+depends on n alone.  In complex mode the cell's coefficients are the phase
+of f_i in row i and the sub-decomposition's coefficients (then 0) elsewhere.
+Every node of m functions emits the same number of parts before pruning:
 
     real     k(1) = 2,  k(m) = 2 m (k(m-1) + 1)   ->  2, 12, 78, 632, 6330
     complex  k(1) = 1,  k(m) = m (k(m-1) + 1)     ->  1, 4, 15, 64, 325
+
+The tree is never built: an atom lies in one cell per node, so it follows
+one chain, its members by decreasing modulus, ties to the lower index.  Its
+nonzero parts are the telescoping |f_s1| - |f_s2|, ..., |f_sn|, at rows
+fixed by each member's position among those left in the node (and by its
+sign in real mode); every other part is +0.0 there.  In complex mode the
+node at depth e spans k(n - e) rows, one block per member left in it, and
+each member's row holds its phase on its own block.
 
 Also here: refinement to constant coefficients on cells (all (cell, part)
 products as one masked block), finite nets on the unit circle for
@@ -49,8 +45,7 @@ import numpy as np
 
 from . import lp
 from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
-                   argmax_partition, check_entries, group_columns,
-                   pos_neg_split, unit_phases)
+                   check_entries, group_columns, unit_phases)
 
 #: relative tolerance for the decomposition identities
 IDENTITY_TOL = 1e-10
@@ -81,10 +76,15 @@ def preprune_count(n: int, mode: str) -> int:
     """Parts emitted by the recursion for an n-member family, before pruning."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = 2 if mode == REAL else 1
-    for m in range(2, n + 1):
-        k = (2 * m if mode == REAL else m) * (k + 1)
-    return k
+    return _node_sizes(n, mode)[n]
+
+
+def _node_sizes(n: int, mode: str) -> list[int]:
+    """k(0) = 0, k(1), ..., k(n): the parts of a node of m functions."""
+    sizes = [0]
+    for m in range(1, n + 1):
+        sizes.append((2 * m if mode == REAL else m) * (sizes[-1] + 1))
+    return sizes
 
 
 def verify_trace_counts(counts: tuple[int, ...], mode: str) -> bool:
@@ -112,7 +112,6 @@ class Decomposition:
     parts_matrix: np.ndarray
     signs: np.ndarray | None
     coeffs: np.ndarray | None
-    level_counts: tuple[int, ...]       # pre-prune parts per level, top first
 
     @property
     def k(self) -> int:
@@ -122,6 +121,11 @@ class Decomposition:
     def n(self) -> int:
         return self.signs.shape[0] if self.signs is not None else self.coeffs.shape[0]
 
+    @property
+    def level_counts(self) -> tuple[int, ...]:
+        """Pre-prune parts per recursion level, top first."""
+        return tuple(preprune_count(m, self.mode) for m in range(self.n, 0, -1))
+
     def recombined(self) -> np.ndarray:
         """The (n, atoms) matrix sum_j coeff_ij * h_j, one row per function."""
         if self.signs is not None:
@@ -130,81 +134,74 @@ class Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# the level construction
+# the chain walk
 # ---------------------------------------------------------------------------
 
-def _rest_rows(m: int) -> np.ndarray:
-    """The (m, m - 1) array whose row i lists 0..m-1 without i, in order."""
-    return np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)
-
-
-def _levels(values: np.ndarray) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
-    """The recursion tree of the (n, atoms) ``values``, top down: per level
-    of m >= 2 functions its (nodes, m, atoms) values, cell masks (row i is
-    cell i) and tau, then the (nodes, 1, atoms) last level.  Node c m + i
-    of a level is node c above it without row i, restricted to cell i."""
-    levels = []
-    v = values[None]
-    while v.shape[1] > 1:
-        nodes, m, atoms = v.shape
-        in_cell = argmax_partition(v)[:, None, :] == np.arange(m)[:, None]
-        sub = v[:, _rest_rows(m)] * in_cell[:, :, None]
-        levels.append((v, in_cell, np.max(np.abs(sub), axis=2)))
-        v = sub.reshape(nodes * m, m - 1, atoms)
-    return levels, v
+def _chain(values: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
+    """The (k, atoms) parts of the (n, atoms) ``values`` and each atom's
+    chain, as (n, atoms) arrays by depth: the member taken and the first row
+    of the node the atom is in."""
+    n, atoms = values.shape
+    sizes = _node_sizes(n, mode)
+    branches = 2 if mode == REAL else 1
+    w = np.arange(atoms)
+    moduli = np.abs(values)
+    order = np.argsort(-moduli, axis=0, kind="stable")
+    top = moduli[order, w]
+    heights = top.copy()
+    heights[:-1] -= top[1:]
+    # the cell of depth e in its node: later members with a lower index
+    later = (np.arange(n)[:, None] < np.arange(n))[:, :, None]
+    local = np.sum((order[None] < order[:, None]) & later, axis=1)
+    neg = values[order, w] < 0.0 if mode == REAL else np.zeros((n, atoms), dtype=bool)
+    parts = np.zeros((sizes[n], atoms))
+    starts = np.empty((n, atoms), dtype=np.intp)
+    start = np.zeros(atoms, dtype=np.intp)
+    for e in range(n):
+        k_sub = sizes[n - e - 1]
+        cell = start + local[e] * branches * (k_sub + 1)
+        starts[e] = start
+        parts[cell + branches * k_sub + neg[e], w] = heights[e]
+        start = cell + neg[e] * k_sub
+    return parts, order, starts
 
 
 def _real_signs(sub: np.ndarray, m: int) -> np.ndarray:
-    """The (m, k) sign template of the level of m functions from the
+    """The (m, k) sign template of a node of m functions from the
     (m - 1, k_sub) template below it."""
     k_sub = sub.shape[1]
     blocks = np.zeros((m, m, 2 * k_sub + 2), dtype=np.int8)  # cell, row, part
-    for i, rest in enumerate(_rest_rows(m)):
+    for i in range(m):
+        rest = np.arange(m) != i
         blocks[i, i] = np.repeat([1, -1, 1, -1], [k_sub, k_sub, 1, 1])
         blocks[i, rest, :2 * k_sub] = np.hstack([sub, sub])
     return np.hstack(blocks)
 
 
-def _split_real(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    levels, base = _levels(values)
-    parts = np.stack(pos_neg_split(base[:, 0]), axis=1)
+def _split_real(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    parts, _, _ = _chain(values, REAL)
     signs = np.array([[1, -1]], dtype=np.int8)
-    counts = [2]
-    for v, in_cell, tau in reversed(levels):
-        nodes, m, atoms = v.shape
-        sub = parts.reshape(nodes, m, -1, atoms)
-        pos = in_cell & (v >= 0.0)
-        neg = in_cell & (v < 0.0)
-        parts = np.concatenate([sub * pos[:, :, None], sub * neg[:, :, None],
-                                ((v - tau) * pos)[:, :, None],
-                                ((-v - tau) * neg)[:, :, None]], axis=2)
-        parts = parts.reshape(nodes, -1, atoms)
+    for m in range(2, values.shape[0] + 1):
         signs = _real_signs(signs, m)
-        counts.append(parts.shape[1])
-    return parts[0], signs, tuple(reversed(counts))
+    return parts, signs
 
 
-def _split_complex(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    levels, base = _levels(values)
-    parts = np.abs(base)
-    coeffs = unit_phases(base)[:, :, None]      # node, row, part, atom
-    counts = [1]
-    for v, in_cell, tau in reversed(levels):
-        nodes, m, atoms = v.shape
-        k_sub = parts.shape[1]
-        residual = (np.abs(v) - tau) * in_cell
-        parts = np.concatenate([parts.reshape(nodes, m, k_sub, atoms),
-                                residual[:, :, None]], axis=2)
-        parts = parts.reshape(nodes, -1, atoms)
-        sub = coeffs.reshape(nodes, m, m - 1, k_sub, atoms)
-        phases = unit_phases(v)
-        blocks = np.zeros((nodes, m, m, k_sub + 1, atoms), dtype=np.complex128)
-        for i, rest in enumerate(_rest_rows(m)):    # node, row, cell, part, atom
-            blocks[:, i, i] = phases[:, i, None]
-            blocks[:, rest, i, :k_sub] = sub[:, i]
-        coeffs = blocks.reshape(nodes, m, -1, atoms)
-        counts.append(parts.shape[1])
-    return parts[0], coeffs[0], tuple(reversed(counts))
+def _split_complex(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    parts, order, starts = _chain(values, COMPLEX)
+    n, atoms = values.shape
+    sizes = _node_sizes(n, COMPLEX)
+    # below the top node the recursion restricts values to a cell by a
+    # complex product with 1, which can change the sign of a zero real or
+    # imaginary part, and with it the sign of a zero in the phase
+    phases = unit_phases(np.stack([values, values * 1.0]))
+    coeffs = np.zeros((n, sizes[n], atoms), dtype=np.complex128)
+    w = np.arange(atoms)
+    for e in range(n):
+        # block c of the node belongs to the c-th smallest member left in it
+        members = np.sort(order[e:], axis=0)[:, None]
+        block = np.arange(sizes[n - e]).reshape(n - e, -1, 1)
+        coeffs[members, starts[e] + block, w] = phases[min(e, 1)][members, w]
+    return parts, coeffs
 
 
 def _check_size(fs: FnFamily, mode: str) -> None:
@@ -224,8 +221,8 @@ def decompose_real(fs: FnFamily) -> Decomposition:
     if fs.mode != REAL:
         raise ValueError("decompose_real requires a real-mode family")
     _check_size(fs, REAL)
-    parts, signs, counts = _split_real(fs.value_matrix)
-    return Decomposition(fs.space, REAL, parts, signs, None, counts)
+    parts, signs = _split_real(fs.value_matrix)
+    return Decomposition(fs.space, REAL, parts, signs, None)
 
 
 def decompose_complex(fs: FnFamily) -> Decomposition:
@@ -235,8 +232,8 @@ def decompose_complex(fs: FnFamily) -> Decomposition:
     """
     _check_size(fs, COMPLEX)
     values = fs.value_matrix.astype(np.complex128)
-    parts, coeffs, counts = _split_complex(values)
-    return Decomposition(fs.space, COMPLEX, parts, None, coeffs, counts)
+    parts, coeffs = _split_complex(values)
+    return Decomposition(fs.space, COMPLEX, parts, None, coeffs)
 
 
 def prune(d: Decomposition) -> Decomposition:
@@ -250,8 +247,7 @@ def prune(d: Decomposition) -> Decomposition:
         return d
     signs = d.signs[:, keep] if d.signs is not None else None
     coeffs = d.coeffs[:, keep, :] if d.coeffs is not None else None
-    return Decomposition(d.space, d.mode, d.parts_matrix[keep], signs, coeffs,
-                         d.level_counts)
+    return Decomposition(d.space, d.mode, d.parts_matrix[keep], signs, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ class TestDecomposeComplex:
 
 
 def _reference_real(values):
-    """The per-node recursion that the level construction replaced: parts,
+    """The per-node recursion, the reference of the chain walk: parts,
     signs, and the part counts per level (every node of a level agrees)."""
     n = values.shape[0]
     if n == 1:
@@ -188,10 +188,32 @@ TIE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, 5e-324, -5e-324,
               -2.0 ** -1060]
 
 
-class TestLevelsMatchRecursion:
-    """The level construction reproduces the per-node recursion byte for
-    byte: parts (with the sign of every zero), signs or coefficient fields,
-    and the per-level counts."""
+def assert_matches_recursion(re, values):
+    """The chain walk on the real ``re`` and the complex ``values`` against
+    the per-node recursion, in real mode and in both complex modes."""
+    sp = unit_space(re.shape[1])
+    d = decompose_real(FnFamily(sp, REAL, re))
+    parts, signs, counts = _reference_real(re)
+    assert_same_bytes(d.parts_matrix, parts + 0.0)
+    assert not np.signbit(d.parts_matrix).any()
+    assert_same_bytes(d.signs, signs)
+    assert d.level_counts == counts
+
+    for fs, ref_values in ((FnFamily(sp, COMPLEX, values), values),
+                           (FnFamily(sp, REAL, re), re.astype(np.complex128))):
+        d = decompose_complex(fs)
+        parts, coeffs, counts = _reference_complex(ref_values)
+        assert_same_bytes(d.parts_matrix, parts)
+        assert not np.signbit(d.parts_matrix).any()
+        assert_same_bytes(d.coeffs, coeffs)
+        assert d.level_counts == counts
+
+
+class TestChainMatchesRecursion:
+    """The chain walk reproduces the per-node recursion byte for byte:
+    signs, coefficient fields, complex parts (with the sign of every zero)
+    and the per-level counts.  Real parts match once every zero is read as
+    +0.0: the recursion writes -0.0 off the cells, the chain never does."""
 
     @given(st.integers(1, 5), st.integers(1, 12), st.data())
     @settings(deadline=None, max_examples=150)
@@ -205,21 +227,28 @@ class TestLevelsMatchRecursion:
         values = np.zeros((n, atoms), dtype=np.complex128)
         values.real = re
         values.imag = draw_matrix()
-        sp = unit_space(atoms)
+        assert_matches_recursion(re, values)
 
-        d = decompose_real(FnFamily(sp, REAL, re))
-        parts, signs, counts = _reference_real(re)
-        assert_same_bytes(d.parts_matrix, parts)
-        assert_same_bytes(d.signs, signs)
-        assert d.level_counts == counts
+    def test_generated_families(self):
+        rng = rng_for(1600)
+        for _ in range(100):
+            n, atoms = int(rng.integers(1, 6)), int(rng.integers(1, 51))
+            sp = random_space(rng, atoms)
+            assert_matches_recursion(random_family(rng, sp, n, REAL).value_matrix,
+                                     random_family(rng, sp, n, COMPLEX).value_matrix)
 
-        for fs, ref_values in ((FnFamily(sp, COMPLEX, values), values),
-                               (FnFamily(sp, REAL, re), re.astype(np.complex128))):
-            d = decompose_complex(fs)
-            parts, coeffs, counts = _reference_complex(ref_values)
-            assert_same_bytes(d.parts_matrix, parts)
-            assert_same_bytes(d.coeffs, coeffs)
-            assert d.level_counts == counts
+    def test_no_overflow_near_the_float_limit(self, tmp_path, capsys):
+        # the recursion's -v - tau off a cell overflows here, to a NaN part
+        fs = FnFamily(unit_space(2), REAL, [[1e308, -1e308], [1e308, 1.0]])
+        fam = tmp_path / "fam.json"
+        fam.write_text(jsonio.dumps(jsonio.family_to_json(fs)))
+        with np.errstate(over="raise", invalid="raise"):
+            assert main(["decompose", "--input", str(fam), "--out",
+                         str(tmp_path / "dec.json")]) == 0
+            report = verify_decomposition(decompose_real(fs), fs)
+        assert "max residual 0.00e+00" in capsys.readouterr().out
+        assert report.sum_residual == 0.0
+        assert report.recombination_residuals == (0.0, 0.0)
 
 
 class TestVerifyDecomposition:
@@ -234,7 +263,7 @@ class TestVerifyDecomposition:
         col = int(np.argmax(np.abs(signs).sum(axis=0)))
         row = int(np.argmax(np.abs(signs[:, col])))
         signs[row, col] = -signs[row, col]
-        bad = Decomposition(d.space, d.mode, d.parts_matrix, signs, None, d.level_counts)
+        bad = Decomposition(d.space, d.mode, d.parts_matrix, signs, None)
         report = verify_decomposition(bad, fs)
         assert not report.passed
         assert report.recombination_residuals[row] > 1e-10
@@ -244,7 +273,7 @@ class TestVerifyDecomposition:
         fs, d = self.make()
         parts = d.parts_matrix.copy()
         parts[0, 0] = -1.0
-        bad = Decomposition(d.space, d.mode, parts, d.signs, None, d.level_counts)
+        bad = Decomposition(d.space, d.mode, parts, d.signs, None)
         report = verify_decomposition(bad, fs)
         assert not report.passed
         assert report.negativity < 0.0
@@ -253,7 +282,7 @@ class TestVerifyDecomposition:
         fs, d = self.make()
         signs = d.signs.astype(np.int8).copy()
         signs[0, 0] = 2
-        bad = Decomposition(d.space, d.mode, d.parts_matrix, signs, None, d.level_counts)
+        bad = Decomposition(d.space, d.mode, d.parts_matrix, signs, None)
         assert verify_decomposition(bad, fs).coefficient_violations
 
 
@@ -657,27 +686,27 @@ class TestGoldenBytes:
     fields, pre-prune counts, cell refinements and one CLI report."""
 
     SEEDED = {
-        (REAL, 1): "0d85a339ed0b05dcedb0619b624b750773fb35e72fac4c7ad8a7fef4348ad5c3",
-        (REAL, 7): "5e69d329fe59d63c516b288af4ab5f97a52590939e78bca78fa0b363e057e318",
-        (REAL, 50): "1aedd81f2ca03fd026c4cf6c3e0ae480e030e1802711ef4df8a82ef4e0a14b9f",
+        (REAL, 1): "66aecdf2e6b32e1191c02f82a7d36efe45331d957dec9be48227282e73130ef8",
+        (REAL, 7): "015ca6f9fb281a57ee8883253fcaee801671a1b6b6e420dc247c1b4e40191397",
+        (REAL, 50): "7423ac7e34bd9ab18d8b4895241769df968a362fdae4e54d5c67a45f99d1317b",
         (COMPLEX, 1): "b13b4c48f5aa4d3ba1a9ec7f71ac1307fe7751d288fcfcd4b7e1dcaaa8b6e7e3",
         (COMPLEX, 7): "8436a04617cc9f91b19cd218f03e946091121b09c15422199e5d37b4389fa2b2",
         (COMPLEX, 50): "c43242f2166ebb57ccff22744b01a4fcc9696610f16c1f2bd97166d84b5cc688",
     }
     TIES = {
-        "real": "e0f29a4eec9f4e92494b83e081afc5887c9b24067d1546245b023cf3d9f73fa7",
+        "real": "c27eb1a5e4da4e20b36d0bb722b4910cdf99d5182c57e234c23d683eb9bd24fc",
         "complex": "d4f927c3b78dd76a4870972521a8e7a87f015d102afaa502c5cc4ab690c885f8",
         "real-as-complex":
             "766af2f20e4cfee7f1a4156fba7b2f7b5eff8c9a9227088f18908c4029ad1763",
     }
     CELLS = {
-        "real": "d49ff62b9f660d24a882d117ae8aca663ac1132565c7b7c3447237647f1ae25a",
+        "real": "ee023c880c38326e73ff99f1cef62a8fe3bb72855c7fc35d77d046a05bde46e8",
         "complex": "a5e2802778a35bd788d50ab20e5af6f341c33efc7a1d9d55597a6963e9c12689",
-        "ties-real": "5d94ef01ca7b606274fb1063f537fa0fa039118dac891920ae638043cd4e9afb",
+        "ties-real": "a2c01fc07ee137644be035c0c84c55f1cbe6ebcb03790efb698f234fd7e36609",
         "ties-complex":
             "fd8938e69f93a79fda44d3e4a0a96808099fb362f6e91bec1ed42983f5bd4a36",
     }
-    CLI_OUT = "434984d614286c805cab683c331043ac70faf52b19f5aca86b95d655df52f812"
+    CLI_OUT = "867514a38f705aa217f595d7360b0b2bad35f043c566b3ff6e11106f40c66532"
 
     @pytest.mark.parametrize("mode,atoms", sorted(SEEDED))
     def test_seeded_families(self, mode, atoms):
@@ -721,7 +750,7 @@ class TestGoldenBytes:
         (COMPLEX, "--eps 0.1"):
             "68fff65bdfbbddc4f1b30306d64e1e1cfbaec4830801505cf95a3738c538b208",
         (REAL, "--prune --cells"):
-            "7cf701a3ce21085f280475f48a74a054237c262429dbf2b246410ce86aa3c092",
+            "acb0b94ee7c01b723272bdd32a2925222478ee46f7cea8e83ae719c55ed8cdcb",
     }
 
     @pytest.mark.parametrize("mode,flags", sorted(CLI_OUTS))
