@@ -12,11 +12,14 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import acceptance, jsonio, lp
 from .core import COMPLEX, REAL, FnFamily
-from .decompose import (decompose_complex, decompose_real, eps_net_coeffs,
-                        optimal_k_search, prune, refine_to_constant_coeffs,
-                        verify_cell_decomposition, verify_decomposition)
+from .decompose import (Decomposition, decompose_complex, decompose_real,
+                        eps_net_coeffs, optimal_k_search, prune,
+                        refine_to_constant_coeffs, verify_cell_decomposition,
+                        verify_decomposition)
 from .extension import (MAX_TRIALS, alpha_via_lp, certificate_failure,
                         extension_lp, verify_extension_theorem)
 from .generate import KIND_PARAMS, generate_instance, rng_for
@@ -115,6 +118,16 @@ def _cmd_optimal_k(args) -> int:
     result = optimal_k_search(fs, args.kmax)
     doc = result.to_json()
     if result.feasible:
+        witness = Decomposition(fs.space, REAL,
+                                np.array([p.values for p in result.parts]),
+                                result.signs, None)
+        report = verify_decomposition(witness, fs)
+        if not report.passed:
+            residuals = (report.sum_residual, *report.recombination_residuals)
+            raise CheckFailed(
+                f"the k = {result.k} witness fails verify_decomposition: "
+                f"residual {max(residuals):.3e} against tolerance "
+                f"{report.tolerance:g}, negativity {report.negativity:.3e}")
         doc["parts"] = [jsonio.fn_to_json(p) for p in result.parts]
         summary = f"minimal k = {result.k} (infeasible: {list(result.infeasible_k)})"
     else:

@@ -242,8 +242,8 @@ def prune(d: Decomposition) -> Decomposition:
     Kept parts and coefficients are untouched (bit for bit); the level
     counts still record the pre-prune counts.
     """
-    keep = np.any(d.parts_matrix != 0.0, axis=1)
-    if np.all(keep):
+    keep = (d.parts_matrix != 0.0).any(axis=1)
+    if keep.all():
         return d
     signs = d.signs[:, keep] if d.signs is not None else None
     coeffs = d.coeffs[:, keep, :] if d.coeffs is not None else None
@@ -359,15 +359,37 @@ def _coeff_array(d: Decomposition) -> np.ndarray:
     return d.signs.astype(np.complex128)[:, :, None]
 
 
+def _cell_rows(d: Decomposition, rounded: np.ndarray
+               ) -> tuple[list[list[int]], np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero rows of the refinement of ``d`` into cells on which the
+    (n, k, atoms) ``rounded`` coefficients are constant.
+
+    Row c k + j of the dense refinement is part j restricted to cell c.  An
+    atom lies in one cell and has at most n nonzero parts, so at most n rows
+    per atom are nonzero.  Returns the cells, the dense index c k + j of each
+    nonzero row (increasing: cell-major, then part), those rows and their
+    (n, rows) coefficient columns.
+    """
+    groups = group_columns(rounded)
+    cell_of = np.empty(d.space.size, dtype=np.intp)
+    for c, g in enumerate(groups):
+        cell_of[g] = c
+    j, w = np.nonzero(d.parts_matrix)
+    index, row = np.unique(cell_of[w] * d.k + j, return_inverse=True)
+    rows = np.zeros((index.size, d.space.size))
+    rows[row, w] = d.parts_matrix[j, w]
+    reps = np.array([g[0] for g in groups], dtype=np.intp)
+    alphas = rounded[:, index % d.k, reps[index // d.k]]
+    return groups, index, rows, alphas
+
+
 def _cells_to_decomposition(d: Decomposition, rounded: np.ndarray,
                             epsilon: float) -> CellDecomposition:
     rounded = np.broadcast_to(rounded, (d.n, d.k, d.space.size))
-    groups = group_columns(rounded)
-    mask = np.zeros((len(groups), d.space.size))
-    for c, g in enumerate(groups):
-        mask[c, g] = 1.0
+    groups, index, rows, _ = _cell_rows(d, rounded)
     # one block of k parts per cell, each restricted to its cell
-    parts = (mask[:, None, :] * d.parts_matrix[None]).reshape(-1, d.space.size)
+    parts = np.zeros((len(groups) * d.k, d.space.size))
+    parts[index] = rows
     reps = [g[0] for g in groups]
     alphas = rounded[:, :, reps].transpose(0, 2, 1).reshape(d.n, -1)
     cells = tuple(tuple(g) for g in groups)
@@ -399,6 +421,21 @@ def circle_net(eps: float) -> np.ndarray:
     return pts
 
 
+def _net_rounded(d: Decomposition, eps: float) -> np.ndarray:
+    """Every coefficient of ``d`` rounded to the nearest point of the circle
+    net of mesh eps, with 0 kept at 0, as an (n, k, atoms) array (n, k, 1 in
+    real mode)."""
+    net = circle_net(eps)
+    m = net.size
+    coeff = _coeff_array(d)
+    nonzero = coeff != 0.0
+    angles = np.angle(coeff[nonzero])
+    ticks = np.rint(angles * m / (2.0 * math.pi)).astype(np.int64) % m
+    rounded = np.zeros(coeff.shape, dtype=np.complex128)
+    rounded[nonzero] = net[ticks]
+    return rounded
+
+
 def eps_net_coeffs(d: Decomposition, eps: float) -> CellDecomposition:
     """Round every coefficient to the nearest point of a finite net on the
     unit circle (with 0 kept at 0), then refine into cells where the rounded
@@ -406,14 +443,7 @@ def eps_net_coeffs(d: Decomposition, eps: float) -> CellDecomposition:
 
     The recombination error is at most eps times the lattice max, pointwise.
     """
-    net = circle_net(eps)
-    m = net.size
-    coeff = _coeff_array(d)
-    mod = np.abs(coeff)
-    angles = np.angle(coeff)
-    ticks = np.rint(angles * m / (2.0 * math.pi)).astype(np.int64) % m
-    rounded = np.where(mod == 0.0, 0.0 + 0.0j, net[ticks])
-    return _cells_to_decomposition(d, rounded, eps)
+    return _cells_to_decomposition(d, _net_rounded(d, eps), eps)
 
 
 @dataclass(frozen=True)

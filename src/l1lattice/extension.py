@@ -48,11 +48,16 @@ RANK_TOL = 1e-10
 CONDITION_B_MAX_FAMILY = 5
 #: random tensors checked against condition (d) per verification
 CONDITION_D_TRIALS = 200
-#: largest condition (b) sample; its draws are allocated before any check.  At
-#: the cap, extend --verify took 2.8-3.3 s and peaked at 848 MB RSS on 32 x 32
-#: atoms, dim 1, and 1.4 s and 377 MB on 12 x 12 atoms, dim 3 (shared 2-core
-#: x86-64, one BLAS thread)
+#: largest condition (b) sample.  At the cap, extend --verify took 2.5 s and
+#: peaked at 109 MB RSS on 32 x 32 atoms, dim 1, and 1.4 s and 71 MB on
+#: 12 x 12 atoms, dim 3 (shared 2-core x86-64, one BLAS thread)
 MAX_TRIALS = 1_000_000
+#: condition (b) draws and checks the families of one size in chunks of at
+#: most this many, which bounds its temporaries whatever the trial count
+#: (unchunked, the cases above peaked at 848 MB and 377 MB); the chunks
+#: reproduce the draws of one call, and a sample of at most this many
+#: trials is one chunk per size
+CONDITION_B_CHUNK = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,10 +239,10 @@ def check_condition_b(x: Subspace, t: RestrictedOperator, alpha: float,
     sizes = rng.integers(1, CONDITION_B_MAX_FAMILY + 1, size=trials)
     for n in range(1, CONDITION_B_MAX_FAMILY + 1):
         count = int(np.sum(sizes == n))
-        if count == 0:
-            continue
-        batch = rng.standard_normal((count, n, x.dim))
-        ratios.append(_family_ratios(x, t, batch))
+        for start in range(0, count, CONDITION_B_CHUNK):
+            batch = rng.standard_normal(
+                (min(CONDITION_B_CHUNK, count - start), n, x.dim))
+            ratios.append(_family_ratios(x, t, batch))
     for coeffs in extra_coeffs:
         ratios.append(np.atleast_1d(_family_ratios(x, t, coeffs)))
     all_ratios = np.concatenate(ratios) if ratios else np.zeros(1)

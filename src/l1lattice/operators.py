@@ -25,7 +25,8 @@ import numpy as np
 
 from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                    _as_mode_array, d_norm)
-from .decompose import decompose_complex, decompose_real, eps_net_coeffs
+from .decompose import (_cell_rows, _net_rounded, decompose_complex,
+                        decompose_real, prune)
 
 #: relative tolerance for all inequality reports and proof-trace slacks
 INEQ_TOL = 1e-9
@@ -264,11 +265,12 @@ def _triangle_steps(t: KernelOperator, t_family: np.ndarray, bound: np.ndarray,
 def proof_trace_real(t: KernelOperator, fs: FnFamily,
                      tol: float = INEQ_TOL) -> ProofTrace:
     """Certify the L1 inequality for a real family through the sign-matrix
-    decomposition, one chain step at a time."""
+    decomposition, one chain step at a time.  Only the nonzero parts enter
+    the sums; each atom has at most n of them."""
     if fs.mode != REAL or t.mode != REAL:
         raise ValueError("proof_trace_real requires real operator and family")
     _check_applicable(t, fs)
-    d = decompose_real(fs)
+    d = prune(decompose_real(fs))
     nu_w = t.codomain.weight_array
     mu_w = t.domain.weight_array
 
@@ -298,17 +300,19 @@ def proof_trace_real(t: KernelOperator, fs: FnFamily,
 def proof_trace_complex(t: KernelOperator, fs: FnFamily, eps: float,
                         tol: float = INEQ_TOL) -> ProofTrace:
     """Certify the L1 inequality through the unimodular decomposition rounded
-    to constant coefficients, with the (1 + n eps) relaxation."""
+    to constant coefficients, with the (1 + n eps) relaxation.  The parts
+    are the nonzero (cell, part) rows of ``eps_net_coeffs``, at most n per
+    atom, without the dense refinement."""
     _check_applicable(t, fs)
     d = decompose_complex(fs)
-    cd = eps_net_coeffs(d, eps)
+    _, _, parts, alphas = _cell_rows(d, _net_rounded(d, eps))
     n = fs.size
     mu_w = t.domain.weight_array
     latmax = np.max(np.abs(fs.value_matrix), axis=0)
 
     values = fs.value_matrix.astype(np.complex128)
-    residual = values - cd.recombined()                         # p_i rows
-    t_parts = np.abs(apply_matrix(t, cd.parts_matrix))          # |Th_j|
+    residual = values - alphas @ parts.astype(np.complex128)    # p_i rows
+    t_parts = np.abs(apply_matrix(t, parts))                    # |Th_j|
     t_resid = np.abs(apply_matrix(t, residual))                 # |Tp_i|
     t_family = np.abs(apply_matrix(t, values))                  # |Tf_i|
     bound = t_parts.sum(axis=0) + t_resid.sum(axis=0)
@@ -323,7 +327,7 @@ def proof_trace_complex(t: KernelOperator, fs: FnFamily, eps: float,
         "recombine, then triangle inequality over parts and residuals", tol)
     steps += chain
     opn = op_norm(t)
-    mass = float((cd.parts_matrix @ mu_w).sum())
+    mass = float((parts @ mu_w).sum())
     resid_mass = float((np.abs(residual) @ mu_w).sum())
     steps.append(_le_step("bound parts and residuals",
                           "||Tg|| <= ||T|| ||g|| termwise",

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from l1lattice import acceptance
+from l1lattice import REAL, acceptance
+from l1lattice.decompose import Decomposition, verify_trace_counts
+from l1lattice.generate import random_family, random_space, rng_for
 
 SEED = 7
 
@@ -84,3 +86,23 @@ def test_criterion_10_selftest_byte_identical(tmp_path):
     assert reports[0][1] == reports[1][1], "selftest stdout differs"
     print("criterion 10 [PASS] determinism (byte-identical selftest)",
           flush=True)
+
+
+def test_criterion_2_reads_the_counts_each_level_emits(monkeypatch):
+    # a split that emits one part too few on two-member families only: the
+    # top-level count of a three-member family stays right, its levels not
+    split = acceptance.decompose_real
+
+    def short_at_two(fs):
+        d = split(fs)
+        if fs.size != 2:
+            return d
+        return Decomposition(d.space, d.mode, d.parts_matrix[:-1],
+                             d.signs[:, :-1], None)
+
+    monkeypatch.setattr(acceptance, "decompose_real", short_at_two)
+    rng = rng_for(3)
+    fs = random_family(rng, random_space(rng, 6), 3, REAL)
+    assert acceptance.decompose_real(fs).k == 78
+    assert not verify_trace_counts(acceptance._emitted_counts(fs, REAL), REAL)
+    assert not acceptance.criterion_2(SEED).passed

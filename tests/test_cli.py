@@ -167,6 +167,25 @@ class TestSubcommands:
         assert main(["optimal-k", "--input", str(fam_path), "--kmax", "3"]) == 0
         assert capsys.readouterr().out == "infeasible up to k = 3; 0 LP solves\n"
 
+    def test_optimal_k_witness_must_verify(self, tmp_path, capsys):
+        # the LP accepts parts [2.0, +1e-9] with signs [[1]]: the second atom
+        # recombines to +1e-9 where f is -1e-9, above verify_decomposition's
+        # tolerance, so the k = 1 witness is refused and no report is written
+        fam = {"spaces": {"mu": {"atoms": ["a", "b"], "weights": [1.0, 1.0]}},
+               "members": [{"space": "mu", "mode": "real",
+                            "values": [2.0, -1e-9]}]}
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(jsonio.dumps(fam))
+        out = tmp_path / "k.json"
+        assert main(["optimal-k", "--input", str(fam_path), "--kmax", "3",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "check failed: the k = 1 witness fails verify_decomposition")
+        assert not out.exists()
+
     def test_optimal_k_over_budget_exits_2(self, tmp_path, capsys):
         fam_path = tmp_path / "fam.json"
         fam_path.write_text(jsonio.dumps(jsonio.family_to_json(
@@ -667,13 +686,14 @@ class TestCertificationGoldenBytes:
         "selftest-fast": ["selftest", "--fast", "--seed", "7"],
         "modulus": ["modulus", "--op", "op.json"],
     }
+    # the proof traces sum part norms and masses over the nonzero parts only
     PINS = {
         ("check-inequality-trace-real", "real"):
-            "69065ca38dea9a13d85d2c63280d6de43fb4de5347dfa9a0538dd96694b2f0b2",
+            "f78b0c63585ecb39b2aaf3572d20c05eb9c9c8ca4d538caceed76c5672be01f3",
         ("check-inequality-trace-complex", "real"):
-            "f1a2ccc5e00fe7dc528781e574085eba1f360623f3077ca55ea1154165ad923f",
+            "257077406998a38c02ae4d8603ca2137d3c569e472847693bd2efdc3b7edf335",
         ("check-inequality-trace-complex", "complex"):
-            "f47ebbb2c1a536a590dbe35c52fd12cedfb26c3c2800f3b48a93d8442710584d",
+            "c9217c58f4334dac5ddc76118b25629a5fee005b79b8b533d54cd73c74b53417",
         ("dominate", "real"):
             "4f91d37f4a0a599801f3d361e71186788fa8ade6a2c791efd1444fe620929173",
         ("dominate", "complex"):

@@ -16,12 +16,13 @@ from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        verify_cell_decomposition, verify_decomposition,
                        verify_trace_counts, zero_fn)
 from l1lattice import jsonio, lp
-from l1lattice.acceptance import pattern_family_n2
+from l1lattice.acceptance import _emitted_counts, pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import unit_phases
 from l1lattice.decompose import (COMPLEX_PREPRUNE, REAL_PREPRUNE,
                                  Decomposition, OptimalKResult, _atom_feasible,
-                                 _face_rejected, circle_net)
+                                 _cell_rows, _face_rejected, _net_rounded,
+                                 circle_net)
 from l1lattice.generate import random_family, random_space, rng_for
 
 
@@ -77,7 +78,7 @@ class TestDecomposeReal:
         fs = random_family(rng, random_space(rng, atoms), n, REAL)
         d = decompose_real(fs)
         assert d.k == REAL_PREPRUNE[n - 1]
-        assert verify_trace_counts(d.level_counts, REAL)
+        assert verify_trace_counts(_emitted_counts(fs, REAL), REAL)
         report = verify_decomposition(d, fs)
         assert report.passed, report
 
@@ -109,7 +110,7 @@ class TestDecomposeComplex:
         fs = random_family(rng, random_space(rng, atoms), n, COMPLEX)
         d = decompose_complex(fs)
         assert d.k == COMPLEX_PREPRUNE[n - 1]
-        assert verify_trace_counts(d.level_counts, COMPLEX)
+        assert verify_trace_counts(_emitted_counts(fs, COMPLEX), COMPLEX)
         assert verify_decomposition(d, fs).passed
 
 
@@ -337,6 +338,56 @@ class TestConstantCoefficients:
             cd = refine_to_constant_coeffs(decompose_complex(fs))
             resid = np.abs(cd.recombined() - fs.value_matrix)
             assert np.max(resid) <= 1e-10 * (1.0 + np.max(np.abs(fs.value_matrix)))
+
+
+def _mask_product(d, cells):
+    """The dense cell refinement as the (cell, part) products of a 0/1 cell
+    mask with every part: the reference of the scattered nonzero rows."""
+    mask = np.zeros((len(cells), d.space.size))
+    for c, g in enumerate(cells):
+        mask[c, list(g)] = 1.0
+    return (mask[:, None, :] * d.parts_matrix[None]).reshape(-1, d.space.size)
+
+
+class TestCellRows:
+    """The refinement builds only its nonzero (cell, part) rows and
+    scatters them into the dense block layout."""
+
+    @pytest.mark.parametrize("mode", [REAL, COMPLEX])
+    def test_scatter_matches_mask_product(self, mode):
+        rng = rng_for(88)
+        split = decompose_real if mode == REAL else decompose_complex
+        for i in range(60):
+            n = int(rng.integers(1, 6))
+            fs = random_family(rng, random_space(rng, int(rng.integers(1, 13))),
+                               n, mode)
+            d = split(fs)
+            if i % 2:
+                d = prune(d)
+            for cd in (refine_to_constant_coeffs(d), eps_net_coeffs(d, 0.1)):
+                dense = _mask_product(d, cd.cells)
+                assert cd.parts_matrix.dtype == dense.dtype
+                assert cd.parts_matrix.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("mode", [REAL, COMPLEX])
+    def test_rows_are_the_nonzero_dense_rows(self, mode):
+        rng = rng_for(89)
+        split = decompose_real if mode == REAL else decompose_complex
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            fs = random_family(rng, random_space(rng, int(rng.integers(1, 13))),
+                               n, mode)
+            d = split(fs)
+            rounded = np.broadcast_to(_net_rounded(d, 0.1),
+                                      (d.n, d.k, d.space.size))
+            cells, index, rows, alphas = _cell_rows(d, rounded)
+            cd = eps_net_coeffs(d, 0.1)
+            assert tuple(tuple(g) for g in cells) == cd.cells
+            assert np.array_equal(
+                index, np.flatnonzero(np.any(cd.parts_matrix != 0.0, axis=1)))
+            assert rows.tobytes() == cd.parts_matrix[index].tobytes()
+            assert alphas.tobytes() == cd.alphas[:, index].tobytes()
+            assert np.all(np.count_nonzero(rows, axis=0) <= n)
 
 
 class TestEpsNet:

@@ -206,6 +206,22 @@ class TestConditionB:
                 continue
             assert l1_norm(tf) / l1_norm(f) <= res.alpha * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_chunked_draws_give_the_unchunked_report(self, chunk, monkeypatch):
+        rng = rng_for(15)
+        x = random_subspace(rng, random_space(rng, 6), 3)
+        t = random_restricted(rng, x, random_space(rng, 5, prefix="s"))
+        res = alpha_via_lp(x, t)
+        extra = (certificate_family_coeffs(res.certificate),)
+        for trials in (0, 1, 300, 501):
+            monkeypatch.setattr(extension, "CONDITION_B_CHUNK",
+                                extension.MAX_TRIALS)
+            whole = check_condition_b(x, t, res.alpha, trials, 3, extra)
+            monkeypatch.setattr(extension, "CONDITION_B_CHUNK", chunk)
+            chunked = check_condition_b(x, t, res.alpha, trials, 3, extra)
+            assert chunked == whole
+            assert chunked.trials == trials + 1
+
     @pytest.mark.parametrize("above_cap", [False, True])
     def test_trials_out_of_range_rejected_before_drawing(self, above_cap,
                                                          monkeypatch):

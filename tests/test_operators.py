@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from l1lattice import (COMPLEX, REAL, FnFamily, KernelOperator, MeasureSpace,
                        SimpleFn, apply, check_grothendieck, d_norm, dominate,
+                       decompose_complex, decompose_real, eps_net_coeffs,
                        identity_operator, l1_norm, modulus, op_norm,
                        point_mass, proof_trace_complex, proof_trace_real,
                        zero_fn, zero_operator)
-from l1lattice.operators import apply_matrix
+from l1lattice.operators import (INEQ_TOL, ProofTrace, _eq_step, _le_step,
+                                 _pointwise_le, _triangle_steps, apply_matrix)
 from l1lattice.generate import (random_family, random_fn, random_operator,
                                 random_space, rng_for)
 
@@ -288,3 +292,133 @@ class TestProofTraceComplex:
         fs = FnFamily(sp, COMPLEX, [[1.0j, 0.0]])
         with pytest.raises(ValueError):
             proof_trace_complex(KernelOperator(sp, sp, np.eye(2), COMPLEX), fs, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the dense traces, over every part and every (cell, part) row: the reference
+# of the traces over the nonzero rows
+# ---------------------------------------------------------------------------
+
+def _dense_trace_real(t, fs, tol=INEQ_TOL):
+    d = decompose_real(fs)
+    nu_w = t.codomain.weight_array
+    mu_w = t.domain.weight_array
+    t_parts = np.abs(apply_matrix(t, d.parts_matrix))
+    bound = t_parts.sum(axis=0)
+    t_family = np.abs(apply_matrix(t, fs.value_matrix))
+    steps, int_max, int_bound = _triangle_steps(
+        t, t_family, bound, "recombine then triangle inequality", tol)
+    part_norms = t_parts @ nu_w
+    steps.append(_eq_step("swap sum and integral",
+                          "finite sum of integrals", int_bound,
+                          float(part_norms.sum()), tol))
+    part_masses = d.parts_matrix @ mu_w
+    opn = op_norm(t)
+    steps.append(_le_step("bound each part",
+                          "||Th|| <= ||T|| integral h for h >= 0",
+                          float(part_norms.sum()),
+                          opn * float(part_masses.sum()), tol))
+    steps.append(_eq_step("parts sum to the lattice max",
+                          "part masses add up to the dominated-family norm",
+                          float(part_masses.sum()), d_norm(fs), tol))
+    steps.append(_le_step("final bound", "the L1 inequality",
+                          int_max, opn * d_norm(fs), tol))
+    return ProofTrace(tuple(steps), tol)
+
+
+def _dense_trace_complex(t, fs, eps, tol=INEQ_TOL):
+    cd = eps_net_coeffs(decompose_complex(fs), eps)
+    n = fs.size
+    mu_w = t.domain.weight_array
+    latmax = np.max(np.abs(fs.value_matrix), axis=0)
+    values = fs.value_matrix.astype(np.complex128)
+    residual = values - cd.recombined()
+    t_parts = np.abs(apply_matrix(t, cd.parts_matrix))
+    t_resid = np.abs(apply_matrix(t, residual))
+    t_family = np.abs(apply_matrix(t, values))
+    bound = t_parts.sum(axis=0) + t_resid.sum(axis=0)
+    steps = [_pointwise_le(
+        f"residual bound p_{i + 1}",
+        "rounded coefficients leave at most eps of the lattice max",
+        np.abs(residual[i]), eps * latmax, t.domain.atoms, tol)
+        for i in range(n)]
+    chain, int_max, int_bound = _triangle_steps(
+        t, t_family, bound,
+        "recombine, then triangle inequality over parts and residuals", tol)
+    steps += chain
+    opn = op_norm(t)
+    mass = float((cd.parts_matrix @ mu_w).sum())
+    resid_mass = float((np.abs(residual) @ mu_w).sum())
+    steps.append(_le_step("bound parts and residuals",
+                          "||Tg|| <= ||T|| ||g|| termwise",
+                          int_bound, opn * (mass + resid_mass), tol))
+    dn = d_norm(fs)
+    steps.append(_eq_step("parts sum to the lattice max",
+                          "part masses add up to the dominated-family norm",
+                          mass, dn, tol))
+    steps.append(_le_step("residual mass",
+                          "n residuals, each at most eps of the lattice max",
+                          resid_mass, n * eps * dn, tol))
+    steps.append(_le_step("final bound", "the relaxed L1 inequality",
+                          int_max, (1.0 + n * eps) * opn * dn, tol))
+    return ProofTrace(tuple(steps), tol)
+
+
+def assert_same_trace(got, want):
+    """Same steps and verdicts; slacks within each step's own band; final
+    sides to 1e-12 relative; a witness atom moves only on a step whose
+    slack lies within its band."""
+    assert len(got.steps) == len(want.steps)
+    for g, w in zip(got.steps, want.steps):
+        assert (g.name, g.rule, g.kind, g.passed) == (w.name, w.rule, w.kind,
+                                                      w.passed)
+        band = want.tolerance * (1.0 + abs(w.rhs))
+        assert abs(g.slack - w.slack) <= band, (g, w)
+        if g.witness_atom != w.witness_atom:
+            assert abs(w.slack) <= band, (g, w)
+    assert abs(got.final_lhs - want.final_lhs) <= 1e-12 * abs(want.final_lhs)
+    assert abs(got.final_rhs - want.final_rhs) <= 1e-12 * abs(want.final_rhs)
+
+
+def _trace_cases(seed, family_modes, operator_modes):
+    """Seeded (operator, family) pairs: n = 1..5 on 1..30 atoms, each family
+    mode with each operator kind that acts on it ("zero" is the zero
+    operator of the family's mode)."""
+    rng = rng_for(seed)
+    for n in range(1, 6):
+        for _ in range(10):
+            dom = random_space(rng, int(rng.integers(1, 31)))
+            cod = random_space(rng, int(rng.integers(1, 8)), prefix="s")
+            for fam_mode in family_modes:
+                fs = random_family(rng, dom, n, fam_mode)
+                for op_mode in operator_modes:
+                    if op_mode == "zero":
+                        yield zero_operator(dom, cod, fam_mode), fs
+                    elif (op_mode, fam_mode) != (REAL, COMPLEX):
+                        yield random_operator(rng, dom, cod, op_mode), fs
+
+
+class TestTracesMatchDense:
+    def test_real(self):
+        for t, fs in _trace_cases(46, (REAL,), (REAL, "zero")):
+            assert_same_trace(proof_trace_real(t, fs), _dense_trace_real(t, fs))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_complex(self, eps):
+        for t, fs in _trace_cases(47, (REAL, COMPLEX), (REAL, COMPLEX, "zero")):
+            assert_same_trace(proof_trace_complex(t, fs, eps),
+                              _dense_trace_complex(t, fs, eps))
+
+    def test_complex_never_builds_the_dense_refinement(self):
+        rng = rng_for(48)
+        dom = random_space(rng, 50)
+        t = random_operator(rng, dom, random_space(rng, 50, prefix="s"), COMPLEX)
+        fs = random_family(rng, dom, 5, COMPLEX)
+        dense_bytes = eps_net_coeffs(decompose_complex(fs), 0.1).parts_matrix.nbytes
+        tracemalloc.start()
+        try:
+            proof_trace_complex(t, fs, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
