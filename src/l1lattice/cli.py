@@ -286,14 +286,7 @@ def _cmd_selftest(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="l1lattice",
-        description="Lattice decompositions, L1 operator inequalities and "
-                    "minimal-norm extensions on finite atomic measure spaces")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("decompose", help="decompose a family into nonnegative parts")
+def _decompose_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="family JSON")
     p.add_argument("--mode", choices=[REAL, COMPLEX], default=None)
     p.add_argument("--prune", action="store_true", help="drop identically-zero parts")
@@ -301,16 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refine to constant coefficients on cells")
     p.add_argument("--eps", type=float, default=None,
                    help="round coefficients to a finite circle net of this mesh")
-    _common_flags(p)
-    p.set_defaults(func=_cmd_decompose)
 
-    p = subs.add_parser("optimal-k", help="exhaustive minimal part-count search")
+
+def _optimal_k_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="family JSON (real mode)")
     p.add_argument("--kmax", type=int, required=True)
-    _common_flags(p)
-    p.set_defaults(func=_cmd_optimal_k)
 
-    p = subs.add_parser("check-inequality", help="evaluate the L1 inequality")
+
+def _check_inequality_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--op", required=True, help="operator JSON")
     p.add_argument("--family", required=True, help="family JSON")
     p.add_argument("--trace", choices=["real", "complex"], default=None,
@@ -319,33 +310,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="net mesh for --trace complex (default 0.1)")
     p.add_argument("--tol", type=_tolerance, default=INEQ_TOL,
                    help="inequality and trace tolerance (default %(default)s)")
-    _common_flags(p)
-    p.set_defaults(func=_cmd_check_inequality)
 
-    p = subs.add_parser("modulus", help="entrywise absolute value of an operator")
+
+def _modulus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--op", required=True)
-    _common_flags(p)
-    p.set_defaults(func=_cmd_modulus)
 
-    p = subs.add_parser("dominate", help="dominating function for an order interval")
+
+def _dominate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--op", required=True)
     p.add_argument("--phi", required=True, help="nonnegative SimpleFn JSON")
     _seed_flag(p)
-    _common_flags(p)
-    p.set_defaults(func=_cmd_dominate)
 
-    p = subs.add_parser("tensor-norm", help="projective norm of a tensor element")
+
+def _tensor_norm_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="tensor JSON")
-    _common_flags(p)
-    p.set_defaults(func=_cmd_tensor_norm)
 
-    p = subs.add_parser("pair", help="pairing of an operator with a tensor element")
+
+def _pair_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--op", required=True)
     p.add_argument("--tensor", required=True)
-    _common_flags(p)
-    p.set_defaults(func=_cmd_pair)
 
-    p = subs.add_parser("extend", help="minimal-norm extension of a subspace operator")
+
+def _extend_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--subspace", required=True)
     p.add_argument("--images", required=True)
     p.add_argument("--verify", action="store_true",
@@ -356,10 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-lp", metavar="PATH",
                    help="write the extension LP as JSON")
     _seed_flag(p)
-    _common_flags(p)
-    p.set_defaults(func=_cmd_extend)
 
-    p = subs.add_parser("generate", help="seeded pseudorandom instance files")
+
+def _generate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True,
                    choices=["family", "operator", "inequality", "tensor",
                             "subspace", "extension"])
@@ -373,20 +358,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[REAL, COMPLEX],
                    help="scalar field (default real)")
     _seed_flag(p)
-    _common_flags(p)
-    p.set_defaults(func=_cmd_generate)
 
-    p = subs.add_parser("selftest", help="run the acceptance suite")
+
+def _selftest_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fast", action="store_true",
                    help="scaled-down counts for smoke testing")
     _seed_flag(p)
-    _common_flags(p)
-    p.set_defaults(func=_cmd_selftest)
+
+
+#: name, help, handler and arguments of every subcommand, in usage order
+_SUBCOMMANDS = (
+    ("decompose", "decompose a family into nonnegative parts",
+     _cmd_decompose, _decompose_args),
+    ("optimal-k", "exhaustive minimal part-count search",
+     _cmd_optimal_k, _optimal_k_args),
+    ("check-inequality", "evaluate the L1 inequality",
+     _cmd_check_inequality, _check_inequality_args),
+    ("modulus", "entrywise absolute value of an operator",
+     _cmd_modulus, _modulus_args),
+    ("dominate", "dominating function for an order interval",
+     _cmd_dominate, _dominate_args),
+    ("tensor-norm", "projective norm of a tensor element",
+     _cmd_tensor_norm, _tensor_norm_args),
+    ("pair", "pairing of an operator with a tensor element",
+     _cmd_pair, _pair_args),
+    ("extend", "minimal-norm extension of a subspace operator",
+     _cmd_extend, _extend_args),
+    ("generate", "seeded pseudorandom instance files",
+     _cmd_generate, _generate_args),
+    ("selftest", "run the acceptance suite", _cmd_selftest, _selftest_args),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Every subcommand is registered, so that usage and
+    errors name them all, but only ``command``'s arguments are added; when
+    it names no subcommand (None, -h, a typo), every subcommand's are."""
+    parser = argparse.ArgumentParser(
+        prog="l1lattice",
+        description="Lattice decompositions, L1 operator inequalities and "
+                    "minimal-norm extensions on finite atomic measure spaces")
+    subs = parser.add_subparsers(dest="command", required=True)
+    every = command not in [name for name, *_ in _SUBCOMMANDS]
+    for name, help_text, func, add_args in _SUBCOMMANDS:
+        p = subs.add_parser(name, help=help_text)
+        if every or name == command:
+            add_args(p)
+            _common_flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if (args.command == "check-inequality" and args.eps is not None
             and args.trace != "complex"):

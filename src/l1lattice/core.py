@@ -9,6 +9,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -149,10 +150,23 @@ class FnFamily:
 
 def group_columns(keys: np.ndarray) -> list[list[int]]:
     """Indices w of the last axis grouped by bit-identical columns
-    keys[..., w], groups and members in order of first occurrence."""
-    groups: dict[bytes, list[int]] = {}
-    for w in range(keys.shape[-1]):
-        groups.setdefault(keys[..., w].tobytes(), []).append(w)
+    keys[..., w] (float64 or complex128), groups and members in order of
+    first occurrence.
+
+    numpy sums each column's bits as int64 words: a column whose sum no
+    other column has is in a group of its own, and only columns that share
+    a sum are compared byte for byte.  A broadcast along the last axis is one
+    column repeated."""
+    if keys.shape[-1] and keys.strides[-1] == 0:
+        return [list(range(keys.shape[-1]))]
+    axes = tuple(range(keys.ndim - 1))
+    parts = (keys.real, keys.imag) if np.iscomplexobj(keys) else (keys,)
+    sums = sum(p.view(np.int64).sum(axis=axes) for p in parts).tolist()
+    counts = Counter(sums)
+    groups: dict = {}
+    for w, total in enumerate(sums):
+        key = total if counts[total] == 1 else keys[..., w].tobytes()
+        groups.setdefault(key, []).append(w)
     return list(groups.values())
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
@@ -33,27 +33,40 @@ class SchemaError(ValueError):
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_NUMBERS = {int, float}
+
+
+def _string(text: str) -> str:
+    """``text`` as json writes it, with "%" doubled for the template."""
+    return _escape(text).replace("%", "%%")
+
+
+#: the text of each value of a column of one of these exact types
+_LEAVES = {str: _string, int: int.__repr__, bool: _CONSTANTS.__getitem__,
+           type(None): _CONSTANTS.__getitem__}
 
 
 def _key(key) -> str:
-    if key is None or isinstance(key, (str, int, float)):
-        return _escape(key if isinstance(key, str) else _encode(key, ""))
+    if isinstance(key, str):
+        return _string(key)
+    if key is None or isinstance(key, (int, float)):
+        return _escape(dumps(key)[:-1])
     raise TypeError("keys must be str, int, float, bool or None, "
                     f"not {key.__class__.__name__}")
 
 
-def _encode(obj, indent: str) -> str:
-    """``json.dumps(obj, indent=2)`` text for ``obj`` at this indent.  Lists
-    of numbers or [re, im] number pairs skip the per-item calls unless a NaN
-    or infinity (the only reprs with an "n") needs json's spelling."""
+def _template(obj, indent: str, floats: list) -> str:
+    """``json.dumps(obj, indent=2)`` text for ``obj`` at this indent, with
+    "%" doubled and each float a "%s" whose value joins ``floats``, in
+    document order, as a 1-d array or a list of floats."""
     if isinstance(obj, str):
-        return _escape(obj)
+        return _string(obj)
     if obj is None or isinstance(obj, bool):
         return _CONSTANTS[obj]
-    if isinstance(obj, (int, float)):
-        text = (int if isinstance(obj, int) else float).__repr__(obj)
-        return _NONFINITE.get(text, text)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        floats.append([obj])
+        return "%s"
     if not isinstance(obj, (list, tuple, dict)):
         raise TypeError(f"Object of type {obj.__class__.__name__} "
                         "is not JSON serializable")
@@ -62,23 +75,125 @@ def _encode(obj, indent: str) -> str:
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(obj, dict):
-        text = sep.join([f"{_key(k)}: {_encode(v, inner)}" for k, v in obj.items()])
+        text = sep.join([f"{_key(k)}: {_template(v, inner, floats)}"
+                         for k, v in obj.items()])
         return f"{{\n{inner}{text}\n{indent}}}"
-    text, types = "n", set(map(type, obj))
-    if types <= _NUMBERS:
-        text = sep.join(map(repr, obj))
-    elif (types <= {list, tuple} and set(map(len, obj)) == {2}
-          and set(map(type, chain.from_iterable(obj))) <= _NUMBERS):
-        pair = f"[\n{inner}  %r,\n{inner}  %r\n{inner}]"
-        text = sep.join([pair] * len(obj)) % tuple(chain.from_iterable(obj))
-    if "n" in text:
-        text = sep.join([_encode(v, inner) for v in obj])
+    column = _column(obj, inner)
+    if column is None:
+        text = sep.join([_template(v, inner, floats) for v in obj])
+    else:
+        text, values = column
+        text = sep.join([text] * len(obj) if isinstance(text, str) else text)
+        if values is not None:
+            floats.append(values.ravel())
     return f"[\n{inner}{text}\n{indent}]"
 
 
+def _column(col, indent: str):
+    """The ``_template`` text of each value of the nonempty ``col`` at this
+    indent, one str when all values share it, else a list; and their floats
+    as a (values, floats per value) array, None when there are none.  None
+    when the values differ in type, list length or dict keys, or are of a
+    type the per-value path must handle (subclasses, non-str keys)."""
+    kinds = set(map(type, col))
+    if kinds == {float}:
+        return "%s", np.array(col, dtype=np.float64)[:, None]
+    if kinds <= {list, tuple}:
+        return _lists(col, indent)
+    if kinds == {dict}:
+        return _dicts(col, indent)
+    leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+    if leaf is None:
+        return None
+    if col.count(col[0]) == len(col):
+        return leaf(col[0]), None
+    return list(map(leaf, col)), None
+
+
+def _lists(col, indent: str):
+    """``_column`` of lists of one length, templated from their items."""
+    length = len(col[0])
+    if len(set(map(len, col))) != 1:
+        return None
+    if not length:
+        return "[]", None
+    inner = indent + "  "
+    items = _column(list(chain.from_iterable(col)), inner)
+    if items is None:
+        return None
+    text, values = items
+    if values is not None:
+        values = values.reshape(len(col), -1)
+    head, sep, tail = f"[\n{inner}", ",\n" + inner, f"\n{indent}]"
+    if isinstance(text, str):
+        return head + sep.join([text] * length) + tail, values
+    return [head + row + tail
+            for row in map(sep.join, zip(*[iter(text)] * length))], values
+
+
+def _dicts(col, indent: str):
+    """``_column`` of dicts with one key order, templated key by key."""
+    keys = list(col[0])
+    if (len(set(map(tuple, col))) != 1
+            or not all(type(k) is str for k in keys)):
+        return None
+    if not keys:
+        return "{}", None
+    inner = indent + "  "
+    texts, values = [], []
+    for k in keys:
+        column = _column([d[k] for d in col], inner)
+        if column is None:
+            return None
+        text, floats = column
+        key = _string(k) + ": "
+        texts.append(key + text if isinstance(text, str)
+                     else [key + t for t in text])
+        if floats is not None:
+            values.append(floats)
+    values = np.hstack(values) if values else None
+    head, sep, tail = f"{{\n{inner}", ",\n" + inner, f"\n{indent}}}"
+    if all(isinstance(t, str) for t in texts):
+        return head + sep.join(texts) + tail, values
+    rows = zip(*[repeat(t, len(col)) if isinstance(t, str) else t
+                 for t in texts])
+    return [head + sep.join(row) + tail for row in rows], values
+
+
+def _texts(floats: list) -> tuple:
+    """json's text of every float in ``floats``, which it empties, with one
+    repr per distinct bit pattern (so -0.0 and each NaN payload keep their
+    own).  These are np.unique's steps on the int64 view, spelled out to
+    sort stably, several times faster than its quicksort on runs of repeated
+    values, and to free each temporary early: the largest documents hold
+    about 200,000 floats."""
+    if not floats:
+        return ()
+    bits = np.concatenate(floats).view(np.int64)
+    floats.clear()
+    order = np.argsort(bits, kind="stable")
+    bits = bits[order]
+    new = np.empty(bits.size, dtype=bool)
+    new[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    texts = np.array([_NONFINITE.get(t, t) for t in map(
+        float.__repr__, bits[new].view(np.float64).tolist())], dtype=object)
+    del bits
+    rank = np.cumsum(new)
+    rank -= 1
+    where = np.empty_like(order)
+    where[order] = rank
+    del order, rank
+    return tuple(texts[where].tolist())
+
+
 def dumps(obj: Any) -> str:
-    """``json.dumps(obj, indent=2)`` plus a newline, byte for byte."""
-    return _encode(obj, "") + "\n"
+    """``json.dumps(obj, indent=2)`` plus a newline, byte for byte: one
+    template for the document, repeated for lists whose values share one
+    shape, then every float rendered once per distinct value."""
+    floats: list = []
+    template = _template(obj, "", floats) + "\n"
+    return template % _texts(floats)
 
 
 def write_json(path: str, obj: Any) -> None:

@@ -610,6 +610,77 @@ class TestExitCodes:
             "sum residual 2.500e-09, bound excess 1.250e-01\n")
 
 
+class TestParserPins:
+    """Help text, usage errors and their exit codes, pinned byte for byte
+    (sha256 of code, stdout and stderr at 80 columns): a parser that adds
+    only the chosen subcommand's arguments must print what one with every
+    subcommand's arguments prints."""
+
+    COMMANDS = ["decompose", "optimal-k", "check-inequality", "modulus",
+                "dominate", "tensor-norm", "pair", "extend", "generate",
+                "selftest"]
+    ARGV = {
+        "help": ["-h"],
+        **{f"help {command}": [command, "-h"] for command in COMMANDS},
+        "no arguments": [],
+        "unknown subcommand": ["decompos", "--input", "f.json"],
+        "missing required flag": ["decompose"],
+        "unrecognised argument": ["decompose", "--input", "f.json", "--bogus"],
+        "eps without complex trace": [
+            "check-inequality", "--op", "t.json", "--family", "f.json",
+            "--trace", "real", "--eps", "0.1"],
+        "generate flag its kind refuses": [
+            "generate", "--kind", "family", "--dim", "5", "--out", "f.json"],
+    }
+    PINS = {
+        "help":
+            "9a41b8f7e46714b5fe3511ebcf021496a3ce9e028f76c95e57529e8dcbe9c9ec",
+        "help check-inequality":
+            "d5c4ce8051c7713156d67b17da05e549bf265e6169c91c82d8c93928a24c5725",
+        "help decompose":
+            "a2b7ad28a3a51ebe7c521fd54da05a17176e145227280e8f9972a93dadca9670",
+        "help dominate":
+            "1a69612666a6b2ff5acf6ee55ce99ffdbb6c8971c8e5009598a6bc53f0c52e74",
+        "help extend":
+            "842eb98a625656ca39fa7b8f0cddd340c5b833f8b3585f6e0e77f1a6ee0b6f9a",
+        "help generate":
+            "a9ce15098f7dd3cab9a36898b376a45ac75501cf7c8b4bc4075614fbb4d505d0",
+        "help modulus":
+            "f8ec1c9eade02c6dd8821c53114ddc61261df4839cf84425c767155c7df1b144",
+        "help optimal-k":
+            "a0388319c027e9edaa1fdbc4a103174f5d9bde285adf8b468926410cbe96531d",
+        "help pair":
+            "d07ea68131d71f0fd0afeed348be2a740002a94b052a20a5d425ab9ba969f63e",
+        "help selftest":
+            "a792e254556a660412b28cbc788d5faf79b50e78b68f812e3073475eeb2808c7",
+        "help tensor-norm":
+            "d5afe05fe28e2fbb701c7fcf4e8f3a241865f4f598a2998c28f21e49fa8a0942",
+        "no arguments":
+            "1a1c277bc51a4743fdac37e89ebf8d29f50eca6432de4bb5c8c8581b827c8251",
+        "unknown subcommand":
+            "958d6065b5c1e49458e89f5079cc6b20c4845fba23dddb7f67f3b96d5ccbac10",
+        "missing required flag":
+            "242b4e33d589f97e02e2f1f2f2e5ee760efe152014e73fb412c0efd2ec09ae11",
+        "unrecognised argument":
+            "4bb6564c722cbee48468ff4ffa9632603655631099d4bccc5642150c17b72aee",
+        "eps without complex trace":
+            "c9320fd2fbfa54d2520782857a4c91d99e5de3379e9a4fb704f3c27dc0058ec6",
+        "generate flag its kind refuses":
+            "4db1809b8bffabd1df4a21f572ca611f1b8cadf9c16df2eff8c6243612a8eb32",
+    }
+    CODES = {case: 0 if case.startswith("help") else 2 for case in PINS}
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_output_and_exit_code(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV[case])
+        out, err = capsys.readouterr()
+        assert exc.value.code == self.CODES[case]
+        text = f"{exc.value.code}\0{out}\0{err}"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[case]
+
+
 class TestDeterminism:
     def test_generate_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

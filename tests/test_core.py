@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        argmax_partition, d_norm, l1_norm, lattice_max,
                        pos_neg_split, zero_fn)
+from l1lattice.core import group_columns
 
 
 def space(n, weights=None):
@@ -173,3 +174,52 @@ class TestPosNegSplit:
         assert np.array_equal(plus - minus, f.values)
         assert np.array_equal(plus + minus, np.abs(f.values))
         assert np.all(plus * minus == 0.0)
+
+
+def _dict_group_columns(keys):
+    """The reference: one dict entry per distinct column's bytes."""
+    groups = {}
+    for w in range(keys.shape[-1]):
+        groups.setdefault(keys[..., w].tobytes(), []).append(w)
+    return list(groups.values())
+
+
+def _nan(payload):
+    return np.array([0x7FF8000000000000 | payload]).view(np.float64)[0]
+
+
+class TestGroupColumns:
+    CASES = {
+        "signed zeros": np.array([[0.0, -0.0, 0.0, -0.0], [1.0, 1.0, 1.0, 1.0]]),
+        "nan payloads": np.array([[_nan(0), _nan(1), _nan(0), _nan(2)]]),
+        "complex zeros": np.array([[0j, complex(0.0, -0.0), complex(-0.0, 0.0),
+                                    0j]]),
+        "one atom": np.array([[[1.0 + 2.0j], [3.0 - 1.0j]]]),
+        "all equal": np.ones((3, 4, 6), dtype=np.complex128),
+        # the same bit sums, different columns
+        "permuted": np.array([[1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 2.0, 1.0]]),
+        "swapped parts": np.array([[1.0 + 2.0j, 2.0 + 1.0j, 1.0 + 2.0j]]),
+        "broadcast": np.broadcast_to(np.array([[1.0], [-0.0]]), (2, 5)),
+        "strided": np.arange(24.0).reshape(2, 3, 4)[:, ::2, ::-1] % 3,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_dict_loop(self, case):
+        keys = self.CASES[case]
+        assert group_columns(keys) == _dict_group_columns(keys)
+
+    def test_first_occurrence_order(self):
+        keys = np.array([[3.0, 1.0, 3.0, 2.0, 1.0, -0.0]])
+        assert group_columns(keys) == [[0, 2], [1, 4], [3], [5]]
+
+    @given(st.integers(1, 3), st.integers(1, 8), st.integers(0, 2 ** 31),
+           st.booleans())
+    @settings(deadline=None, max_examples=60)
+    def test_random_columns_from_few_values(self, rows, atoms, seed, cplx):
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, -0.0, 1.0, -1.0, np.nan, _nan(5)])
+        keys = values[rng.integers(0, values.size, (rows, atoms))]
+        if cplx:
+            keys = keys + 1j * values[rng.integers(0, values.size,
+                                                   (rows, atoms))]
+        assert group_columns(keys) == _dict_group_columns(keys)

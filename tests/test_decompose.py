@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +20,26 @@ from l1lattice import jsonio, lp
 from l1lattice.acceptance import _emitted_counts, pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import unit_phases
-from l1lattice.decompose import (COMPLEX_PREPRUNE, REAL_PREPRUNE,
+from l1lattice.decompose import (COMPLEX_PREPRUNE, MIN_NET_EPS, REAL_PREPRUNE,
                                  Decomposition, OptimalKResult, _atom_feasible,
-                                 _cell_rows, _face_rejected, _net_rounded,
-                                 circle_net)
+                                 _cell_rows, _coeff_array, _face_rejected,
+                                 _net_points, _net_rounded)
 from l1lattice.generate import random_family, random_space, rng_for
+
+
+def circle_net(eps):
+    """The whole net that ``_net_rounded`` rounds to, the reference for the
+    points it computes: m = 2 ceil(pi / eps) points exp(2 pi i t / m) with
+    the cardinal points snapped."""
+    m = 2 * math.ceil(math.pi / eps)
+    angles = 2.0 * math.pi * np.arange(m) / m
+    pts = np.exp(1j * angles)
+    pts[0] = 1.0
+    pts[m // 2] = -1.0
+    if m % 4 == 0:
+        pts[m // 4] = 1j
+        pts[3 * m // 4] = -1j
+    return pts
 
 
 def unit_space(n):
@@ -396,6 +412,52 @@ class TestEpsNet:
             net = circle_net(eps)
             assert 1.0 + 0.0j in net
             assert -1.0 + 0.0j in net
+
+    # MIN_NET_EPS and 0.3 give m % 4 == 2, 0.1 gives m = 64
+    @pytest.mark.parametrize("eps", [MIN_NET_EPS, 0.1, 0.3])
+    def test_points_are_the_full_net_bit_for_bit(self, eps):
+        net = circle_net(eps)
+        m = net.size
+        assert (m % 4 == 0) == (eps == 0.1)
+        for start in range(0, m, 1 << 20):
+            ticks = np.arange(start, min(start + (1 << 20), m))
+            assert _net_points(ticks, m).tobytes() == net[ticks].tobytes()
+        # any order and repeats
+        ticks = rng_for(3).integers(0, m, 5000)
+        ticks[:4] = [0, m // 2, m // 4, 3 * m // 4]
+        assert _net_points(ticks, m).tobytes() == net[ticks].tobytes()
+
+    @pytest.mark.parametrize("mode", [REAL, COMPLEX])
+    @pytest.mark.parametrize("eps", [MIN_NET_EPS, 0.1, 0.3])
+    def test_rounding_looks_up_the_full_net(self, mode, eps):
+        rng = rng_for(12)
+        net = circle_net(eps)
+        split = decompose_real if mode == REAL else decompose_complex
+        for _ in range(20):
+            fs = random_family(rng, random_space(rng, int(rng.integers(1, 9))),
+                               int(rng.integers(1, 4)), mode)
+            d = split(fs)
+            coeff = _coeff_array(d)
+            nonzero = coeff != 0.0
+            ticks = (np.rint(np.angle(coeff[nonzero]) * net.size
+                             / (2.0 * math.pi)).astype(np.int64) % net.size)
+            want = np.zeros(coeff.shape, dtype=np.complex128)
+            want[nonzero] = net[ticks]
+            assert _net_rounded(d, eps).tobytes() == want.tobytes()
+
+    def test_finest_net_costs_no_table(self):
+        # the whole net at MIN_NET_EPS takes 6,283,186 x 16 bytes = 100 MB
+        rng = rng_for(5)
+        fs = random_family(rng, random_space(rng, 4), 2, COMPLEX)
+        d = decompose_complex(fs)
+        tracemalloc.start()
+        try:
+            cd = eps_net_coeffs(d, MIN_NET_EPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert verify_cell_decomposition(cd, fs).passed
 
     def test_real_data_has_zero_residual(self):
         rng = rng_for(6)

@@ -211,8 +211,59 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 2 ** 53 + 1,
            -(2 ** 64), 10 ** 30, math.nan, math.inf, -math.inf]
 numbers = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.integers())
 pairs = st.lists(st.lists(numbers, min_size=2, max_size=2), max_size=4)
+
+# lists of records with one key order, the shape that dumps templates once
+# per list: the values are strings or lists of numbers or of [re, im] pairs.
+# The numbers are floats only, so that one template is shared, or floats
+# mixed with np.float64, bools and ints.  Keys and strings hold "%", some
+# keys are not strings, and at times one record has another shape: another
+# key order, an extra key, another length, or no keys at all
+RECORD_KEYS = ["space", "mode", "values", "%", "100%s", "", 0, 1.5, None,
+               False]
+RECORD_STRINGS = ["mu", "real", "%s", "50%", ""]
+RECORD_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                 2.0 ** -1060, -2.2250738585072014e-308, 0.1]
+float_numbers = st.one_of(st.sampled_from(RECORD_FLOATS), st.floats())
+mixed_numbers = st.one_of(
+    float_numbers, st.sampled_from([np.float64(2.5), np.float64(-0.0),
+                                    np.float64(math.nan), True, False, 0, -3,
+                                    2 ** 64]))
+
+
+@st.composite
+def records(draw):
+    keys = draw(st.lists(st.sampled_from(RECORD_KEYS), unique=True,
+                         max_size=4))
+    lengths = {k: draw(st.one_of(st.none(), st.integers(0, 4))) for k in keys}
+    width = draw(st.sampled_from([1, 2]))
+    numbers = draw(st.sampled_from([float_numbers, mixed_numbers]))
+
+    def value(length):
+        if length is None:
+            return draw(st.sampled_from(RECORD_STRINGS))
+        row = [draw(numbers) for _ in range(length * width)]
+        return row if width == 1 else [row[i:i + 2] for i in range(0, len(row), 2)]
+
+    rows = [{k: value(lengths[k]) for k in keys}
+            for _ in range(draw(st.integers(1, 5)))]
+    i = draw(st.integers(0, len(rows) - 1))
+    other = draw(st.sampled_from(["none", "order", "extra", "length",
+                                  "empty"]))
+    if other == "order":
+        rows[i] = dict(reversed(rows[i].items()))
+    elif other == "extra":
+        rows[i] = {**rows[i], "extra": value(1)}
+    elif other == "length" and keys:
+        k = draw(st.sampled_from(keys))
+        rows[i] = {**rows[i], k: value(None if lengths[k] else 1)}
+    elif other == "empty":
+        rows[i] = {}
+    return rows
+
+
 leaves = st.one_of(numbers, st.booleans(), st.none(), st.text(), pairs,
-                   st.lists(st.one_of(numbers, st.booleans()), max_size=5))
+                   st.lists(st.one_of(numbers, st.booleans()), max_size=5),
+                   records())
 trees = st.recursive(
     leaves,
     lambda inner: st.one_of(
@@ -237,6 +288,12 @@ class TestWriter:
     def test_matches_json_dumps(self, doc):
         assert jsonio.dumps(doc) == json.dumps(doc, indent=2) + "\n"
 
+    @given(records(), records())
+    @settings(deadline=None, max_examples=300)
+    def test_record_lists_match_json_dumps(self, rows, more):
+        for doc in (rows, {"parts": rows, "more": more}, [rows, rows + more]):
+            assert jsonio.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
     @pytest.mark.parametrize("doc", [
         [np.float64(1.5), np.float64(-0.0)], {"x": np.float64(math.nan)},
         [[np.float64(0.1), 2.0]]])
@@ -252,6 +309,23 @@ class TestWriter:
         with pytest.raises(TypeError) as got:
             jsonio.dumps(doc)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [
+        np.int64(3), np.bool_(True), {1, 2}, [1.0, np.int64(3)],
+        {(1, 2): 0.0}, {"a": 1.0, (1, 2): 0.0}])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_not_json_in_a_record_list_raises_as_json_does(self, bad, where):
+        rows = [{"space": "mu", "values": [1.0, 2.0], "x": 0.5}
+                for _ in range(3)]
+        i = 0 if where == "first" else -1
+        rows[i] = ({**rows[i], "values": bad} if not isinstance(bad, dict)
+                   else {**rows[i], "values": [1.0, 2.0], **bad})
+        for doc in (rows, {"parts": rows}, [rows, rows]):
+            with pytest.raises(TypeError) as want:
+                json.dumps(doc, indent=2)
+            with pytest.raises(TypeError) as got:
+                jsonio.dumps(doc)
+            assert str(got.value) == str(want.value)
 
     @given(st.data(), modes, st.integers(0, 3), st.integers(0, 5))
     @settings(deadline=None, max_examples=100)
