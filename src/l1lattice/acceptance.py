@@ -351,8 +351,7 @@ def random_small_lp(rng) -> lp.LinearProgram:
 
 @_criterion(9, "LP oracle agreement")
 def criterion_9(seed: int, scale: float):
-    """Simplex answers agree with the exact rational vertex-enumeration
-    oracle."""
+    """Simplex answers agree with the exact integer-simplex oracle."""
     rng = rng_for(seed + 909)
     trials = _count(500, scale)
     disagreements = 0

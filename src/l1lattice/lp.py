@@ -291,24 +291,3 @@ def _finish(p: LinearProgram, sf: _StandardForm, row_keep_idx: np.ndarray,
 
     return LPSolution(OPTIMAL, x, dual, objective, tuple(int(b) for b in basis),
                       float(feas), cs, gap)
-
-
-def objective_for_basis(p: LinearProgram, basis: tuple[int, ...]) -> float:
-    """Recompute the objective value of a basic solution from its basis.
-
-    Used to confirm that re-solving with a known-optimal basis reproduces the
-    solved objective.
-    """
-    sf = _standard_form(p)
-    cols = np.array(basis, dtype=np.int64)
-    bmat = sf.rows[:, cols]
-    if bmat.shape[0] == cols.size:
-        x_b = np.linalg.solve(bmat, sf.rhs)
-    else:
-        # the solve dropped redundant rows; the overdetermined system is
-        # consistent, so least squares recovers the exact basic solution
-        x_b = np.linalg.lstsq(bmat, sf.rhs, rcond=None)[0]
-    x_std = np.zeros(sf.rows.shape[1])
-    x_std[cols] = x_b
-    return float(p.c @ x_std[:p.n_vars])
-

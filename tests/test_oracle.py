@@ -1,17 +1,18 @@
 import itertools
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1lattice import lp
 from l1lattice.acceptance import random_small_lp
 from l1lattice.lp import LinearProgram
-from l1lattice.oracle import _solve_square, solve_exact
+from l1lattice.oracle import solve_exact
 
 # ---------------------------------------------------------------------------
-# Reference: the Fraction enumeration that the integer oracle replaced,
+# Reference: the Fraction vertex enumeration that was the first oracle,
 # kept verbatim apart from the names.
 # ---------------------------------------------------------------------------
 
@@ -155,14 +156,34 @@ def _one_program_per_shape(seed):
     return [found[s] for s in sorted(shapes)]
 
 
+@st.composite
+def integer_programs(draw):
+    """Integer LPs with at most 3 variables, at most 4 equality and
+    inequality rows in all, and entries in -4..4."""
+    n = draw(st.integers(1, 3))
+    m_eq = draw(st.integers(0, 4))
+    m_ub = draw(st.integers(0, 4 - m_eq))
+
+    def rows(m, width):
+        return draw(st.lists(st.lists(st.integers(-4, 4), min_size=width,
+                                      max_size=width),
+                             min_size=m, max_size=m))
+
+    c, eq, ub = rows(1, n)[0], rows(m_eq, n + 1), rows(m_ub, n + 1)
+    return LinearProgram(c, [r[:n] for r in eq] or None,
+                         [r[n] for r in eq] or None,
+                         [r[:n] for r in ub] or None,
+                         [r[n] for r in ub] or None)
+
+
 def _scaled(p, s):
     return LinearProgram(p.c * s, p.a_eq * s, p.b_eq * s, p.g_ub * s,
                          p.h_ub * s)
 
 
 class TestMatchesFractionEnumeration:
-    """The integer oracle returns the identical status and the identical
-    exact Fraction as the Fraction enumeration it replaced."""
+    """The integer simplex returns the identical status and the identical
+    exact Fraction as the Fraction vertex enumeration."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.1, 1e-3, 1.25])
     def test_every_shape(self, scale):
@@ -177,24 +198,10 @@ class TestMatchesFractionEnumeration:
             statuses.add(got[0])
         assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
-    def test_square_solve_matches_gaussian_elimination(self):
-        rng = random.Random(3)
-        singular = 0
-        for _ in range(2000):
-            m = rng.randint(0, 5)
-            rows = [[rng.randint(-4, 4) for _ in range(m + 1)]
-                    for _ in range(m)]
-            want = _reference_solve_square(
-                [[Fraction(v) for v in row[:m]] for row in rows],
-                [Fraction(row[m]) for row in rows])
-            got = _solve_square(rows)
-            if want is None:
-                singular += 1
-                assert got is None
-            else:
-                d, num = got
-                assert d > 0 and [Fraction(v, d) for v in num] == want
-        assert singular > 0
+    @given(integer_programs())
+    @settings(deadline=None, max_examples=300)
+    def test_integer_programs(self, program):
+        assert solve_exact(program) == reference_solve_exact(program)
 
 
 class TestHandSolved:
@@ -234,6 +241,20 @@ class TestHandSolved:
          (lp.INFEASIBLE, None)),
         (LinearProgram([1.0, 1.0], [[0.0, 0.0]], [1.0]),
          (lp.INFEASIBLE, None)),
+        # Beale's (1955) example of cycling under Dantzig's rule: x1, x2
+        # and x3 are the slacks of his three <= rows, and the optimum is
+        # x = (3/4, 0, 0, 1, 0, 1, 0)
+        (LinearProgram([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0],
+                       [[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                        [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                        [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]],
+                       [0.0, 0.0, 1.0]), (lp.OPTIMAL, Fraction(-5, 4))),
+        # -x1 - x2 = 0 forces x = 0.  Phase 1 starts optimal (its costs are
+        # (1, 1)), so the artificial stays basic at level zero and can leave
+        # only through a negative entry; dropping the row instead would
+        # leave x1 free and min -x1 + x2 unbounded
+        (LinearProgram([-1.0, 1.0], [[-1.0, -1.0]], [0.0]),
+         (lp.OPTIMAL, Fraction(0))),
     ])
     def test_program(self, program, expected):
         assert solve_exact(program) == expected
