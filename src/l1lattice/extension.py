@@ -167,7 +167,9 @@ def alpha_via_lp(x: Subspace, t: RestrictedOperator) -> ExtensionResult:
                                     x.basis_matrix, phis)
         pairing = abs(float(pair_rows(t.image_matrix, certificate.phi_matrix,
                                       nu_w)))
-        ratio = pairing / tensor_norm(certificate)
+        # duals that underflowed to a zero-norm certificate witness nothing
+        norm = tensor_norm(certificate)
+        ratio = pairing / norm if norm > 0.0 else 0.0
     return ExtensionResult(extension, alpha, float(sol.objective_value),
                            certificate, ratio)
 

@@ -20,6 +20,19 @@ Duals are reported per constraint, equality rows first, then inequality
 rows.  Signs follow the convention in which the dual objective is
 ``b_eq . y_eq + h_ub . y_ub`` with ``y_ub <= 0``, so weak duality reads
 ``dual objective <= primal objective``.
+
+Phases
+------
+Rows with a negative right-hand side are negated.  The tableau's columns
+are the original variables, then one slack per inequality row; the last
+column is the rhs.  A <= row that kept its sign starts with its slack
+basic; every other row i starts with an implicit artificial, basis index
+n_cols + i.  Artificials have no stored column, so they never re-enter.
+Phase 1 minimizes their sum: a minimum above FEAS_TOL (scaled by the rhs)
+means INFEASIBLE.  An artificial left basic at level zero is pivoted out
+on the lowest nonbasic column with a nonzero entry in its row; a row with
+none is redundant and is dropped.  Phase 2 runs on the same tableau, its
+last row rebuilt from c minus the basic costs c_B times their rows.
 """
 
 from __future__ import annotations
@@ -41,16 +54,14 @@ class LPError(RuntimeError):
     well-posed inputs; surfaced instead of returning garbage)."""
 
 
-def _matrix(a, rows: int | None, cols: int) -> np.ndarray:
+def _matrix(a, name: str, cols: int) -> np.ndarray:
     if a is None:
         return np.zeros((0, cols))
     m = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if m.size == 0:
         return np.zeros((0, cols))
     if m.shape[1] != cols:
-        raise ValueError(f"constraint matrix has {m.shape[1]} columns, expected {cols}")
-    if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"constraint matrix has {m.shape[0]} rows, expected {rows}")
+        raise ValueError(f"{name} has {m.shape[1]} columns, expected {cols}")
     return m
 
 
@@ -69,16 +80,16 @@ class LinearProgram:
         c = np.asarray(self.c, dtype=np.float64).ravel()
         n = c.size
         if n == 0:
-            raise ValueError("an LP needs at least one variable")
+            raise ValueError("c is empty: an LP needs at least one variable")
         b_eq = np.asarray(self.b_eq, dtype=np.float64).ravel() if self.b_eq is not None else np.zeros(0)
         h_ub = np.asarray(self.h_ub, dtype=np.float64).ravel() if self.h_ub is not None else np.zeros(0)
-        a_eq = _matrix(self.a_eq, b_eq.size if b_eq.size else None, n)
-        g_ub = _matrix(self.g_ub, h_ub.size if h_ub.size else None, n)
+        a_eq = _matrix(self.a_eq, "a_eq", n)
+        g_ub = _matrix(self.g_ub, "g_ub", n)
         if a_eq.shape[0] != b_eq.size:
             raise ValueError("a_eq and b_eq sizes disagree")
         if g_ub.shape[0] != h_ub.size:
             raise ValueError("g_ub and h_ub sizes disagree")
-        for arr, name in ((c, "objective"), (a_eq, "a_eq"), (b_eq, "b_eq"),
+        for arr, name in ((c, "c"), (a_eq, "a_eq"), (b_eq, "b_eq"),
                           (g_ub, "g_ub"), (h_ub, "h_ub")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
@@ -111,10 +122,6 @@ class LPSolution:
     feasibility_residual: float
     cs_residual: float
     duality_gap: float
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == OPTIMAL
 
 
 # ---------------------------------------------------------------------------
@@ -187,71 +194,52 @@ def solve(p: LinearProgram) -> LPSolution:
     m, n_cols = sf.rows.shape
     scale = 1.0 + float(np.max(np.abs(sf.rhs))) if m else 1.0
     max_iter = 20000 + 200 * (m + n_cols)
-
-    # ----- phase 1: drive artificial variables to zero ---------------------
-    art_cols = []
-    basis: list[int] = []
-    for i in range(m):
-        # an inequality row keeps its slack as the initial basic column
-        # unless normalizing its rhs negated the slack
-        if i >= p.n_eq and sf.row_sign[i] > 0.0:
-            basis.append(p.n_vars + (i - p.n_eq))
-        else:
-            art_cols.append(i)
-            basis.append(-1)
-    n_art = len(art_cols)
-    tab = np.zeros((m + 1, n_cols + n_art + 1))
+    tab = np.zeros((m + 1, n_cols + 1))
     tab[:m, :n_cols] = sf.rows
     tab[:m, -1] = sf.rhs
-    for k, i in enumerate(art_cols):
-        tab[i, n_cols + k] = 1.0
-        basis[i] = n_cols + k
-    # phase-1 objective: minimize the sum of artificials
-    tab[-1, n_cols:n_cols + n_art] = 1.0
-    for i in art_cols:
-        tab[-1] -= tab[i]
-    status = _run_simplex(tab, basis, n_cols + n_art, max_iter)
-    if status != OPTIMAL:
+
+    # ----- phase 1: minimize the sum of the artificials --------------------
+    # the slack of a <= row that kept its sign, else artificial n_cols + i
+    basis = [p.n_vars + i - p.n_eq if i >= p.n_eq and sf.row_sign[i] > 0.0
+             else n_cols + i for i in range(m)]
+    for i in range(m):
+        if basis[i] >= n_cols:
+            tab[-1] -= tab[i]
+    if _run_simplex(tab, basis, n_cols, max_iter) != OPTIMAL:
         raise LPError("phase-1 objective unbounded (cannot happen)")
     if -tab[-1, -1] > FEAS_TOL * scale:
-        return LPSolution(INFEASIBLE, None, None, None, None,
-                          float("nan"), float("nan"), float("nan"))
+        return _no_solution(INFEASIBLE)
 
     # drive surviving artificials out of the basis, dropping redundant rows
-    keep_rows = np.ones(m, dtype=bool)
+    kept = []
     for i in range(m):
-        if basis[i] < n_cols:
-            continue
-        pivot_col = -1
-        for j in range(n_cols):
-            if j not in basis and abs(tab[i, j]) > PIVOT_TOL:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
-            _pivot(tab, i, pivot_col)
-            basis[i] = pivot_col
-        else:
-            keep_rows[i] = False  # redundant constraint row
-
-    row_keep_idx = np.nonzero(keep_rows)[0]
-    tab2 = np.zeros((row_keep_idx.size + 1, n_cols + 1))
-    tab2[:-1, :n_cols] = tab[row_keep_idx][:, :n_cols]
-    tab2[:-1, -1] = tab[row_keep_idx][:, -1]
-    basis2 = [basis[i] for i in row_keep_idx]
+        if basis[i] >= n_cols:
+            col = next((j for j in range(n_cols) if j not in basis
+                        and abs(tab[i, j]) > PIVOT_TOL), None)
+            if col is None:
+                continue
+            _pivot(tab, i, col)
+            basis[i] = col
+        kept.append(i)
+    tab = tab[kept + [m]]
+    basis = [basis[i] for i in kept]
 
     # ----- phase 2: original objective -------------------------------------
-    tab2[-1, :n_cols] = sf.c
-    for r, b in enumerate(basis2):
-        tab2[-1] -= sf.c[b] * tab2[r]
-    status = _run_simplex(tab2, basis2, n_cols, max_iter)
-    if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, None, None, None,
-                          float("nan"), float("nan"), float("nan"))
+    tab[-1] = 0.0
+    tab[-1, :n_cols] = sf.c
+    for r, b in enumerate(basis):
+        tab[-1] -= sf.c[b] * tab[r]
+    if _run_simplex(tab, basis, n_cols, max_iter) == UNBOUNDED:
+        return _no_solution(UNBOUNDED)
 
     x_std = np.zeros(n_cols)
-    for r, b in enumerate(basis2):
-        x_std[b] = tab2[r, -1]
-    return _finish(p, sf, row_keep_idx, basis2, x_std)
+    x_std[basis] = tab[:-1, -1]
+    return _finish(p, sf, np.array(kept, dtype=np.int64), basis, x_std)
+
+
+def _no_solution(status: str) -> LPSolution:
+    nan = float("nan")
+    return LPSolution(status, None, None, None, None, nan, nan, nan)
 
 
 def _finish(p: LinearProgram, sf: _StandardForm, row_keep_idx: np.ndarray,

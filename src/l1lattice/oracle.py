@@ -16,18 +16,20 @@ fraction-free pivot (p T_i - T_i[q] T_r) / D divides exactly (Edmonds
 1967, the division of Bareiss 1968).  Both objective rows are carried as
 tableau rows.
 
-Rows with a negative right-hand side are negated.  Each <= row with h >= 0
-starts with its slack basic; every other row starts with an artificial.
-Pivoting follows Bland's rule (Bland 1977: lowest-index entering column,
-ratio ties to the lowest basic index), which terminates in exact
-arithmetic.  Phase 1 minimizes the sum of the artificials: a nonzero
-minimum means INFEASIBLE.  An artificial left basic at level zero is
-pivoted out on any nonzero original or slack entry of its row (its
-right-hand side is 0, so the row may be negated first to make that entry
-positive); a row with no such entry is redundant and is dropped.  Phase 2
-minimizes c: an entering column with no positive entry means UNBOUNDED,
-otherwise the optimum is the exact ``Fraction`` read off the objective
-row.  Artificial columns are not stored, since they never re-enter.
+It runs the phase design of :mod:`l1lattice.lp` in integers, on the same
+columns (originals, then slacks).  Rows with a negative right-hand side
+are negated.  Each <= row with h >= 0 starts with its slack basic; every
+other row starts with an artificial.  Pivoting follows Bland's rule
+(Bland 1977: lowest-index entering column, ratio ties to the lowest basic
+index), which terminates in exact arithmetic.  Phase 1 minimizes the sum
+of the artificials: a nonzero minimum means INFEASIBLE.  An artificial
+left basic at level zero is pivoted out on any nonzero original or slack
+entry of its row (its right-hand side is 0, so the row may be negated
+first to make that entry positive); a row with no such entry is redundant
+and is dropped.  Phase 2 minimizes c: an entering column with no positive
+entry means UNBOUNDED, otherwise the optimum is the exact ``Fraction``
+read off the objective row.  Artificial columns are not stored, since
+they never re-enter.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
-"""Hypothesis runs the same examples on every run and keeps no database,
-so the suite is deterministic and leaves no ``.hypothesis/`` behind."""
+"""Hypothesis runs the same examples on every run and keeps no example
+database, so the suite is deterministic.  Hypothesis still writes its own
+caches (``.hypothesis/constants/`` and the like) into the gitignored
+``.hypothesis/``."""
 
 from hypothesis import settings
 

@@ -594,6 +594,25 @@ class TestExitCodes:
         assert "below alpha" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [[], ["--verify"]])
+    def test_zero_norm_certificate_exits_1(self, tmp_path, capsys, flags):
+        # a codomain weight of 1e150 underflows the certificate's duals to
+        # norm 0; its ratio reads 0 and fails the check instead of dividing
+        main(["generate", "--kind", "extension", "--atoms", "4",
+              "--nu-atoms", "3", "--dim", "3", "--seed", "61",
+              "--out", str(tmp_path / "i.json"), "--quiet"])
+        images = tmp_path / "i_images.json"
+        doc = json.loads(images.read_text())
+        doc["space"]["weights"][2] = 1e150
+        images.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["extend", "--subspace", str(tmp_path / "i_subspace.json"),
+                     "--images", str(images), "--quiet", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("check failed: ")
+        assert "certificate ratio 0 below alpha" in err
+
     def test_failed_refinement_reports_its_residuals(self, tmp_path,
                                                      monkeypatch, capsys):
         fam = tmp_path / "fam.json"

@@ -455,7 +455,7 @@ class TestExtensionLP:
         for x, t in self.instances():
             res = alpha_via_lp(x, t)
             ref = lp.solve(reference_u_lp(x, t))
-            assert ref.is_optimal
+            assert ref.status == lp.OPTIMAL
             assert res.alpha == pytest.approx(ref.objective_value, rel=1e-9)
             assert res.certificate_ratio >= res.alpha * (1.0 - 1e-6)
 

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_oracle import HAND_SOLVED, integer_programs
 
 from l1lattice import jsonio, lp
 from l1lattice.acceptance import random_small_lp
@@ -59,8 +61,33 @@ class TestTrivialPrograms:
         assert sol.objective_value == pytest.approx(-4.0, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a_eq has 1 columns, expected 2"):
             lp.LinearProgram([1.0, 2.0], a_eq=[[1.0]], b_eq=[1.0])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(c=[]), "c is empty"),
+        (dict(c=[1.0, 2.0], g_ub=[[1.0, 2.0, 3.0]], h_ub=[1.0]),
+         "g_ub has 3 columns, expected 2"),
+        (dict(c=[1.0], a_eq=[[1.0], [2.0]], b_eq=[1.0]),
+         "a_eq and b_eq sizes disagree"),
+        (dict(c=[1.0], a_eq=[[1.0]]), "a_eq and b_eq sizes disagree"),
+        (dict(c=[1.0], b_eq=[1.0]), "a_eq and b_eq sizes disagree"),
+        (dict(c=[1.0], g_ub=[[1.0]], h_ub=[1.0, 2.0]),
+         "g_ub and h_ub sizes disagree"),
+        (dict(c=[1.0], g_ub=[[1.0]]), "g_ub and h_ub sizes disagree"),
+        (dict(c=[np.nan]), "c contains non-finite entries"),
+        (dict(c=[1.0], a_eq=[[np.inf]], b_eq=[1.0]),
+         "a_eq contains non-finite entries"),
+        (dict(c=[1.0], a_eq=[[1.0]], b_eq=[np.nan]),
+         "b_eq contains non-finite entries"),
+        (dict(c=[1.0], g_ub=[[-np.inf]], h_ub=[1.0]),
+         "g_ub contains non-finite entries"),
+        (dict(c=[1.0], g_ub=[[1.0]], h_ub=[np.inf]),
+         "h_ub contains non-finite entries"),
+    ])
+    def test_refusal_names_the_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            lp.LinearProgram(**kwargs)
 
 
 class TestSolutionInvariants:
@@ -127,6 +154,28 @@ class TestOracleAgreement:
             if status == lp.OPTIMAL:
                 exact = float(value)
                 assert abs(sol.objective_value - exact) <= 1e-7 * (1.0 + abs(exact))
+
+
+class TestExactAnswers:
+    """Degenerate programs reach phase 1's drive-out and its dropped rows;
+    the status and the objective must match the exact answer."""
+
+    @pytest.mark.parametrize("program, expected", HAND_SOLVED)
+    def test_hand_solved(self, program, expected):
+        status, value = expected
+        sol = lp.solve(program)
+        assert sol.status == status
+        if status == lp.OPTIMAL:
+            assert abs(sol.objective_value - value) <= 1e-12 * (1 + abs(value))
+
+    @given(integer_programs())
+    @settings(deadline=None, max_examples=300)
+    def test_integer_programs(self, program):
+        status, value = solve_exact(program)
+        sol = lp.solve(program)
+        assert sol.status == status
+        if status == lp.OPTIMAL:
+            assert abs(sol.objective_value - value) <= 1e-9 * (1 + abs(value))
 
 
 def _solution_digest(h, sol) -> None:

@@ -204,58 +204,64 @@ class TestMatchesFractionEnumeration:
         assert solve_exact(program) == reference_solve_exact(program)
 
 
+# Programs with known exact answers, among them degenerate ones: cycling,
+# an artificial that leaves through a negative entry, and repeated and
+# summed rows.  tests/test_lp.py runs them through lp.solve too.
+HAND_SOLVED = [
+    # x1 + x2 = -1 has no nonnegative solution
+    (LinearProgram([1.0, 1.0], [[1.0, 1.0]], [-1.0]),
+     (lp.INFEASIBLE, None)),
+    # min -x1 s.t. x1 - x2 <= 1: x = (1 + t, t) for every t >= 0
+    (LinearProgram([-1.0, 0.0], g_ub=[[1.0, -1.0]], h_ub=[1.0]),
+     (lp.UNBOUNDED, None)),
+    # min x s.t. 3x = 1
+    (LinearProgram([1.0], [[3.0]], [1.0]), (lp.OPTIMAL, Fraction(1, 3))),
+    # min x1 + 2 x2 with x1 + x2 = 2 written twice: x = (2, 0)
+    (LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0]),
+     (lp.OPTIMAL, Fraction(2))),
+    # the same row repeated with another right-hand side
+    (LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [2.0, 3.0]),
+     (lp.INFEASIBLE, None)),
+    # x1 + x2 = 1, x2 + x3 = 2 and their sum: min x1 + x3 = 3 - 2 x2
+    # at x2 = 1
+    (LinearProgram([1.0, 0.0, 1.0],
+                   [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]],
+                   [1.0, 2.0, 3.0]), (lp.OPTIMAL, Fraction(1))),
+    # the sum row with a right-hand side that is not the sum
+    (LinearProgram([1.0, 0.0, 1.0],
+                   [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]],
+                   [1.0, 2.0, 4.0]), (lp.INFEASIBLE, None)),
+    # x1 + x2 <= 2, x1 <= 1 and x2 <= 1 all pass through (1, 1)
+    (LinearProgram([-1.0, -2.0],
+                   g_ub=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+                   h_ub=[2.0, 1.0, 1.0]), (lp.OPTIMAL, Fraction(-3))),
+    # all-zero rows: 0 = 0 and 0 <= 1 hold everywhere
+    (LinearProgram([1.0, -1.0], [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0],
+                   [[0.0, 0.0]], [1.0]), (lp.OPTIMAL, Fraction(-1))),
+    # ... while 0 <= -1 and 0 = 1 hold nowhere
+    (LinearProgram([1.0, 1.0], g_ub=[[0.0, 0.0]], h_ub=[-1.0]),
+     (lp.INFEASIBLE, None)),
+    (LinearProgram([1.0, 1.0], [[0.0, 0.0]], [1.0]),
+     (lp.INFEASIBLE, None)),
+    # Beale's (1955) example of cycling under Dantzig's rule: x1, x2
+    # and x3 are the slacks of his three <= rows, and the optimum is
+    # x = (3/4, 0, 0, 1, 0, 1, 0)
+    (LinearProgram([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0],
+                   [[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                    [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                    [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]],
+                   [0.0, 0.0, 1.0]), (lp.OPTIMAL, Fraction(-5, 4))),
+    # -x1 - x2 = 0 forces x = 0.  Phase 1 starts optimal (its costs are
+    # (1, 1)), so the artificial stays basic at level zero and can leave
+    # only through a negative entry; dropping the row instead would
+    # leave x1 free and min -x1 + x2 unbounded
+    (LinearProgram([-1.0, 1.0], [[-1.0, -1.0]], [0.0]),
+     (lp.OPTIMAL, Fraction(0))),
+]
+
+
 class TestHandSolved:
-    @pytest.mark.parametrize("program, expected", [
-        # x1 + x2 = -1 has no nonnegative solution
-        (LinearProgram([1.0, 1.0], [[1.0, 1.0]], [-1.0]),
-         (lp.INFEASIBLE, None)),
-        # min -x1 s.t. x1 - x2 <= 1: x = (1 + t, t) for every t >= 0
-        (LinearProgram([-1.0, 0.0], g_ub=[[1.0, -1.0]], h_ub=[1.0]),
-         (lp.UNBOUNDED, None)),
-        # min x s.t. 3x = 1
-        (LinearProgram([1.0], [[3.0]], [1.0]), (lp.OPTIMAL, Fraction(1, 3))),
-        # min x1 + 2 x2 with x1 + x2 = 2 written twice: x = (2, 0)
-        (LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0]),
-         (lp.OPTIMAL, Fraction(2))),
-        # the same row repeated with another right-hand side
-        (LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], [2.0, 3.0]),
-         (lp.INFEASIBLE, None)),
-        # x1 + x2 = 1, x2 + x3 = 2 and their sum: min x1 + x3 = 3 - 2 x2
-        # at x2 = 1
-        (LinearProgram([1.0, 0.0, 1.0],
-                       [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]],
-                       [1.0, 2.0, 3.0]), (lp.OPTIMAL, Fraction(1))),
-        # the sum row with a right-hand side that is not the sum
-        (LinearProgram([1.0, 0.0, 1.0],
-                       [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]],
-                       [1.0, 2.0, 4.0]), (lp.INFEASIBLE, None)),
-        # x1 + x2 <= 2, x1 <= 1 and x2 <= 1 all pass through (1, 1)
-        (LinearProgram([-1.0, -2.0],
-                       g_ub=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
-                       h_ub=[2.0, 1.0, 1.0]), (lp.OPTIMAL, Fraction(-3))),
-        # all-zero rows: 0 = 0 and 0 <= 1 hold everywhere
-        (LinearProgram([1.0, -1.0], [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0],
-                       [[0.0, 0.0]], [1.0]), (lp.OPTIMAL, Fraction(-1))),
-        # ... while 0 <= -1 and 0 = 1 hold nowhere
-        (LinearProgram([1.0, 1.0], g_ub=[[0.0, 0.0]], h_ub=[-1.0]),
-         (lp.INFEASIBLE, None)),
-        (LinearProgram([1.0, 1.0], [[0.0, 0.0]], [1.0]),
-         (lp.INFEASIBLE, None)),
-        # Beale's (1955) example of cycling under Dantzig's rule: x1, x2
-        # and x3 are the slacks of his three <= rows, and the optimum is
-        # x = (3/4, 0, 0, 1, 0, 1, 0)
-        (LinearProgram([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0],
-                       [[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
-                        [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
-                        [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]],
-                       [0.0, 0.0, 1.0]), (lp.OPTIMAL, Fraction(-5, 4))),
-        # -x1 - x2 = 0 forces x = 0.  Phase 1 starts optimal (its costs are
-        # (1, 1)), so the artificial stays basic at level zero and can leave
-        # only through a negative entry; dropping the row instead would
-        # leave x1 free and min -x1 + x2 unbounded
-        (LinearProgram([-1.0, 1.0], [[-1.0, -1.0]], [0.0]),
-         (lp.OPTIMAL, Fraction(0))),
-    ])
+    @pytest.mark.parametrize("program, expected", HAND_SOLVED)
     def test_program(self, program, expected):
         assert solve_exact(program) == expected
         assert reference_solve_exact(program) == expected
