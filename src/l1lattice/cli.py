@@ -8,7 +8,6 @@ Identical inputs and seeds produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -50,8 +49,24 @@ def _trials(text: str) -> int:
     return value
 
 
+#: largest --seed: selftest and extend derive seeds up to 2**32 above it,
+#: and every seed must fit numpy's uint64 seeding
+MAX_SEED = 2 ** 63 - 1
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value <= MAX_SEED:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0..{MAX_SEED}, got {text}")
+    return value
+
+
 def _seed_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    sub.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -217,12 +232,8 @@ def _cmd_extend(args) -> int:
         # written before solving, so a failed solve still leaves the dump
         program = extension_lp(x, t)
         jsonio.write_json(args.dump_lp, {
-            "c": program.c.tolist(),
-            "a_eq": program.a_eq.tolist(),
-            "b_eq": program.b_eq.tolist(),
-            "g_ub": program.g_ub.tolist(),
-            "h_ub": program.h_ub.tolist(),
-        })
+            key: getattr(program, key)
+            for key in ("c", "a_eq", "b_eq", "g_ub", "h_ub")})
     result = alpha_via_lp(x, t)
     if not args.verify:
         failure = certificate_failure(result)
@@ -430,8 +441,8 @@ def main(argv=None) -> int:
     except lp.LPError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, json.JSONDecodeError, FileNotFoundError,
-            IsADirectoryError, PermissionError, ValueError) as exc:
+    except (SchemaError, FileNotFoundError, IsADirectoryError,
+            PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

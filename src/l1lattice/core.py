@@ -24,8 +24,9 @@ COMPLEX = "complex"
 #: largest, 5 real members on 50 atoms, needs 6330 x 50 = 316,500).  The
 #: costliest family under it, 7 complex members on 3 atoms, decomposes in
 #: 0.003 s at 41 MB peak RSS (36 MB after import); ``decompose --out`` on it
-#: takes 1.4-1.9 s and 209 MB and writes 32 MB of JSON (shared 2-core
-#: x86-64, Python 3.11, one BLAS thread)
+#: takes 0.65-0.85 s and 203 MB peak RSS in a fresh process and writes
+#: 32.5 MB of JSON (shared 2-core x86-64, Python 3.11, numpy 2.4, one BLAS
+#: thread)
 MAX_ENTRIES = 320_000
 
 

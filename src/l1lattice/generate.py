@@ -99,6 +99,9 @@ def generate_instance(kind: str, params: dict, seed: int) -> dict:
     ones default to atoms 6, n 2, mode real, nu_atoms = atoms and dim 2.
     Returns a mapping from a file stem to the document; the CLI writes each
     as ``<out>/<stem>.json`` (or a single file when there is one document).
+    The documents hold their matrices as numpy arrays, as the ``jsonio``
+    builders leave them: ``jsonio.dumps`` writes them and the ``jsonio``
+    readers take them as they are, but ``json.dumps`` refuses them.
     """
     if kind not in KIND_PARAMS:
         raise ValueError(f"unknown instance kind {kind!r}")

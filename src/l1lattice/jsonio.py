@@ -5,6 +5,14 @@ table in the same document.  Real scalars serialize as plain numbers,
 complex scalars as [re, im] pairs; numbers round-trip exactly (shortest
 representation recovering the stored double).
 
+The builders (``*_to_json``) keep every matrix a numpy array until it is
+written: function values and kernels as float64 arrays, shaped (..., 2) for
+[re, im] pairs, and sign matrices as int64.  ``dumps`` writes an array as
+json writes its ``tolist()``, with the nesting read from its shape.  The
+readers take an array where the builders put one (a function's values, an
+operator's kernel and its rows), so a document reads the same before it is
+written as after; JSON text itself never holds one.
+
 Every reader decodes through one boundary, ``_reader``, which turns a
 malformed document into a SchemaError naming the field, and reads the rows of
 every container through ``_rows_from_json`` into one matrix.
@@ -14,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import json
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
@@ -40,11 +47,6 @@ def _string(text: str) -> str:
     return _escape(text).replace("%", "%%")
 
 
-#: the text of each value of a column of one of these exact types
-_LEAVES = {str: _string, int: int.__repr__, bool: _CONSTANTS.__getitem__,
-           type(None): _CONSTANTS.__getitem__}
-
-
 def _key(key) -> str:
     if isinstance(key, str):
         return _string(key)
@@ -57,7 +59,8 @@ def _key(key) -> str:
 def _template(obj, indent: str, floats: list) -> str:
     """``json.dumps(obj, indent=2)`` text for ``obj`` at this indent, with
     "%" doubled and each float a "%s" whose value joins ``floats``, in
-    document order, as a 1-d array or a list of floats."""
+    document order, as a 1-d array or a list of floats.  A float64 or int64
+    ndarray is written as its ``tolist()``, any other as json refuses it."""
     if isinstance(obj, str):
         return _string(obj)
     if obj is None or isinstance(obj, bool):
@@ -67,97 +70,76 @@ def _template(obj, indent: str, floats: list) -> str:
     if isinstance(obj, float):
         floats.append([obj])
         return "%s"
+    if type(obj) is np.ndarray and obj.dtype in (np.float64, np.int64):
+        return _array(obj, indent, floats)
     if not isinstance(obj, (list, tuple, dict)):
         raise TypeError(f"Object of type {obj.__class__.__name__} "
                         "is not JSON serializable")
-    if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
     inner = indent + "  "
-    sep = ",\n" + inner
     if isinstance(obj, dict):
-        text = sep.join([f"{_key(k)}: {_template(v, inner, floats)}"
-                         for k, v in obj.items()])
-        return f"{{\n{inner}{text}\n{indent}}}"
-    column = _column(obj, inner)
-    if column is None:
-        text = sep.join([_template(v, inner, floats) for v in obj])
-    else:
-        text, values = column
-        text = sep.join([text] * len(obj) if isinstance(text, str) else text)
-        if values is not None:
-            floats.append(values.ravel())
-    return f"[\n{inner}{text}\n{indent}]"
-
-
-def _column(col, indent: str):
-    """The ``_template`` text of each value of the nonempty ``col`` at this
-    indent, one str when all values share it, else a list; and their floats
-    as a (values, floats per value) array, None when there are none.  None
-    when the values differ in type, list length or dict keys, or are of a
-    type the per-value path must handle (subclasses, non-str keys)."""
-    kinds = set(map(type, col))
-    if kinds == {float}:
-        return "%s", np.array(col, dtype=np.float64)[:, None]
-    if kinds <= {list, tuple}:
-        return _lists(col, indent)
-    if kinds == {dict}:
-        return _dicts(col, indent)
-    leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
-    if leaf is None:
-        return None
-    if col.count(col[0]) == len(col):
-        return leaf(col[0]), None
-    return list(map(leaf, col)), None
-
-
-def _lists(col, indent: str):
-    """``_column`` of lists of one length, templated from their items."""
-    length = len(col[0])
-    if len(set(map(len, col))) != 1:
-        return None
-    if not length:
-        return "[]", None
-    inner = indent + "  "
-    items = _column(list(chain.from_iterable(col)), inner)
+        return _enclose([f"{_key(k)}: {_template(v, inner, floats)}"
+                         for k, v in obj.items()], indent, "{}")
+    items = _records(obj, inner, floats)
     if items is None:
-        return None
-    text, values = items
-    if values is not None:
-        values = values.reshape(len(col), -1)
-    head, sep, tail = f"[\n{inner}", ",\n" + inner, f"\n{indent}]"
-    if isinstance(text, str):
-        return head + sep.join([text] * length) + tail, values
-    return [head + row + tail
-            for row in map(sep.join, zip(*[iter(text)] * length))], values
+        items = [_template(v, inner, floats) for v in obj]
+    return _enclose(items, indent, "[]")
 
 
-def _dicts(col, indent: str):
-    """``_column`` of dicts with one key order, templated key by key."""
-    keys = list(col[0])
-    if (len(set(map(tuple, col))) != 1
-            or not all(type(k) is str for k in keys)):
+def _enclose(items: list, indent: str, brackets: str) -> str:
+    """The item texts, each already at ``indent`` plus two spaces, in
+    ``brackets`` at ``indent``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{indent}{brackets[1]}")
+
+
+def _nested(shape: tuple, indent: str) -> str:
+    """The text of nested lists of this shape at this indent, each entry a
+    "%s"."""
+    text = "%s"
+    for depth in reversed(range(len(shape))):
+        text = _enclose([text] * shape[depth], indent + "  " * depth, "[]")
+    return text
+
+
+def _array(a: np.ndarray, indent: str, floats: list) -> str:
+    """The ``_template`` text of ``a.tolist()`` for a float64 array, whose
+    entries join ``floats`` raveled, or for an int64 one."""
+    if a.dtype == np.float64:
+        floats.append(a.ravel())
+        return _nested(a.shape, indent)
+    return _nested(a.shape, indent) % tuple(a.ravel().tolist())
+
+
+def _records(rows, indent: str, floats: list) -> list | None:
+    """The ``_template`` text of each item of ``rows`` at this indent, one
+    text repeated, when they are dicts with one key order whose values are,
+    key by key, one shared str or float64 arrays of one shape (the rows of
+    ``_rows_to_json``); else None."""
+    if not rows or not all(type(r) is dict for r in rows):
         return None
-    if not keys:
-        return "{}", None
+    keys = tuple(rows[0])
+    if any(tuple(r) != keys for r in rows):
+        return None
     inner = indent + "  "
     texts, values = [], []
     for k in keys:
-        column = _column([d[k] for d in col], inner)
-        if column is None:
+        column = [r[k] for r in rows]
+        first = column[0]
+        if all(type(v) is str and v == first for v in column):
+            text = _string(first)
+        elif all(type(v) is np.ndarray and v.dtype == np.float64
+                 and v.shape == first.shape for v in column):
+            text = _nested(first.shape, inner)
+            values.append(np.stack(column).reshape(len(rows), -1))
+        else:
             return None
-        text, floats = column
-        key = _string(k) + ": "
-        texts.append(key + text if isinstance(text, str)
-                     else [key + t for t in text])
-        if floats is not None:
-            values.append(floats)
-    values = np.hstack(values) if values else None
-    head, sep, tail = f"{{\n{inner}", ",\n" + inner, f"\n{indent}}}"
-    if all(isinstance(t, str) for t in texts):
-        return head + sep.join(texts) + tail, values
-    rows = zip(*[repeat(t, len(col)) if isinstance(t, str) else t
-                 for t in texts])
-    return [head + sep.join(row) + tail for row in rows], values
+        texts.append(f"{_key(k)}: {text}")
+    if values:
+        floats.append(np.hstack(values).ravel())
+    return [_enclose(texts, indent, "{}")] * len(rows)
 
 
 def _texts(floats: list) -> tuple:
@@ -174,7 +156,7 @@ def _texts(floats: list) -> tuple:
     order = np.argsort(bits, kind="stable")
     bits = bits[order]
     new = np.empty(bits.size, dtype=bool)
-    new[0] = True
+    new[:1] = True          # no entry when every float array was empty
     np.not_equal(bits[1:], bits[:-1], out=new[1:])
     texts = np.array([_NONFINITE.get(t, t) for t in map(
         float.__repr__, bits[new].view(np.float64).tolist())], dtype=object)
@@ -188,9 +170,11 @@ def _texts(floats: list) -> tuple:
 
 
 def dumps(obj: Any) -> str:
-    """``json.dumps(obj, indent=2)`` plus a newline, byte for byte: one
-    template for the document, repeated for lists whose values share one
-    shape, then every float rendered once per distinct value."""
+    """``json.dumps(obj, indent=2)`` plus a newline, byte for byte, where
+    ``obj`` may hold float64 and int64 arrays: one template for the
+    document, in which an array's text comes from its shape and a list of
+    same-shaped records (the rows of ``_rows_to_json``) is templated once,
+    then every float rendered once per distinct value."""
     floats: list = []
     template = _template(obj, "", floats) + "\n"
     return template % _texts(floats)
@@ -207,6 +191,8 @@ def read_json(path: str) -> Any:
             return json.load(fh)
         except RecursionError:
             raise SchemaError(f"{path}: JSON nested too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 def _reader(kind: str, refusal: str, needs: tuple[str, ...] = ()):
@@ -270,16 +256,22 @@ def _scalar_from_json(obj, mode: str):
     return x if mode == REAL else complex(x, 0.0)
 
 
-def _values_to_json(values: np.ndarray, mode: str) -> list:
-    """``values`` as nested lists of floats, or of [re, im] float pairs."""
+def _values_to_json(values: np.ndarray, mode: str) -> np.ndarray:
+    """``values`` as a float64 array, shaped (..., 2) for [re, im] pairs."""
     if mode == REAL:
-        return np.real(values).astype(np.float64).tolist()
+        return np.asarray(np.real(values), dtype=np.float64)
     values = np.asarray(values, dtype=np.complex128)
-    return np.stack([values.real, values.imag], -1).tolist()
+    return np.stack([values.real, values.imag], -1)
+
+
+def _listed(obj):
+    """``obj``, or its nested lists when it is an ndarray, as the documents
+    of the builders hold before they are written."""
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
 
 
 def _values_from_json(obj, mode: str) -> np.ndarray:
-    vals = [_scalar_from_json(v, mode) for v in _list(obj, "values")]
+    vals = [_scalar_from_json(v, mode) for v in _list(_listed(obj), "values")]
     return np.array(vals, dtype=np.complex128 if mode == COMPLEX else np.float64)
 
 
@@ -392,7 +384,7 @@ def operator_from_json(doc) -> KernelOperator:
     domain = _resolve_space(doc["domain"], registry)
     codomain = _resolve_space(doc["codomain"], registry)
     mode = _mode_from_json(doc.get("mode", REAL))
-    rows = _list(doc["kernel"], "kernel")
+    rows = [_listed(r) for r in _list(_listed(doc["kernel"]), "kernel")]
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise SchemaError(f"kernel row {i} must be a list")
@@ -476,8 +468,7 @@ def images_from_json(doc, subspace: Subspace) -> RestrictedOperator:
 
 def decomposition_to_json(d: Decomposition) -> dict:
     if d.signs is not None:
-        coeffs = {"kind": "signs",
-                  "matrix": d.signs.astype(np.int64).tolist()}
+        coeffs = {"kind": "signs", "matrix": d.signs.astype(np.int64)}
     else:
         coeffs = {"kind": "field",
                   "entries": [_rows_to_json("mu", COMPLEX, fields)

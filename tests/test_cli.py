@@ -356,10 +356,16 @@ class TestExitCodes:
         assert "value must be a number, got [0.0, 0.0" in err
         assert len(err.encode()) < 300
 
-    def test_malformed_json_is_usage_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["decompose", "--input", str(bad), "--quiet"]) == 2
+    def test_malformed_json_is_usage_error(self, tmp_path, capsys):
+        main(["generate", "--kind", "inequality", "--atoms", "3",
+              "--out", str(tmp_path / "i.json"), "--quiet"])
+        good, bad = tmp_path / "i_family.json", tmp_path / "bad.json"
+        for text in (b"{not json", b'{"members": "\xff"}'):
+            bad.write_bytes(text)
+            assert main(["check-inequality", "--op", str(bad),
+                         "--family", str(good), "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["decompose", "--input", str(tmp_path / "nope.json"),
@@ -425,6 +431,12 @@ class TestExitCodes:
           "--out", "f.json"], "--nu-atoms"),
         (["generate", "--kind", "subspace", "--mode", "real",
           "--out", "x.json"], "--mode"),
+        *[(argv + ["--seed", seed], "--seed")
+          for argv in (["generate", "--kind", "family", "--out", "f.json"],
+                       ["dominate", "--op", "t.json", "--phi", "p.json"],
+                       ["extend", "--subspace", "x.json", "--images", "t.json"],
+                       ["selftest"])
+          for seed in ("-1", str(2 ** 64), "1.5")],
     ])
     def test_bad_flag_value_names_the_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -432,6 +444,8 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err and "Traceback" not in err
+        if flag == "--seed":
+            assert f"must be in 0..{2 ** 63 - 1}, got {argv[-1]}\n" in err
 
     @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1e-300"])
     @pytest.mark.parametrize("command", ["decompose", "check-inequality"])
@@ -866,3 +880,56 @@ class TestGenerateGoldenBytes:
         assert main(["optimal-k", "--input", str(fam), "--kmax", "4",
                      "--out", str(out), "--quiet"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.OPTIMAL_K
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_every_written_file_is_json_dumps_text(tmp_path, seed):
+    """Every file the CLI writes, for each subcommand and flag set on
+    generated instances, is the text ``json.dumps(indent=2)`` gives its own
+    content, plus a newline."""
+    def path(name):
+        return str(tmp_path / name)
+
+    def run(*argv):
+        assert main([*argv, "--quiet"]) == 0
+
+    for mode in ("real", "complex"):
+        for kind in ("family", "operator", "inequality", "tensor"):
+            run("generate", "--kind", kind, "--atoms", "4", "--mode", mode,
+                "--seed", str(seed), "--out", path(f"{kind}_{mode}.json"))
+        fam = path(f"family_{mode}.json")
+        for flags in ([], ["--prune"], ["--prune", "--cells"],
+                      ["--eps", "0.1"]):
+            run("decompose", "--input", fam, *flags,
+                "--out", path(f"decompose_{mode}{''.join(flags)}.json"))
+        run("check-inequality", "--op", path(f"inequality_{mode}_operator.json"),
+            "--family", path(f"inequality_{mode}_family.json"),
+            "--trace", mode, "--out", path(f"trace_{mode}.json"))
+        op = path(f"operator_{mode}.json")
+        run("modulus", "--op", op, "--out", path(f"modulus_{mode}.json"))
+        t = jsonio.operator_from_json(jsonio.read_json(op))
+        jsonio.write_json(path(f"phi_{mode}.json"), jsonio.fn_to_json(
+            SimpleFn(t.domain, "real", np.ones(t.domain.size))))
+        run("dominate", "--op", op, "--phi", path(f"phi_{mode}.json"),
+            "--seed", str(seed), "--out", path(f"dominate_{mode}.json"))
+        run("tensor-norm", "--input", path(f"tensor_{mode}.json"),
+            "--out", path(f"norm_{mode}.json"))
+        jsonio.write_json(path(f"pair_tensor_{mode}.json"), jsonio.tensor_to_json(
+            random_tensor(rng_for(seed), t.domain, t.codomain, 2, mode)))
+        run("pair", "--op", op, "--tensor", path(f"pair_tensor_{mode}.json"),
+            "--out", path(f"pair_{mode}.json"))
+    run("optimal-k", "--input", path("family_real.json"), "--kmax", "4",
+        "--out", path("optimal_k.json"))
+    run("generate", "--kind", "subspace", "--atoms", "4", "--seed", str(seed),
+        "--out", path("subspace.json"))
+    run("generate", "--kind", "extension", "--atoms", "4", "--nu-atoms", "3",
+        "--seed", str(seed), "--out", path("ext.json"))
+    run("extend", "--subspace", path("ext_subspace.json"),
+        "--images", path("ext_images.json"), "--verify", "--trials", "500",
+        "--seed", str(seed), "--dump-lp", path("lp.json"),
+        "--out", path("extend.json"))
+    written = sorted(tmp_path.iterdir())
+    assert len(written) == 38
+    for p in written:
+        text = p.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", p.name

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace,
-                       RestrictedOperator, Subspace, TensorElement, jsonio)
+from l1lattice import (COMPLEX, REAL, FnFamily, KernelOperator, MeasureSpace,
+                       RestrictedOperator, SimpleFn, Subspace, TensorElement,
+                       jsonio)
+from l1lattice.generate import KIND_PARAMS, generate_instance
 
 EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, -2.2250738585072014e-308,
         1e300, -1.0]
@@ -336,11 +339,131 @@ class TestWriter:
             values.imag = data.draw(matrices(rows, atoms))
         want = [_old_values_to_json(row, mode) for row in values]
         # repr tells -0.0 from 0.0 and an int from a float
-        assert repr(jsonio._values_to_json(values, mode)) == repr(want)
+        assert repr(jsonio._values_to_json(values, mode).tolist()) == repr(want)
         for row, want_row in zip(values, want):
-            assert repr(jsonio._values_to_json(row, mode)) == repr(want_row)
+            assert (repr(jsonio._values_to_json(row, mode).tolist())
+                    == repr(want_row))
 
     def test_sign_coefficients_become_complex_pairs(self):
         signs = np.array([[1, -1, 0]], dtype=np.int8)
-        assert (repr(jsonio._values_to_json(signs, COMPLEX))
+        assert (repr(jsonio._values_to_json(signs, COMPLEX).tolist())
                 == repr([_old_values_to_json(signs[0], COMPLEX)]))
+
+
+# arrays as leaves, as the builders leave them: float64 and int64 arrays of
+# 0-3 dimensions, zero-length axes included, with the floats json spells
+# specially; alone, inside lists and dicts, and as the values of same-keyed
+# records, at times with another shape or string in one of them
+ARRAY_ELEMENTS = {
+    np.float64: st.one_of(st.sampled_from(RECORD_FLOATS), st.floats()),
+    np.int64: st.integers(-2 ** 63, 2 ** 63 - 1)}
+leaf_shapes = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+
+
+@st.composite
+def array_docs(draw):
+    dtype = draw(st.sampled_from([np.float64, np.int64]))
+    shape = draw(leaf_shapes)
+
+    def leaf(shape):
+        return draw(arrays(dtype, shape, elements=ARRAY_ELEMENTS[dtype]))
+
+    a = leaf(shape)
+    strings = draw(st.sampled_from([["mu"], ["mu", "100%s"]]))
+    more = draw(st.one_of(st.none(), leaf_shapes))
+    rows = [{"space": draw(st.sampled_from(strings)), "values": leaf(shape),
+             **({} if more is None else {"w": leaf(more)})}
+            for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        rows[-1] = {**rows[-1], "values": leaf(draw(leaf_shapes))}
+    return draw(st.sampled_from([
+        a, [a, 1.5, a], {"%": a, "b": [a]}, rows,
+        {"parts": rows, "entries": [rows, rows], "kind": "field"}]))
+
+
+def _tolists(doc):
+    """``doc`` with each ndarray as its ``tolist()``."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _tolists(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_tolists(v) for v in doc]
+    return doc
+
+
+class TestArrayLeaves:
+    """``jsonio.dumps`` writes a float64 or int64 ndarray as json writes
+    its ``tolist()``, and refuses any other array as json refuses it."""
+
+    @given(array_docs())
+    @settings(deadline=None, max_examples=400)
+    def test_matches_json_dumps_of_the_lists(self, doc):
+        assert jsonio.dumps(doc) == json.dumps(_tolists(doc), indent=2) + "\n"
+
+    @pytest.mark.parametrize("a", [
+        np.array([True, False]), np.array([[1, 2]], dtype=np.int8),
+        np.array([1.5], dtype=np.float32), np.array([1 + 2j]),
+        np.array([1.0, "a"], dtype=object)], ids=str)
+    def test_other_dtypes_raise_as_json_does(self, a):
+        rows = [{"space": "mu", "values": np.zeros(1)}, {"space": "mu",
+                                                         "values": a}]
+        for doc in (a, [1.0, a], {"kernel": a}, rows):
+            with pytest.raises(TypeError) as want:
+                json.dumps(doc, indent=2)
+            with pytest.raises(TypeError) as got:
+                jsonio.dumps(doc)
+            assert str(got.value) == str(want.value)
+
+
+class TestInMemoryDocuments:
+    """The readers take the documents of the builders before they are
+    written, with their arrays, bit for bit."""
+
+    @given(st.data(), modes, st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 4))
+    @settings(deadline=None, max_examples=60)
+    def test_builders_read_back(self, data, mode, n, mu_atoms, nu_atoms):
+        mu, nu = space(mu_atoms), space(nu_atoms, "s")
+        fs = FnFamily(mu, mode, data.draw(matrices(n, mu_atoms, mode)))
+        back = jsonio.family_from_json(jsonio.family_to_json(fs))
+        assert back.space == mu and back.mode == mode
+        assert_bits_equal(back.value_matrix, fs.value_matrix)
+        f = SimpleFn(mu, mode, fs.value_matrix[0])
+        assert_bits_equal(jsonio.fn_from_json(jsonio.fn_to_json(f)).values,
+                          f.values)
+        t = KernelOperator(mu, nu, data.draw(matrices(nu_atoms, mu_atoms, mode)),
+                           mode)
+        back = jsonio.operator_from_json(jsonio.operator_to_json(t))
+        assert back.domain == mu and back.codomain == nu
+        assert_bits_equal(back.kernel, t.kernel)
+        g = TensorElement(mu, nu, mode, data.draw(matrices(n, mu_atoms, mode)),
+                          data.draw(matrices(n, nu_atoms, mode)))
+        back = jsonio.tensor_from_json(jsonio.tensor_to_json(g))
+        assert_bits_equal(back.f_matrix, g.f_matrix)
+        assert_bits_equal(back.phi_matrix, g.phi_matrix)
+
+    @pytest.mark.parametrize("kind,mode", [
+        (kind, mode) for kind in sorted(KIND_PARAMS) for mode in (REAL, COMPLEX)
+        if mode == REAL or "mode" in KIND_PARAMS[kind]])
+    def test_generated_documents_read_as_their_files(self, kind, mode):
+        docs = generate_instance(
+            kind, {"mode": mode} if "mode" in KIND_PARAMS[kind] else {}, 3)
+        for got, want in zip(_matrices(docs), _matrices(round_trip(docs)),
+                             strict=True):
+            assert_bits_equal(got, want)
+
+
+MATRIX_FIELDS = ("value_matrix", "kernel", "f_matrix", "phi_matrix",
+                 "basis_matrix", "image_matrix")
+
+
+def _matrices(docs):
+    """Every matrix of the objects read from one instance's documents."""
+    read = {}
+    for name, doc in docs.items():
+        read[name] = (jsonio.images_from_json(doc, read["subspace"])
+                      if name == "images"
+                      else getattr(jsonio, f"{name}_from_json")(doc))
+    return [getattr(x, field) for x in read.values() for field in MATRIX_FIELDS
+            if hasattr(x, field)]
