@@ -34,19 +34,28 @@ class CheckFailed(Exception):
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(
             f"must be finite and nonnegative, got {text!r}")
     return value
 
 
-def _trials(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= MAX_TRIALS:
-        raise argparse.ArgumentTypeError(
-            f"must be in 0..{MAX_TRIALS}, got {value}")
+def _int_in(text: str, top: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value <= top:
+        raise argparse.ArgumentTypeError(f"must be in 0..{top}, got {text}")
     return value
+
+
+def _trials(text: str) -> int:
+    return _int_in(text, MAX_TRIALS)
 
 
 #: largest --seed: selftest and extend derive seeds up to 2**32 above it,
@@ -55,14 +64,7 @@ MAX_SEED = 2 ** 63 - 1
 
 
 def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or not 0 <= value <= MAX_SEED:
-        raise argparse.ArgumentTypeError(
-            f"must be in 0..{MAX_SEED}, got {text}")
-    return value
+    return _int_in(text, MAX_SEED)
 
 
 def _seed_flag(sub: argparse.ArgumentParser) -> None:
@@ -402,21 +404,23 @@ _SUBCOMMANDS = (
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser.  Every subcommand is registered, so that usage and
-    errors name them all, but only ``command``'s arguments are added; when
-    it names no subcommand (None, -h, a typo), every subcommand's are."""
+    """The CLI parser.  When ``command`` names a subcommand, only its parser
+    is registered, under a metavar listing every name so that usage and
+    errors read the same; else (None, -h, a typo) every one is."""
     parser = argparse.ArgumentParser(
         prog="l1lattice",
         description="Lattice decompositions, L1 operator inequalities and "
                     "minimal-norm extensions on finite atomic measure spaces")
-    subs = parser.add_subparsers(dest="command", required=True)
-    every = command not in [name for name, *_ in _SUBCOMMANDS]
-    for name, help_text, func, add_args in _SUBCOMMANDS:
+    chosen = [sub for sub in _SUBCOMMANDS if sub[0] == command]
+    # a metavar would also replace "command" in the missing-command error
+    names = ",".join(name for name, *_ in _SUBCOMMANDS)
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar="{" + names + "}" if chosen else None)
+    for name, help_text, func, add_args in chosen or _SUBCOMMANDS:
         p = subs.add_parser(name, help=help_text)
-        if every or name == command:
-            add_args(p)
-            _common_flags(p)
-            p.set_defaults(func=func)
+        add_args(p)
+        _common_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 

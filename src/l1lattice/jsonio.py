@@ -8,10 +8,14 @@ representation recovering the stored double).
 The builders (``*_to_json``) keep every matrix a numpy array until it is
 written: function values and kernels as float64 arrays, shaped (..., 2) for
 [re, im] pairs, and sign matrices as int64.  ``dumps`` writes an array as
-json writes its ``tolist()``, with the nesting read from its shape.  The
-readers take an array where the builders put one (a function's values, an
-operator's kernel and its rows), so a document reads the same before it is
-written as after; JSON text itself never holds one.
+json writes its ``tolist()``, with the nesting read from its shape.  Function
+objects that are the rows of one matrix (family members, parts, basis and
+image elements, coefficient fields) form a list of dicts that also keeps the
+matrix, and ``dumps`` writes them from it: one record text repeated, one
+array of floats.  No code changes such a list once it is built.  The readers
+take an array where the builders put one (a function's values, an operator's
+kernel and its rows), so a document reads the same before it is written as
+after; JSON text itself never holds one.
 
 Every reader decodes through one boundary, ``_reader``, which turns a
 malformed document into a SchemaError naming the field, and reads the rows of
@@ -60,7 +64,8 @@ def _template(obj, indent: str, floats: list) -> str:
     """``json.dumps(obj, indent=2)`` text for ``obj`` at this indent, with
     "%" doubled and each float a "%s" whose value joins ``floats``, in
     document order, as a 1-d array or a list of floats.  A float64 or int64
-    ndarray is written as its ``tolist()``, any other as json refuses it."""
+    ndarray is written as its ``tolist()``, any other as json refuses it, and
+    a ``_rows_to_json`` list from its values matrix."""
     if isinstance(obj, str):
         return _string(obj)
     if obj is None or isinstance(obj, bool):
@@ -72,6 +77,8 @@ def _template(obj, indent: str, floats: list) -> str:
         return "%s"
     if type(obj) is np.ndarray and obj.dtype in (np.float64, np.int64):
         return _array(obj, indent, floats)
+    if type(obj) is _Rows:
+        return _rows(obj, indent, floats)
     if not isinstance(obj, (list, tuple, dict)):
         raise TypeError(f"Object of type {obj.__class__.__name__} "
                         "is not JSON serializable")
@@ -79,10 +86,7 @@ def _template(obj, indent: str, floats: list) -> str:
     if isinstance(obj, dict):
         return _enclose([f"{_key(k)}: {_template(v, inner, floats)}"
                          for k, v in obj.items()], indent, "{}")
-    items = _records(obj, inner, floats)
-    if items is None:
-        items = [_template(v, inner, floats) for v in obj]
-    return _enclose(items, indent, "[]")
+    return _enclose([_template(v, inner, floats) for v in obj], indent, "[]")
 
 
 def _enclose(items: list, indent: str, brackets: str) -> str:
@@ -113,33 +117,16 @@ def _array(a: np.ndarray, indent: str, floats: list) -> str:
     return _nested(a.shape, indent) % tuple(a.ravel().tolist())
 
 
-def _records(rows, indent: str, floats: list) -> list | None:
-    """The ``_template`` text of each item of ``rows`` at this indent, one
-    text repeated, when they are dicts with one key order whose values are,
-    key by key, one shared str or float64 arrays of one shape (the rows of
-    ``_rows_to_json``); else None."""
-    if not rows or not all(type(r) is dict for r in rows):
-        return None
-    keys = tuple(rows[0])
-    if any(tuple(r) != keys for r in rows):
-        return None
+def _rows(rows: _Rows, indent: str, floats: list) -> str:
+    """The ``_template`` text of a ``_rows_to_json`` list at this indent:
+    one record text repeated, its floats the values matrix raveled."""
     inner = indent + "  "
-    texts, values = [], []
-    for k in keys:
-        column = [r[k] for r in rows]
-        first = column[0]
-        if all(type(v) is str and v == first for v in column):
-            text = _string(first)
-        elif all(type(v) is np.ndarray and v.dtype == np.float64
-                 and v.shape == first.shape for v in column):
-            text = _nested(first.shape, inner)
-            values.append(np.stack(column).reshape(len(rows), -1))
-        else:
-            return None
-        texts.append(f"{_key(k)}: {text}")
-    if values:
-        floats.append(np.hstack(values).ravel())
-    return [_enclose(texts, indent, "{}")] * len(rows)
+    values = _nested(rows.values.shape[1:], inner + "  ")
+    record = _enclose([f'"space": {_string(rows.space)}',
+                       f'"mode": {_string(rows.mode)}', f'"values": {values}'],
+                      inner, "{}")
+    floats.append(rows.values.ravel())
+    return _enclose([record] * len(rows), indent, "[]")
 
 
 def _texts(floats: list) -> tuple:
@@ -172,9 +159,9 @@ def _texts(floats: list) -> tuple:
 def dumps(obj: Any) -> str:
     """``json.dumps(obj, indent=2)`` plus a newline, byte for byte, where
     ``obj`` may hold float64 and int64 arrays: one template for the
-    document, in which an array's text comes from its shape and a list of
-    same-shaped records (the rows of ``_rows_to_json``) is templated once,
-    then every float rendered once per distinct value."""
+    document, in which an array's text comes from its shape and a
+    ``_rows_to_json`` list is one record text repeated over its matrix, then
+    every float rendered once per distinct value."""
     floats: list = []
     template = _template(obj, "", floats) + "\n"
     return template % _texts(floats)
@@ -311,13 +298,24 @@ def _registry(doc: dict) -> dict[str, MeasureSpace]:
     return {name: space_from_json(s) for name, s in table.items()}
 
 
-def _rows_to_json(space, mode: str, matrix: np.ndarray) -> list:
-    return [{"space": space, "mode": mode, "values": values}
-            for values in _values_to_json(matrix, mode)]
+class _Rows(list):
+    """The function objects of ``_rows_to_json``, a list of dicts that also
+    keeps the space name, the mode and the float64 matrix whose rows are
+    their values, so that ``dumps`` writes them from that matrix.  No code
+    changes such a list once it is built."""
+    __slots__ = ("space", "mode", "values")
+
+
+def _rows_to_json(space: str, mode: str, matrix: np.ndarray) -> _Rows:
+    values = _values_to_json(matrix, mode)
+    rows = _Rows({"space": space, "mode": mode, "values": v} for v in values)
+    rows.space, rows.mode, rows.values = space, mode, values
+    return rows
 
 
 def fn_to_json(f: SimpleFn) -> dict:
-    return _rows_to_json(space_to_json(f.space), f.mode, f.values[None])[0]
+    return {"space": space_to_json(f.space), "mode": f.mode,
+            "values": _values_to_json(f.values, f.mode)}
 
 
 @_reader("simple function", "a simple function must be an object")

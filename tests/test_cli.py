@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -447,6 +448,25 @@ class TestExitCodes:
         if flag == "--seed":
             assert f"must be in 0..{2 ** 63 - 1}, got {argv[-1]}\n" in err
 
+    @pytest.mark.parametrize("argv,line", [
+        (["extend", "--subspace", "x.json", "--images", "t.json",
+          "--trials", "abc"],
+         "l1lattice extend: error: argument --trials: "
+         "must be in 0..1000000, got abc"),
+        (["check-inequality", "--op", "t.json", "--family", "f.json",
+          "--tol", "abc"],
+         "l1lattice check-inequality: error: argument --tol: "
+         "must be finite and nonnegative, got 'abc'"),
+    ], ids=["trials", "tol"])
+    def test_unparsable_number_states_the_range(self, capsys, argv, line):
+        # argparse names the type function when it raises ValueError
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: l1lattice {argv[0]} ")
+        assert err.endswith(f"\n{line}\n")
+
     @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1e-300"])
     @pytest.mark.parametrize("command", ["decompose", "check-inequality"])
     def test_bad_eps_is_usage_error(self, tmp_path, capsys, command, eps):
@@ -664,6 +684,18 @@ class TestParserPins:
             "--trace", "real", "--eps", "0.1"],
         "generate flag its kind refuses": [
             "generate", "--kind", "family", "--dim", "5", "--out", "f.json"],
+        # every other subcommand, its required flags given: a parser that
+        # registers only that subcommand must print the same usage
+        **{f"unrecognised argument {argv[0]}": [*argv, "--bogus"] for argv in [
+            ["optimal-k", "--input", "f.json", "--kmax", "2"],
+            ["check-inequality", "--op", "t.json", "--family", "f.json"],
+            ["modulus", "--op", "t.json"],
+            ["dominate", "--op", "t.json", "--phi", "p.json"],
+            ["tensor-norm", "--input", "g.json"],
+            ["pair", "--op", "t.json", "--tensor", "g.json"],
+            ["extend", "--subspace", "x.json", "--images", "t.json"],
+            ["generate", "--kind", "family", "--out", "f.json"],
+            ["selftest"]]},
     }
     PINS = {
         "help":
@@ -700,6 +732,9 @@ class TestParserPins:
             "c9320fd2fbfa54d2520782857a4c91d99e5de3379e9a4fb704f3c27dc0058ec6",
         "generate flag its kind refuses":
             "4db1809b8bffabd1df4a21f572ca611f1b8cadf9c16df2eff8c6243612a8eb32",
+        **{f"unrecognised argument {command}":
+           "4bb6564c722cbee48468ff4ffa9632603655631099d4bccc5642150c17b72aee"
+           for command in COMMANDS if command != "decompose"},
     }
     CODES = {case: 0 if case.startswith("help") else 2 for case in PINS}
 
@@ -712,6 +747,15 @@ class TestParserPins:
         assert exc.value.code == self.CODES[case]
         text = f"{exc.value.code}\0{out}\0{err}"
         assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[case]
+
+    def test_named_subcommand_registers_only_its_parser(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = cli.build_parser("decompose")
+        [subs] = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert list(subs.choices) == ["decompose"]
+        usage = parser.format_usage()
+        assert "{" + ",".join(self.COMMANDS) + "}" in usage.replace("\n", "")
 
 
 class TestDeterminism:

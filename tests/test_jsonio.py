@@ -14,7 +14,12 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from l1lattice import (COMPLEX, REAL, FnFamily, KernelOperator, MeasureSpace,
                        RestrictedOperator, SimpleFn, Subspace, TensorElement,
                        jsonio)
-from l1lattice.generate import KIND_PARAMS, generate_instance
+from l1lattice.decompose import (decompose_complex, decompose_real,
+                                 eps_net_coeffs, prune,
+                                 refine_to_constant_coeffs)
+from l1lattice.generate import (KIND_PARAMS, generate_instance, random_family,
+                                random_restricted, random_space,
+                                random_subspace, random_tensor, rng_for)
 
 EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, -2.2250738585072014e-308,
         1e300, -1.0]
@@ -414,6 +419,63 @@ class TestArrayLeaves:
             with pytest.raises(TypeError) as got:
                 jsonio.dumps(doc)
             assert str(got.value) == str(want.value)
+
+
+def _row_documents(seed, mode):
+    """(builder, document) for every builder that writes function rows."""
+    rng = rng_for(seed)
+    mu, nu = random_space(rng, 5), random_space(rng, 4, prefix="s")
+    fs = random_family(rng, mu, 3, mode)
+    x = random_subspace(rng, mu, 2)
+    d = (decompose_real if mode == REAL else decompose_complex)(fs)
+    return [
+        ("family", jsonio.family_to_json(fs)),
+        ("tensor", jsonio.tensor_to_json(random_tensor(rng, mu, nu, 3, mode))),
+        ("subspace", jsonio.subspace_to_json(x)),
+        ("images", jsonio.images_to_json(random_restricted(rng, x, nu))),
+        ("decomposition", jsonio.decomposition_to_json(d)),
+        ("pruned", jsonio.decomposition_to_json(prune(d))),
+        ("cells", jsonio.cell_decomposition_to_json(
+            refine_to_constant_coeffs(d))),
+        ("net", jsonio.cell_decomposition_to_json(eps_net_coeffs(d, 0.1)))]
+
+
+def _edge_matrices(rows, atoms, mode):
+    """Row matrices holding -0.0, NaN, +-inf and subnormals."""
+    re = arrays(np.float64, (rows, atoms),
+                elements=st.sampled_from(RECORD_FLOATS) | st.floats())
+    if mode == REAL:
+        return re
+
+    def joined(parts):
+        c = parts[0].astype(np.complex128)
+        c.imag = parts[1]
+        return c
+    return st.tuples(re, re).map(joined)
+
+
+class TestRowLists:
+    """A row list is written from the matrix it keeps, and that text is the
+    text of its dicts: readers see a plain list of dicts."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    @pytest.mark.parametrize("mode", [REAL, COMPLEX])
+    def test_builders_write_their_dicts(self, seed, mode):
+        for name, doc in _row_documents(seed, mode):
+            text = jsonio.dumps(doc)
+            assert json.loads(text) == _tolists(doc), name
+            assert text == json.dumps(_tolists(doc), indent=2) + "\n", name
+
+    @given(st.data(), modes, st.integers(0, 5), st.integers(0, 4),
+           st.sampled_from(["mu", "100%s"]))
+    @settings(deadline=None, max_examples=200)
+    def test_edge_values_match_json_dumps(self, data, mode, rows, atoms, name):
+        matrix = data.draw(_edge_matrices(rows, atoms, mode))
+        doc = jsonio._rows_to_json(name, mode, matrix)
+        assert all(type(row) is dict for row in doc) and len(doc) == rows
+        for whole in (doc, {"parts": doc, "entries": [doc, doc]}, [1.5, doc]):
+            assert (jsonio.dumps(whole)
+                    == json.dumps(_tolists(whole), indent=2) + "\n")
 
 
 class TestInMemoryDocuments:
