@@ -48,9 +48,9 @@ RANK_TOL = 1e-10
 CONDITION_B_MAX_FAMILY = 5
 #: random tensors checked against condition (d) per verification
 CONDITION_D_TRIALS = 200
-#: largest condition (b) sample.  At the cap, extend --verify took 2.5 s and
-#: peaked at 109 MB RSS on 32 x 32 atoms, dim 1, and 1.4 s and 71 MB on
-#: 12 x 12 atoms, dim 3 (shared 2-core x86-64, one BLAS thread)
+#: largest condition (b) sample.  At the cap, extend --verify took 1.4-1.7 s
+#: and peaked at 116 MB RSS on 32 x 32 atoms, dim 1, and 0.6-0.8 s and 77 MB
+#: on 12 x 12 atoms, dim 3 (shared 2-core x86-64, one BLAS thread)
 MAX_TRIALS = 1_000_000
 #: condition (b) draws and checks the families of one size in chunks of at
 #: most this many, which bounds its temporaries whatever the trial count
@@ -204,20 +204,29 @@ class ConditionBReport:
                 "tolerance": self.tolerance}
 
 
-def _family_ratios(x: Subspace, t: RestrictedOperator,
+def _family_ratios(both: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray,
                    coeffs: np.ndarray) -> np.ndarray:
-    """Dominated-norm ratios for families given as (n, dim) coefficient
-    stacks: d_nu(T f_i) / d_mu(f_i); zero families give ratio 0."""
-    mu_w = x.ambient.weight_array
-    nu_w = t.codomain.weight_array
-    fam = coeffs @ x.basis_matrix                  # (..., n, mu atoms)
-    img = coeffs @ t.image_matrix
-    num = np.atleast_1d(np.max(np.abs(img), axis=-2) @ nu_w)
-    den = np.atleast_1d(np.max(np.abs(fam), axis=-2) @ mu_w)
-    out = np.zeros(num.shape)
-    nz = den > 0.0
-    out[nz] = num[nz] / den[nz]
-    return out
+    """Dominated-norm ratios d_nu(T f_i) / d_mu(f_i) for families given as a
+    (count, n, dim) stack of coefficients; zero families give ratio 0.
+
+    ``both`` is [basis | images] (dim, mu atoms + nu atoms), so every member
+    of every family is evaluated on both sides by one product."""
+    count, n, dim = coeffs.shape
+    vals = coeffs.reshape(count * n, dim) @ both
+    np.abs(vals, out=vals)
+    vals = vals.reshape(count, n, -1)
+    top = vals[:, 0]
+    for i in range(1, n):
+        np.maximum(top, vals[:, i], out=top)
+    mu = mu_w.size
+    num = top[:, mu:] @ nu_w
+    den = top[:, :mu] @ mu_w
+    return np.divide(num, den, out=np.zeros(count), where=den > 0.0)
+
+
+def _check_trials(trials: int) -> None:
+    if not 0 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 0..{MAX_TRIALS}, got {trials}")
 
 
 def check_condition_b(x: Subspace, t: RestrictedOperator, alpha: float,
@@ -229,24 +238,27 @@ def check_condition_b(x: Subspace, t: RestrictedOperator, alpha: float,
 
     The sampler draws standard-normal basis coefficients for families of
     size 1..CONDITION_B_MAX_FAMILY, ``trials`` families in 0..MAX_TRIALS.
-    Callers may add deterministic candidate families (as coefficient stacks)
-    via ``extra_coeffs``; the certificate family of the extension LP attains
-    the supremum, so including it makes the reported maximum a tight lower
-    bound for alpha.
+    Callers may add deterministic candidate families, each an (m, dim)
+    matrix of basis coefficients, via ``extra_coeffs``; the certificate
+    family of the extension LP attains the supremum, so including it makes
+    the reported maximum a tight lower bound for alpha.
     """
-    if not 0 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be in 0..{MAX_TRIALS}, got {trials}")
+    _check_trials(trials)
     rng = np.random.default_rng(np.uint64(seed))
+    both = np.hstack([x.basis_matrix, t.image_matrix])
+    mu_w = x.ambient.weight_array
+    nu_w = t.codomain.weight_array
     ratios = []
     sizes = rng.integers(1, CONDITION_B_MAX_FAMILY + 1, size=trials)
+    counts = np.bincount(sizes, minlength=CONDITION_B_MAX_FAMILY + 1)
     for n in range(1, CONDITION_B_MAX_FAMILY + 1):
-        count = int(np.sum(sizes == n))
+        count = int(counts[n])
         for start in range(0, count, CONDITION_B_CHUNK):
             batch = rng.standard_normal(
                 (min(CONDITION_B_CHUNK, count - start), n, x.dim))
-            ratios.append(_family_ratios(x, t, batch))
+            ratios.append(_family_ratios(both, mu_w, nu_w, batch))
     for coeffs in extra_coeffs:
-        ratios.append(np.atleast_1d(_family_ratios(x, t, coeffs)))
+        ratios.append(_family_ratios(both, mu_w, nu_w, coeffs[np.newaxis]))
     all_ratios = np.concatenate(ratios) if ratios else np.zeros(1)
     bound = alpha * (1.0 + INEQ_TOL)
     violations = int(np.sum(all_ratios > bound))
@@ -399,8 +411,10 @@ def verify_extension_theorem(x: Subspace, t: RestrictedOperator,
     """End-to-end certification of the extension equivalences on one instance.
 
     ``result`` is an ``alpha_via_lp(x, t)`` result already at hand; the LP is
-    solved only when it is omitted.
+    solved only when it is omitted.  ``trials`` outside 0..MAX_TRIALS is
+    refused before any LP is solved.
     """
+    _check_trials(trials)
     if result is None:
         result = alpha_via_lp(x, t)
     alpha = result.alpha

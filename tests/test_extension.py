@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1lattice import (REAL, MeasureSpace, RestrictedOperator, SimpleFn,
                        Subspace, alpha_via_lp, apply, check_condition_b,
@@ -10,8 +12,9 @@ from l1lattice import (REAL, MeasureSpace, RestrictedOperator, SimpleFn,
                        pair_operator_tensor, point_mass, tensor_norm,
                        verify_extension_theorem)
 from l1lattice import cli, extension, jsonio, lp
-from l1lattice.extension import (CONDITION_D_TRIALS, certificate_family_coeffs,
-                                  extension_lp)
+from l1lattice.extension import (CONDITION_B_CHUNK, CONDITION_B_MAX_FAMILY,
+                                  CONDITION_D_TRIALS, ConditionBReport,
+                                  certificate_family_coeffs, extension_lp)
 from l1lattice.generate import (generate_instance, random_restricted,
                                 random_space, random_subspace, rng_for)
 from l1lattice.operators import INEQ_TOL
@@ -165,6 +168,41 @@ class TestDualCertificate:
         assert np.array_equal(res.certificate.f_matrix, x.basis_matrix)
 
 
+def reference_condition_b(x, t, alpha, trials, seed, extra_coeffs=()):
+    """check_condition_b with each side evaluated by its own stacked product
+    and the family maximum taken by np.max over the member axis."""
+    mu_w, nu_w = x.ambient.weight_array, t.codomain.weight_array
+
+    def ratios_of(coeffs):
+        num = np.atleast_1d(
+            np.max(np.abs(coeffs @ t.image_matrix), axis=-2) @ nu_w)
+        den = np.atleast_1d(
+            np.max(np.abs(coeffs @ x.basis_matrix), axis=-2) @ mu_w)
+        out = np.zeros(num.shape)
+        nz = den > 0.0
+        out[nz] = num[nz] / den[nz]
+        return out
+
+    rng = np.random.default_rng(np.uint64(seed))
+    sizes = rng.integers(1, CONDITION_B_MAX_FAMILY + 1, size=trials)
+    ratios = []
+    for n in range(1, CONDITION_B_MAX_FAMILY + 1):
+        count = int(np.sum(sizes == n))
+        for start in range(0, count, CONDITION_B_CHUNK):
+            ratios.append(ratios_of(rng.standard_normal(
+                (min(CONDITION_B_CHUNK, count - start), n, x.dim))))
+    ratios += [ratios_of(coeffs) for coeffs in extra_coeffs]
+    all_ratios = np.concatenate(ratios) if ratios else np.zeros(1)
+    violations = int(np.sum(all_ratios > alpha * (1.0 + INEQ_TOL)))
+    return ConditionBReport(float(np.max(all_ratios)), int(all_ratios.size),
+                            violations, violations == 0, INEQ_TOL)
+
+
+def scaled_instance(x, t, basis_scale, image_scale):
+    xs = Subspace(x.ambient, x.basis_matrix * basis_scale)
+    return xs, RestrictedOperator(xs, t.codomain, t.image_matrix * image_scale)
+
+
 class TestConditionB:
     def test_sampled_ratios_below_alpha(self):
         rng = rng_for(7)
@@ -240,8 +278,80 @@ class TestConditionB:
             check_condition_b(x, t, 1.0, trials)
         assert cli.MAX_TRIALS is extension.MAX_TRIALS
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_the_two_product_reference(self, dim):
+        # one product against [basis | images] tiles the BLAS product
+        # differently, so at dim >= 2 a sampled value can differ from the
+        # per-family products in its last bits; the counts and the verdict
+        # must agree exactly
+        rng = rng_for(40 + dim)
+        zero = np.zeros((2, dim))
+        for mu_atoms in range(dim, 13):
+            nu_atoms = 1 + (5 * mu_atoms + dim) % 12
+            x = random_subspace(rng, random_space(rng, mu_atoms), dim)
+            t = random_restricted(rng, x,
+                                  random_space(rng, nu_atoms, prefix="s"))
+            res = alpha_via_lp(x, t)
+            cert = certificate_family_coeffs(res.certificate)
+            for trials in (0, 1, 501, 10_000):
+                for extra in ((), (cert,), (zero,), (cert, zero)):
+                    report = check_condition_b(x, t, res.alpha, trials,
+                                               mu_atoms, extra)
+                    ref = reference_condition_b(x, t, res.alpha, trials,
+                                                mu_atoms, extra)
+                    assert report.max_ratio == pytest.approx(
+                        ref.max_ratio, rel=64 * np.finfo(float).eps, abs=0.0)
+                    assert report == dataclasses.replace(
+                        ref, max_ratio=report.max_ratio)
+            only_zero = check_condition_b(x, t, res.alpha, 0, 0, (zero,))
+            assert (only_zero.max_ratio, only_zero.trials) == (0.0, 1)
+
+    @given(k=st.integers(-60, 60), seed=st.integers(0, 29))
+    @settings(deadline=None, max_examples=40)
+    def test_power_of_two_scaling_is_exact(self, k, seed):
+        rng = rng_for(500 + seed)
+        dim = 1 + seed % 3
+        x = random_subspace(rng, random_space(rng, 3 + seed % 5), dim)
+        t = random_restricted(rng, x, random_space(rng, 2 + seed % 6,
+                                                   prefix="s"))
+        res = alpha_via_lp(x, t)
+        extra = (certificate_family_coeffs(res.certificate),)
+        # below the extension constant, so that the certificate family at
+        # least violates it
+        alpha = 0.95 * res.alpha
+        factor = 2.0 ** k
+        base = check_condition_b(x, t, alpha, 300, seed, extra)
+        assert base.violations > 0
+
+        xs, ts = scaled_instance(x, t, 1.0, factor)
+        images = check_condition_b(xs, ts, alpha * factor, 300, seed, extra)
+        assert images.max_ratio == base.max_ratio * factor
+        xs, ts = scaled_instance(x, t, factor, 1.0)
+        basis = check_condition_b(xs, ts, alpha / factor, 300, seed, extra)
+        assert basis.max_ratio == base.max_ratio / factor
+        for report in (images, basis):
+            assert ((report.trials, report.violations, report.passed)
+                    == (base.trials, base.violations, base.passed))
+
 
 class TestVerifyExtensionTheorem:
+    @pytest.mark.parametrize("above_cap", [False, True])
+    def test_trials_out_of_range_rejected_before_the_lp(self, above_cap,
+                                                        monkeypatch):
+        trials = extension.MAX_TRIALS + 1 if above_cap else -1
+        rng = rng_for(14)
+        x = random_subspace(rng, random_space(rng, 4), 2)
+        t = random_restricted(rng, x, random_space(rng, 3, prefix="s"))
+
+        def no_solve(program):
+            raise AssertionError("the extension LP was solved before the check")
+
+        monkeypatch.setattr(lp, "solve", no_solve)
+        with pytest.raises(ValueError, match=f"trials must be in "
+                                             f"0..{extension.MAX_TRIALS}, "
+                                             f"got {trials}"):
+            verify_extension_theorem(x, t, trials=trials)
+
     def test_random_instances_pass(self):
         rng = rng_for(10)
         for i in range(15):
