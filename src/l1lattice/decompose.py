@@ -40,12 +40,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from . import lp
+from . import oracle
 from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                    check_entries, group_columns, unit_phases)
+from .lp import LinearProgram
 
 #: relative tolerance for the decomposition identities
 IDENTITY_TOL = 1e-10
@@ -59,16 +61,20 @@ MIN_NET_EPS = 1e-6
 
 #: most sign matrices optimal_k_search may try, sum_{k <= k_max} C(3^n, k):
 #: n <= 2 with any k_max, n = 3 with k_max <= 3, n = 4 with k_max <= 2.  On
-#: 50 atoms n = 3, k_max = 3 (3,303, all infeasible) took 0.02 s both when
-#: random and with the infeasible atoms last (46 atoms (1, 0, 0), then four
-#: cube vertices), and n = 4, k_max = 2 (3,321) 0.02 s in both cases: the
-#: face bound refuted every candidate without an LP (one LP per candidate
-#: and atom took 0.6 s, 6.9 s, 0.5 s and 1.6 s; shared 2-core x86-64, one
-#: BLAS).  A candidate the bound cannot refute still solves up to one LP per
-#: active atom, so MAX_LP_SOLVES bounds candidates x active atoms as well
+#: 50 atoms n = 3, k_max = 3 (3,303, all infeasible) took 0.02 s random and
+#: 0.03 s with the infeasible atoms last (46 atoms (1, 0, 0), then four cube
+#: vertices; 95 exact solves), and n = 4, k_max = 2 (3,321) 0.02 s in both
+#: cases, the face bound refuting every candidate.  Without the bound, one
+#: exact solve per candidate and atom until one fails took 0.4 s, 2.8 s,
+#: 0.4 s and 0.8 s (shared 2-core x86-64, one BLAS).  A candidate the bound
+#: cannot refute still solves up to one system per active atom, so
+#: MAX_LP_SOLVES bounds candidates x active atoms as well
 MAX_CANDIDATES = 4_000
-#: most LP solves optimal_k_search may need, candidates x active atoms: every
-#: search within MAX_CANDIDATES on at most 50 atoms fits
+#: most per-atom exact solves optimal_k_search may need, candidates x active
+#: atoms: every search within MAX_CANDIDATES on at most 50 atoms fits.  At
+#: the budget, n = 3, k_max = 3 on 60 atoms (198,180) took 0.03 s with the
+#: infeasible atoms last (56 atoms (1, 0, 0), then the four vertices; 115
+#: solves), and solving all 198,180 of its systems took 16 s (0.08 ms each)
 MAX_LP_SOLVES = MAX_CANDIDATES * 50
 
 REAL_PREPRUNE = (2, 12, 78, 632, 6330)
@@ -482,7 +488,7 @@ class OptimalKResult:
     infeasible_k: tuple[int, ...]
     k_max_tried: int
     candidates_tried: int
-    lp_solves: int                      # per-atom LPs run; not in to_json
+    lp_solves: int                      # per-atom systems solved; not in to_json
 
     def to_json(self) -> dict:
         out = {
@@ -497,13 +503,14 @@ class OptimalKResult:
         return out
 
 
-def _atom_feasible(columns: np.ndarray, target: np.ndarray, total: float) -> lp.LPSolution | None:
-    """Feasibility of h >= 0, sum h = total, columns @ h = target, via LP."""
+def _atom_feasible(columns: np.ndarray, target: np.ndarray,
+                   total: float) -> list[Fraction] | None:
+    """An exact vertex h >= 0 of sum h = total, columns @ h = target, or None
+    when there is none, from the integer oracle."""
     k = columns.shape[1]
-    a_eq = np.vstack([np.ones((1, k)), columns])
-    b_eq = np.concatenate([[total], target])
-    sol = lp.solve(lp.LinearProgram(np.zeros(k), a_eq, b_eq))
-    return sol if sol.status == lp.OPTIMAL else None
+    return oracle.feasible_point(LinearProgram(
+        np.zeros(k), np.vstack([np.ones((1, k)), columns]),
+        np.concatenate([[total], target])))
 
 
 def _face_rejected(matrices: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -518,26 +525,16 @@ def _face_rejected(matrices: np.ndarray, values: np.ndarray) -> np.ndarray:
     them.  The violation is v = max_i max(p_i - M_i, m_i - p_i, 0), or
     v = 1 when no face column exists, and the pair is rejected iff
 
-        L v > 100 FEAS_TOL (1 + L).
+        v > 0.
 
-    No pair that ``_atom_feasible`` accepts is rejected.  ``lp.solve``
-    declares INFEASIBLE iff its phase-1 objective, the sum of |row
-    residuals|, exceeds FEAS_TOL (1 + L), since 1 + max |rhs| = 1 + L.  Let
-    h >= 0 have residuals r_0 = L - sum h and r_i = f_i - (C h)_i, and obj =
-    sum |r|.  Off-face columns have 1 - s C[a, j] >= 1 and face columns 0,
-    so their weight W satisfies
-
-        W <= sum_j h_j (1 - s C[a, j]) = s r_a - r_0 <= obj.
-
-    Splitting C h into face and off-face columns gives
-    L (p_i - M_i) <= |r_i| + |r_0| + 2 W <= 3 obj, and the same for
-    m_i - p_i; with an empty face, L - r_0 = W <= obj, so obj >= L / 2.
-    Hence a rejected pair has a phase-1 optimum above 33 times the LP's
-    threshold, and a phase 1 that stops at a worse vertex only reports
-    more.  For n <= 2 the face is a point or a segment, so v == 0 exactly
-    when p is in the convex hull: an LP then runs only on the accepted
-    candidate and on survivors within the margin.  For n >= 3 the bound is
-    a necessary condition only.
+    No pair with a vertex h >= 0 is rejected: h lies on the face columns,
+    since sum h = L and (C h)_a = s L with |C[a, j]| <= 1, so f(w) / L is in
+    their hull.  M_i and m_i are -1, 0 or 1, and p is the correctly rounded
+    f(w) / L, so p_i outside [m_i, M_i] means the exact quotient is outside
+    too.  For n <= 2 the face is a point or a segment, so v == 0 means p is
+    in the hull, unless a nonzero f_i(w) / L underflowed to 0: the oracle
+    then runs only on the accepted candidate.  For n >= 3 the bound is a
+    necessary condition only.
     """
     n = matrices.shape[1]
     latmax = np.max(np.abs(values), axis=0)
@@ -555,7 +552,7 @@ def _face_rejected(matrices: np.ndarray, values: np.ndarray) -> np.ndarray:
         np.maximum(viol, points[:, i] - hi[:, faces, i], out=viol)
         np.maximum(viol, lo[:, faces, i] - points[:, i], out=viol)
     viol[~in_face.any(axis=3)[:, faces, 0]] = 1.0
-    return latmax * viol > 100.0 * lp.FEAS_TOL * (1.0 + latmax)
+    return viol > 0.0
 
 
 def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
@@ -563,13 +560,15 @@ def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
 
     Exhausts sign matrices in {-1, 0, 1}^(n x k) up to column permutation and
     duplicate columns (i.e. k-subsets of the 3^n distinct columns, in
-    lexicographic order), checking per-atom feasibility with an LP.  The
-    cube-face bound of ``_face_rejected`` first refutes, per k and without
-    an LP, every candidate that it proves infeasible on some atom; the
-    survivors run the per-atom LPs in order, so the answer and
-    ``candidates_tried`` are those of trying every candidate by LP.
-    Refuses k_max outside 1..8, more than MAX_CANDIDATES candidates up to
-    k_max and more than MAX_LP_SOLVES candidates x active atoms.
+    lexicographic order), deciding each atom's feasibility exactly with the
+    integer oracle.  The cube-face bound of ``_face_rejected`` first
+    refutes, per k and without the oracle, every candidate that it proves
+    infeasible on some atom; the survivors solve the per-atom systems in
+    order, so the answer and ``candidates_tried`` are those of trying every
+    candidate exactly.  The witness parts are the exact vertices, each
+    rounded once.  Refuses k_max outside 1..8, more than MAX_CANDIDATES
+    candidates up to k_max and more than MAX_LP_SOLVES candidates x active
+    atoms.
     """
     if fs.mode != REAL:
         raise ValueError("optimal_k_search requires a real-mode family")
@@ -604,17 +603,14 @@ def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
         rejected = np.any(_face_rejected(matrices, active_values), axis=1)
         for c in np.flatnonzero(~rejected):
             matrix = matrices[c].astype(np.float64)
-            sols = []
+            parts_matrix = np.zeros((k, fs.space.size))
             for w in active:
                 solves += 1
-                sol = _atom_feasible(matrix, values[:, w], float(latmax[w]))
-                if sol is None:
+                h = _atom_feasible(matrix, values[:, w], float(latmax[w]))
+                if h is None:
                     break
-                sols.append((w, sol))
+                parts_matrix[:, w] = [float(v) for v in h]
             else:
-                parts_matrix = np.zeros((k, fs.space.size))
-                for w, sol in sols:
-                    parts_matrix[:, w] = sol.primal
                 parts = tuple(SimpleFn(fs.space, REAL, row) for row in parts_matrix)
                 return OptimalKResult(True, k, matrix.astype(np.int8), parts,
                                       tuple(infeasible), k_max,

@@ -259,11 +259,12 @@ def check_condition_b(x: Subspace, t: RestrictedOperator, alpha: float,
             ratios.append(_family_ratios(both, mu_w, nu_w, batch))
     for coeffs in extra_coeffs:
         ratios.append(_family_ratios(both, mu_w, nu_w, coeffs[np.newaxis]))
-    all_ratios = np.concatenate(ratios) if ratios else np.zeros(1)
+    all_ratios = np.concatenate([np.zeros(0), *ratios])
     bound = alpha * (1.0 + INEQ_TOL)
     violations = int(np.sum(all_ratios > bound))
-    return ConditionBReport(float(np.max(all_ratios)), int(all_ratios.size),
-                            violations, violations == 0, INEQ_TOL)
+    return ConditionBReport(float(np.max(all_ratios, initial=0.0)),
+                            int(all_ratios.size), violations, violations == 0,
+                            INEQ_TOL)
 
 
 def certificate_family_coeffs(certificate: TensorElement) -> np.ndarray:

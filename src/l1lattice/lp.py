@@ -2,8 +2,9 @@
 
 Deliberately small and deterministic: desk-scale problems (up to a few
 hundred variables), 64-bit floats throughout, lowest-index tie breaking
-everywhere.  Used for the per-atom feasibility systems of the minimal
-part-count search and for the minimal-norm extension program.
+everywhere.  Used for the minimal-norm extension program; the per-atom
+systems of the minimal part-count search are decided exactly by
+:mod:`l1lattice.oracle`.
 
 Conventions
 -----------

@@ -1,20 +1,25 @@
 """Exact LP oracle: a two-phase simplex in integer arithmetic.
 
-Cross-check only.  The solver in :mod:`l1lattice.lp` never calls into this
-module; it exists so the test suite and the selftest can compare simplex
-answers against exact arithmetic.
+Two uses.  ``solve_exact`` gives the exact status and optimum of an LP, so
+the test suite and the selftest can compare simplex answers against exact
+arithmetic.  ``feasible_point`` gives an exact vertex of a constraint
+system, or None when it has none; the minimal part-count search of
+:mod:`l1lattice.decompose` decides every per-atom system with it.  The
+solver in :mod:`l1lattice.lp` never calls into this module.
 
 Every variable is nonnegative, the LP convention of :mod:`l1lattice.lp`.
 
 Arithmetic: every float is dyadic, so ``float.as_integer_ratio`` is
-exact; each constraint row [a | b] and the objective c are scaled to
-Python ints by the lcm of their denominators.  No float and no tolerance
-is used after that.  The tableau is kept as integers over one common
-denominator D > 0: every entry is an integer minor of the original
-system (an entry of adj(B) A for the current basis B), so the
-fraction-free pivot (p T_i - T_i[q] T_r) / D divides exactly (Edmonds
-1967, the division of Bareiss 1968).  Both objective rows are carried as
-tableau rows.
+exact; the constraint rows [a | b] are scaled to Python ints by the lcm of
+all their denominators, and the objective c by the lcm of its own.  No
+float and no tolerance is used after that.  One scale for every row keeps
+the phase-1 objective, the sum of the artificial rows, proportional to the
+float sum, and makes the pivots independent of a power-of-two scaling of
+the right-hand sides.  The tableau is kept as integers over one common
+denominator D > 0: every entry is an integer minor of the original system
+(an entry of adj(B) A for the current basis B), so the fraction-free pivot
+(p T_i - T_i[q] T_r) / D divides exactly (Edmonds 1967, the division of
+Bareiss 1968).  Both objective rows are carried as tableau rows.
 
 It runs the phase design of :mod:`l1lattice.lp` in integers, on the same
 columns (originals, then slacks).  Rows with a negative right-hand side
@@ -26,10 +31,11 @@ of the artificials: a nonzero minimum means INFEASIBLE.  An artificial
 left basic at level zero is pivoted out on any nonzero original or slack
 entry of its row (its right-hand side is 0, so the row may be negated
 first to make that entry positive); a row with no such entry is redundant
-and is dropped.  Phase 2 minimizes c: an entering column with no positive
-entry means UNBOUNDED, otherwise the optimum is the exact ``Fraction``
-read off the objective row.  Artificial columns are not stored, since
-they never re-enter.
+and is dropped.  Every basic column then holds D in its row and 0
+elsewhere, so the vertex reads x_B = rhs / D.  Phase 2 minimizes c: an
+entering column with no positive entry means UNBOUNDED, otherwise the
+optimum is the exact ``Fraction`` read off the objective row.  Artificial
+columns are not stored, since they never re-enter.
 """
 
 from __future__ import annotations
@@ -40,11 +46,12 @@ from fractions import Fraction
 from . import lp
 
 
-def _scaled(values) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, as ints, and the lcm."""
-    exact = [float(v).as_integer_ratio() for v in values]
-    scale = math.lcm(*(d for _, d in exact))
-    return [n * (scale // d) for n, d in exact], scale
+def _scaled(rows) -> tuple[list[list[int]], int]:
+    """``rows`` times the lcm of all their denominators, as ints, and the
+    lcm."""
+    exact = [[float(v).as_integer_ratio() for v in row] for row in rows]
+    scale = math.lcm(*(d for row in exact for _, d in row))
+    return [[n * (scale // d) for n, d in row] for row in exact], scale
 
 
 def _pivot(tab, r, q, d) -> int:
@@ -86,16 +93,18 @@ def _bland(tab, basis, d):
         d = _pivot(tab, r, q, d)
 
 
-def solve_exact(p: lp.LinearProgram):
-    """Exact (status, optimal value or None) of the LP, with x >= 0."""
+def _feasible_tableau(p: lp.LinearProgram):
+    """The tableau, basis and denominator after phase 1 and the drive-out of
+    the artificials, with the objective c as the last row, and c's scale;
+    None when the system is infeasible."""
     n, n_ub = p.n_vars, p.n_ub
     width = n + n_ub                         # original and slack columns
-    c, c_scale = _scaled(p.c)
+    (c,), c_scale = _scaled([p.c])
+    rows, _ = _scaled([*(list(a) + [b] for a, b in zip(p.a_eq, p.b_eq)),
+                       *(list(g) + [h] for g, h in zip(p.g_ub, p.h_ub))])
     tab, basis = [], []
-    for i, (a, b) in enumerate([*zip(p.a_eq, p.b_eq),
-                                *zip(p.g_ub, p.h_ub)]):
+    for i, row in enumerate(rows):
         k = i - p.n_eq                       # slack index, < 0 on eq rows
-        row = _scaled([*a, b])[0]
         row = row[:n] + [int(j == k) for j in range(n_ub)] + row[n:]
         if row[-1] < 0:
             row = [-v for v in row]
@@ -108,7 +117,7 @@ def solve_exact(p: lp.LinearProgram):
 
     d = _bland(tab, basis, 1)                # phase 1 is bounded below by 0
     if tab.pop()[-1]:
-        return lp.INFEASIBLE, None
+        return None
     for r in reversed(range(len(basis))):   # drops shift only done rows
         if basis[r] < width:
             continue
@@ -121,8 +130,30 @@ def solve_exact(p: lp.LinearProgram):
             tab[r] = [-v for v in row]
         basis[r] = q
         d = _pivot(tab, r, q, d)
+    return tab, basis, d, c_scale
 
+
+def solve_exact(p: lp.LinearProgram):
+    """Exact (status, optimal value or None) of the LP, with x >= 0."""
+    start = _feasible_tableau(p)
+    if start is None:
+        return lp.INFEASIBLE, None
+    tab, basis, d, c_scale = start
     d = _bland(tab, basis, d)
     if d is None:
         return lp.UNBOUNDED, None
     return lp.OPTIMAL, Fraction(-tab[-1][-1], d * c_scale)
+
+
+def feasible_point(p: lp.LinearProgram) -> list[Fraction] | None:
+    """An exact vertex x >= 0 of the constraints of ``p`` (its objective
+    plays no part), or None when they are infeasible."""
+    start = _feasible_tableau(p)
+    if start is None:
+        return None
+    tab, basis, d, _ = start
+    x = [Fraction(0)] * p.n_vars
+    for row, b in zip(tab, basis):
+        if b < p.n_vars:
+            x[b] = Fraction(row[-1], d)
+    return x

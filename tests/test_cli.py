@@ -14,7 +14,7 @@ from l1lattice import cli, jsonio, lp
 from l1lattice.acceptance import pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import SimpleFn
-from l1lattice.decompose import CellReport
+from l1lattice.decompose import CellReport, OptimalKResult
 from l1lattice.extension import RestrictedOperator, Subspace, alpha_via_lp
 from l1lattice.generate import (generate_instance, random_family,
                                 random_operator, random_space, random_subspace,
@@ -168,16 +168,30 @@ class TestSubcommands:
         assert main(["optimal-k", "--input", str(fam_path), "--kmax", "3"]) == 0
         assert capsys.readouterr().out == "infeasible up to k = 3; 0 LP solves\n"
 
-    def test_optimal_k_witness_must_verify(self, tmp_path, capsys):
-        # the LP accepts parts [2.0, +1e-9] with signs [[1]]: the second atom
-        # recombines to +1e-9 where f is -1e-9, above verify_decomposition's
-        # tolerance, so the k = 1 witness is refused and no report is written
+    def test_optimal_k_witness_must_verify(self, tmp_path, capsys,
+                                           monkeypatch):
+        # f = [2.0, -1e-9] changes sign, so it needs k = 2; a search that
+        # returned the k = 1 witness [2.0, +1e-9] recombines +1e-9 where f
+        # is -1e-9, above verify_decomposition's tolerance, so the witness
+        # is refused and no report is written
         fam = {"spaces": {"mu": {"atoms": ["a", "b"], "weights": [1.0, 1.0]}},
                "members": [{"space": "mu", "mode": "real",
                             "values": [2.0, -1e-9]}]}
         fam_path = tmp_path / "fam.json"
         fam_path.write_text(jsonio.dumps(fam))
         out = tmp_path / "k.json"
+        assert main(["optimal-k", "--input", str(fam_path), "--kmax", "3",
+                     "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["k"] == 2
+        out.unlink()
+        capsys.readouterr()
+
+        def search(fs, k_max):
+            bad = SimpleFn(fs.space, "real", [2.0, 1e-9])
+            return OptimalKResult(True, 1, np.array([[1]], dtype=np.int8),
+                                  (bad,), (), k_max, 1, 2)
+
+        monkeypatch.setattr(cli, "optimal_k_search", search)
         assert main(["optimal-k", "--input", str(fam_path), "--kmax", "3",
                      "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -186,6 +200,23 @@ class TestSubcommands:
         assert len(err) == 1 and err[0].startswith(
             "check failed: the k = 1 witness fails verify_decomposition")
         assert not out.exists()
+
+    @pytest.mark.parametrize("k", [0, -30, -40, -60])
+    def test_optimal_k_is_the_same_at_every_scale(self, tmp_path, capsys, k):
+        # f1 and f2 are not proportional, so no single part gives both; the
+        # float LP's absolute tolerance answered k = 1 at 2^-40 and refused
+        # its own witness at 2^-30
+        scale = 2.0 ** k
+        fam = {"spaces": {"mu": {"atoms": ["a", "b"], "weights": [1.0, 1.0]}},
+               "members": [{"space": "mu", "mode": "real",
+                            "values": [2.0 * scale, -1e-3 * scale]},
+                           {"space": "mu", "mode": "real",
+                            "values": [1.0 * scale, 3.0 * scale]}]}
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(jsonio.dumps(fam))
+        assert main(["optimal-k", "--input", str(fam_path), "--kmax", "4"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "minimal k = 3 (infeasible: [1, 2]); ")
 
     def test_optimal_k_over_budget_exits_2(self, tmp_path, capsys):
         fam_path = tmp_path / "fam.json"

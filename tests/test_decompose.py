@@ -16,7 +16,7 @@ from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        prune, refine_to_constant_coeffs,
                        verify_cell_decomposition, verify_decomposition,
                        verify_trace_counts, zero_fn)
-from l1lattice import jsonio, lp
+from l1lattice import jsonio, oracle
 from l1lattice.acceptance import _emitted_counts, pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import unit_phases
@@ -574,7 +574,7 @@ class TestOptimalKSearch:
 
     def test_lp_solve_budget(self):
         # n = 3, k_max = 2 is 27 + 351 = 378 candidates; on 600 active atoms
-        # that is 226,800 per-atom LPs, above MAX_LP_SOLVES = 200,000
+        # that is 226,800 per-atom solves, above MAX_LP_SOLVES = 200,000
         values = np.tile([[1.0], [1.0], [-1.0]], (1, 600))
         fs = FnFamily(unit_space(600), REAL, values)
         start = time.perf_counter()
@@ -584,7 +584,7 @@ class TestOptimalKSearch:
                                              r"budget of 200,000"):
             optimal_k_search(fs, 2)
         assert time.perf_counter() - start < 1.0
-        # atoms where every member vanishes need no LP: 500 active atoms
+        # atoms where every member vanishes need no solve: 500 active atoms
         # (189,000 solves) pass the check, and one column already works
         values[:, 500:] = 0.0
         res = optimal_k_search(FnFamily(unit_space(600), REAL, values), 2)
@@ -593,7 +593,7 @@ class TestOptimalKSearch:
 
 def _reference_optimal_k(fs, k_max):
     """The search before the face bound: every candidate, in order, solves
-    the per-atom LPs until one fails (the budget checks left out)."""
+    the per-atom systems until one fails (the budget checks left out)."""
     values = fs.value_matrix
     latmax = np.max(np.abs(values), axis=0)
     active = np.nonzero(latmax > 0.0)[0]
@@ -605,20 +605,20 @@ def _reference_optimal_k(fs, k_max):
         for combo in itertools.combinations(all_columns, k):
             tried += 1
             matrix = np.stack(combo, axis=1).astype(np.float64)
-            sols = []
+            points = []
             ok = True
             for w in active:
                 solves += 1
-                sol = _atom_feasible(matrix, values[:, w], float(latmax[w]))
-                if sol is None:
+                h = _atom_feasible(matrix, values[:, w], float(latmax[w]))
+                if h is None:
                     ok = False
                     break
-                sols.append((w, sol))
+                points.append((w, h))
             if not ok:
                 continue
             parts_matrix = np.zeros((k, fs.space.size))
-            for w, sol in sols:
-                parts_matrix[:, w] = sol.primal
+            for w, h in points:
+                parts_matrix[:, w] = [float(v) for v in h]
             parts = tuple(SimpleFn(fs.space, REAL, row) for row in parts_matrix)
             return OptimalKResult(True, k, matrix.astype(np.int8), parts,
                                   tuple(infeasible), k_max, tried, solves)
@@ -670,9 +670,9 @@ def assert_same_search(fs, k_max):
 
 
 class TestFaceBound:
-    """The cube-face bound in front of the per-atom LPs: the same results,
-    byte for byte, as trying every candidate by LP, and no rejected pair
-    that the LP accepts."""
+    """The cube-face bound in front of the per-atom systems: the same
+    results, byte for byte, as trying every candidate with the oracle, and
+    no rejected pair that has an exact vertex."""
 
     # the old loop costs about 20-40 ms per n <= 2 family and 0.3 s per
     # n = 3 family, so each value class is its own test
@@ -713,7 +713,7 @@ class TestFaceBound:
 
     def test_exact_at_n_le_2(self):
         # the face is a point or a segment, and these values are off its
-        # hull by at least 1/2 or the scale: no survivor fails its LP
+        # hull by at least 1/2 or the scale: no survivor is infeasible
         rng = rng_for(1521)
         survivors = 0
         for matrices, values, mask in _random_pairs(rng, 2, ("halves", "signs")):
@@ -726,11 +726,30 @@ class TestFaceBound:
 
     def test_lp_count_on_the_pattern_family(self, monkeypatch):
         calls = []
-        solve = lp.solve
-        monkeypatch.setattr(lp, "solve", lambda p: calls.append(p) or solve(p))
+        feasible_point = oracle.feasible_point
+        monkeypatch.setattr(oracle, "feasible_point",
+                            lambda p: calls.append(p) or feasible_point(p))
         res = optimal_k_search(pattern_family_n2(), 5)
         assert len(calls) == res.lp_solves == 9
         assert res.k == 4 and res.candidates_tried == 164
+
+    @given(kind=st.sampled_from((*VALUE_CLASSES, "tiny")), n=st.integers(1, 2),
+           atoms=st.integers(1, 8), seed=st.integers(0, 10_000),
+           k=st.integers(-60, 60))
+    @settings(deadline=None, max_examples=150)
+    def test_power_of_two_scaling_is_exact(self, kind, n, atoms, seed, k):
+        # scaling by 2^k is exact away from overflow and subnormals, so the
+        # answer must not change and the parts must scale bit for bit
+        values = _class_values(rng_for(seed), kind, n, atoms)
+        factor = 2.0 ** k
+        base = optimal_k_search(FnFamily(unit_space(atoms), REAL, values),
+                                2 ** n + 1)
+        scaled = optimal_k_search(
+            FnFamily(unit_space(atoms), REAL, values * factor), 2 ** n + 1)
+        assert json.dumps(scaled.to_json()) == json.dumps(base.to_json())
+        assert scaled.lp_solves == base.lp_solves
+        assert ([p.values.tobytes() for p in scaled.parts or ()]
+                == [(p.values * factor).tobytes() for p in base.parts or ()])
 
 
 def _pruned_n1(f):

@@ -192,10 +192,11 @@ def reference_condition_b(x, t, alpha, trials, seed, extra_coeffs=()):
             ratios.append(ratios_of(rng.standard_normal(
                 (min(CONDITION_B_CHUNK, count - start), n, x.dim))))
     ratios += [ratios_of(coeffs) for coeffs in extra_coeffs]
-    all_ratios = np.concatenate(ratios) if ratios else np.zeros(1)
+    all_ratios = np.concatenate([np.zeros(0), *ratios])
     violations = int(np.sum(all_ratios > alpha * (1.0 + INEQ_TOL)))
-    return ConditionBReport(float(np.max(all_ratios)), int(all_ratios.size),
-                            violations, violations == 0, INEQ_TOL)
+    return ConditionBReport(float(np.max(all_ratios, initial=0.0)),
+                            int(all_ratios.size), violations, violations == 0,
+                            INEQ_TOL)
 
 
 def scaled_instance(x, t, basis_scale, image_scale):
@@ -305,6 +306,9 @@ class TestConditionB:
                         ref, max_ratio=report.max_ratio)
             only_zero = check_condition_b(x, t, res.alpha, 0, 0, (zero,))
             assert (only_zero.max_ratio, only_zero.trials) == (0.0, 1)
+            # no family at all: nothing checked, nothing violated
+            assert check_condition_b(x, t, res.alpha, 0, 0) == ConditionBReport(
+                0.0, 0, 0, True, INEQ_TOL)
 
     @given(k=st.integers(-60, 60), seed=st.integers(0, 29))
     @settings(deadline=None, max_examples=40)

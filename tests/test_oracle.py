@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from l1lattice import lp
 from l1lattice.acceptance import random_small_lp
 from l1lattice.lp import LinearProgram
-from l1lattice.oracle import solve_exact
+from l1lattice.oracle import feasible_point, solve_exact
 
 # ---------------------------------------------------------------------------
 # Reference: the Fraction vertex enumeration that was the first oracle,
@@ -265,3 +265,43 @@ class TestHandSolved:
     def test_program(self, program, expected):
         assert solve_exact(program) == expected
         assert reference_solve_exact(program) == expected
+
+
+def assert_feasible_point(p):
+    """``feasible_point`` is None exactly when ``solve_exact`` says
+    INFEASIBLE, and otherwise x >= 0 satisfies every row in Fractions."""
+    x = feasible_point(p)
+    if solve_exact(p)[0] == lp.INFEASIBLE:
+        assert x is None
+        return
+    assert len(x) == p.n_vars
+    assert all(type(v) is Fraction and v >= 0 for v in x)
+    eq, beq = _to_fractions(p.a_eq) if p.n_eq else [], _to_fractions([p.b_eq])[0]
+    ub, hub = _to_fractions(p.g_ub) if p.n_ub else [], _to_fractions([p.h_ub])[0]
+    assert all(sum(a * v for a, v in zip(row, x)) == b
+               for row, b in zip(eq, beq))
+    assert all(sum(a * v for a, v in zip(row, x)) <= h
+               for row, h in zip(ub, hub))
+
+
+class TestFeasiblePoint:
+    @pytest.mark.parametrize("program, expected", HAND_SOLVED)
+    def test_hand_solved(self, program, expected):
+        assert_feasible_point(program)
+
+    @given(integer_programs())
+    @settings(deadline=None, max_examples=300)
+    def test_integer_programs(self, program):
+        assert_feasible_point(program)
+
+    @given(integer_programs(), st.integers(-60, 60))
+    @settings(deadline=None, max_examples=300)
+    def test_power_of_two_rhs_scales_the_vertex(self, program, k):
+        # all rows share one integer scale, so the pivots, and with them
+        # the vertex, do not depend on the unit of the right-hand sides
+        p = program
+        scaled = LinearProgram(p.c, p.a_eq, p.b_eq * 2.0 ** k, p.g_ub,
+                               p.h_ub * 2.0 ** k)
+        x, y = feasible_point(p), feasible_point(scaled)
+        assert (y is None) == (x is None)
+        assert x is None or y == [v * Fraction(2) ** k for v in x]
