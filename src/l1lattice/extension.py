@@ -35,9 +35,9 @@ from .tensor import (CanonicalRep, TensorElement, canonical_rep, pair_rows,
                      tensor_norm)
 
 #: atoms per side accepted by alpha_via_lp.  The cap alone does not bound the
-#: cost, which grows with dim X: at 32 atoms per side one solve took 0.18 s at
-#: dim 1, 4.6 s at dim 2, 14 s at dim 3 and 610 s at dim 8 (shared 2-core
-#: x86-64, one BLAS thread)
+#: cost, which grows with dim X: at 32 atoms per side one solve took 0.07-0.09
+#: s at dim 1, 0.16-0.28 s at dim 2, 0.37-0.58 s at dim 3 and 2.3-3.4 s at
+#: dim 8 (shared 2-core x86-64, one BLAS thread)
 MAX_AMBIENT_ATOMS = 32
 
 RESTRICTION_TOL = 1e-8
@@ -48,9 +48,10 @@ RANK_TOL = 1e-10
 CONDITION_B_MAX_FAMILY = 5
 #: random tensors checked against condition (d) per verification
 CONDITION_D_TRIALS = 200
-#: largest condition (b) sample.  At the cap, extend --verify took 1.4-1.7 s
-#: and peaked at 116 MB RSS on 32 x 32 atoms, dim 1, and 0.6-0.8 s and 77 MB
-#: on 12 x 12 atoms, dim 3 (shared 2-core x86-64, one BLAS thread)
+#: largest condition (b) sample.  At the cap, extend --verify took 1.1-1.3 s
+#: and peaked at 117 MB RSS on 32 x 32 atoms, dim 1, 3.7-3.8 s and 123 MB on
+#: 32 x 32 atoms, dim 8, and 0.6 s and 77 MB on 12 x 12 atoms, dim 3 (shared
+#: 2-core x86-64, one BLAS thread)
 MAX_TRIALS = 1_000_000
 #: condition (b) draws and checks the families of one size in chunks of at
 #: most this many, which bounds its temporaries whatever the trial count
@@ -118,10 +119,13 @@ def extension_lp(x: Subspace, t: RestrictedOperator) -> lp.LinearProgram:
     """The extension LP.  Variables: t, then the pair K+_ij, K-_ij for each
     (i, j) in row-major order, all >= 0.
 
-    Each K+_ij sits next to its K-_ij.  With all K+ columns ahead of all K-
-    columns, Bland's rule ended in a spurious unbounded phase 1 or at a
-    non-optimal vertex on about 1 in 1000 instances with 4..12 atoms per side.
-    Refuses more than MAX_AMBIENT_ATOMS atoms per side before building.
+    Each K+_ij sits next to its K-_ij, the layout ``start_basis`` reads.
+    The order no longer decides the answer: with all K+ columns ahead of all
+    K- columns, Bland's rule alone ended in a spurious unbounded phase 1 or
+    at a non-optimal vertex on about 1 in 1000 instances with 4..12 atoms
+    per side, but Dantzig pricing solved the same 2,500 instances in either
+    order, from phase 1 and from the start basis.  Refuses more than
+    MAX_AMBIENT_ATOMS atoms per side before building.
     """
     if x.ambient.size > MAX_AMBIENT_ATOMS or t.codomain.size > MAX_AMBIENT_ATOMS:
         raise ValueError(f"extension instances are capped at "
@@ -143,11 +147,41 @@ def extension_lp(x: Subspace, t: RestrictedOperator) -> lp.LinearProgram:
                             g_ub, np.zeros(n_mu))
 
 
+def start_basis(x: Subspace, t: RestrictedOperator) -> list[int]:
+    """A primal feasible basis of ``extension_lp(x, t)``, read off its
+    structure, as columns of lp's standard form (t, the K pairs, then one
+    slack per mass row).
+
+    Interpolation row (r, i) reads only kernel row i, and every kernel row
+    meets the same matrix W = (mu_j b_r(j)).  Partial pivoting picks dim
+    atoms J on which W is invertible; K_i solved on J makes each entry basic
+    as K+ or K- by its sign.  t is basic on the mass row of the heaviest
+    column, and every other mass row's slack is basic at t minus its mass.
+    The basis is block triangular with nonsingular diagonal blocks (the W
+    blocks, t's -1, then an identity)."""
+    n_mu, n_nu = x.ambient.size, t.codomain.size
+    weighted = x.basis_matrix * x.ambient.weight_array
+    work = weighted.copy()
+    atoms = []
+    for r in range(x.dim):
+        j = int(np.argmax(np.abs(work[r])))
+        atoms.append(j)
+        work[r + 1:] -= np.outer(work[r + 1:, j] / work[r, j], work[r])
+        work[r + 1:, j] = 0.0
+    kernel = np.linalg.solve(weighted[:, atoms], t.image_matrix)  # (dim, nu)
+    pairs = 1 + 2 * (np.arange(n_nu) * n_mu + np.array(atoms)[:, None])
+    mass = t.codomain.weight_array @ np.abs(kernel).T
+    heaviest = atoms[int(np.argmax(mass))]
+    slacks = 1 + 2 * n_mu * n_nu + np.arange(n_mu)
+    return sorted([0, *(pairs + (kernel < 0.0)).ravel().tolist(),
+                   *np.delete(slacks, heaviest).tolist()])
+
+
 def alpha_via_lp(x: Subspace, t: RestrictedOperator) -> ExtensionResult:
     """Compute the extension constant, a minimal-norm extension and a dual
-    certificate."""
+    certificate.  The LP starts at ``start_basis``, so phase 1 never runs."""
     program = extension_lp(x, t)
-    sol = lp.solve(program)
+    sol = lp.solve(program, start=start_basis(x, t))
     if sol.status != lp.OPTIMAL:
         raise lp.LPError(f"extension LP ended {sol.status}; the interpolation "
                          "constraints should always be satisfiable")
@@ -158,7 +192,7 @@ def alpha_via_lp(x: Subspace, t: RestrictedOperator) -> ExtensionResult:
 
     certificate = None
     ratio = None
-    if alpha > 1e-12:
+    if alpha > 0.0:
         # g = sum_r b_r (x) phi_r with phi_r the duals of the interpolation
         # rows of b_r, divided by the nu weights
         nu_w = t.codomain.weight_array
@@ -332,18 +366,20 @@ def condition_d_tensors(x: Subspace, t: RestrictedOperator, seed: int
                         ) -> tuple[np.ndarray, np.ndarray]:
     """The random tensors sum_i f_i (x) phi_i in X (x) B0 of condition (d).
 
-    Trial k draws n in 1..3, then the basis coefficients of f_1..f_n and
-    phi_1..phi_n uniform on [-1, 1]; they fill rows :n of ``coeffs[k]``
-    (CONDITION_D_TRIALS, 3, dim) and ``phis[k]`` (CONDITION_D_TRIALS, 3,
-    nu atoms), and the remaining rows stay zero.
+    Trial k has n_k in 1..3 terms: the standard-normal basis coefficients of
+    f_1..f_n and the values of phi_1..phi_n, uniform on [-1, 1], fill rows
+    :n_k of ``coeffs[k]`` (CONDITION_D_TRIALS, 3, dim) and ``phis[k]``
+    (CONDITION_D_TRIALS, 3, nu atoms), and the remaining rows are zero.
+    Every n_k is drawn first, then all the normals in one call and all the
+    uniforms in one call.
     """
     rng = np.random.default_rng(np.uint64(seed) + np.uint64(0x9E3779B9))
-    coeffs = np.zeros((CONDITION_D_TRIALS, 3, x.dim))
-    phis = np.zeros((CONDITION_D_TRIALS, 3, t.codomain.size))
-    for k in range(CONDITION_D_TRIALS):
-        n = int(rng.integers(1, 4))
-        coeffs[k, :n] = rng.standard_normal((n, x.dim))
-        phis[k, :n] = rng.uniform(-1.0, 1.0, size=(n, t.codomain.size))
+    n = rng.integers(1, 4, size=CONDITION_D_TRIALS)
+    coeffs = rng.standard_normal((CONDITION_D_TRIALS, 3, x.dim))
+    phis = rng.uniform(-1.0, 1.0, size=(CONDITION_D_TRIALS, 3, t.codomain.size))
+    unused = np.arange(3) >= n[:, np.newaxis]
+    coeffs[unused] = 0.0
+    phis[unused] = 0.0
     return coeffs, phis
 
 
@@ -433,7 +469,7 @@ def verify_extension_theorem(x: Subspace, t: RestrictedOperator,
     if abs(result.lp_objective - alpha) > NORM_TOL * (1.0 + alpha):
         failures.append("LP objective and extension norm disagree")
 
-    if alpha > 1e-12:
+    if result.certificate is not None:
         failure = certificate_failure(result)
         if failure is not None:
             failures.append(failure)

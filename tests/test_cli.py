@@ -15,10 +15,12 @@ from l1lattice.acceptance import pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import SimpleFn
 from l1lattice.decompose import CellReport, OptimalKResult
-from l1lattice.extension import RestrictedOperator, Subspace, alpha_via_lp
+from l1lattice.extension import (RestrictedOperator, Subspace, alpha_via_lp,
+                                  extension_lp)
 from l1lattice.generate import (generate_instance, random_family,
                                 random_operator, random_space, random_subspace,
                                 random_tensor, random_values, rng_for)
+from l1lattice.oracle import solve_exact
 
 
 def _measured(argv):
@@ -592,7 +594,7 @@ class TestExitCodes:
                 in capsys.readouterr().err)
 
     def test_solver_failure_exits_1(self, tmp_path, monkeypatch, capsys):
-        def failing_solve(program):
+        def failing_solve(program, start=None):
             raise lp.LPError("simplex iteration limit exceeded")
 
         main(["generate", "--kind", "extension", "--atoms", "3",
@@ -612,7 +614,7 @@ class TestExitCodes:
 
     def test_failed_solve_still_leaves_the_lp_dump(self, tmp_path,
                                                    monkeypatch, capsys):
-        def failing_solve(program):
+        def failing_solve(program, start=None):
             raise lp.LPError("simplex iteration limit exceeded")
 
         main(["generate", "--kind", "extension", "--atoms", "4",
@@ -659,24 +661,76 @@ class TestExitCodes:
         assert "below alpha" in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("flags", [[], ["--verify"]])
-    def test_zero_norm_certificate_exits_1(self, tmp_path, capsys, flags):
-        # a codomain weight of 1e150 underflows the certificate's duals to
-        # norm 0; its ratio reads 0 and fails the check instead of dividing
+    @staticmethod
+    def _seed_61_instance(tmp_path, s2_weight=None):
+        """The files of generate --kind extension --atoms 4 --nu-atoms 3
+        --dim 3 --seed 61, the weight of codomain atom s2 optionally
+        replaced."""
         main(["generate", "--kind", "extension", "--atoms", "4",
               "--nu-atoms", "3", "--dim", "3", "--seed", "61",
               "--out", str(tmp_path / "i.json"), "--quiet"])
         images = tmp_path / "i_images.json"
-        doc = json.loads(images.read_text())
-        doc["space"]["weights"][2] = 1e150
-        images.write_text(json.dumps(doc))
+        if s2_weight is not None:
+            doc = json.loads(images.read_text())
+            doc["space"]["weights"][2] = s2_weight
+            images.write_text(json.dumps(doc))
+        return ["--subspace", str(tmp_path / "i_subspace.json"),
+                "--images", str(images)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [[], ["--verify"]])
+    def test_zero_norm_certificate_exits_1(self, tmp_path, monkeypatch,
+                                           capsys, flags):
+        # duals of zero give a certificate of norm 0; its ratio reads 0 and
+        # fails the check instead of dividing
+        solve = lp.solve
+
+        def zero_duals(program, start=None):
+            sol = solve(program, start=start)
+            return dataclasses.replace(sol, dual=np.zeros_like(sol.dual))
+
+        files = self._seed_61_instance(tmp_path)
         capsys.readouterr()
-        assert main(["extend", "--subspace", str(tmp_path / "i_subspace.json"),
-                     "--images", str(images), "--quiet", *flags]) == 1
+        monkeypatch.setattr(lp, "solve", zero_duals)
+        assert main(["extend", *files, "--quiet", *flags]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("check failed: ")
         assert "certificate ratio 0 below alpha" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s2_weight", [1e20, 1e150])
+    def test_huge_codomain_weight_matches_the_oracle(self, tmp_path, capsys,
+                                                     s2_weight):
+        # phase 1 once failed here: "objective unbounded" at 1e20, and at
+        # 1e150 an "optimal" objective 0.0 that violated its rows by 2.45e149
+        files = self._seed_61_instance(tmp_path, s2_weight)
+        out = tmp_path / "res.json"
+        assert main(["extend", *files, "--verify", "--trials", "2000",
+                     "--out", str(out), "--quiet"]) == 0
+        x = jsonio.subspace_from_json(jsonio.read_json(files[1]))
+        t = jsonio.images_from_json(jsonio.read_json(files[3]), x)
+        status, value = solve_exact(extension_lp(x, t))
+        assert status == lp.OPTIMAL
+        alpha = json.loads(out.read_text())["alpha"]
+        assert alpha == pytest.approx(float(value), rel=1e-12, abs=0.0)
+
+    def test_zero_operator_exits_0(self, tmp_path, capsys):
+        # phase 1 once raised "phase-1 objective unbounded" here
+        main(["generate", "--kind", "extension", "--atoms", "12",
+              "--nu-atoms", "12", "--dim", "3", "--seed", "1",
+              "--out", str(tmp_path / "i.json"), "--quiet"])
+        images = tmp_path / "i_images.json"
+        doc = json.loads(images.read_text())
+        for image in doc["images"]:
+            image["values"] = [0.0] * len(image["values"])
+        images.write_text(json.dumps(doc))
+        out = tmp_path / "res.json"
+        assert main(["extend", "--subspace", str(tmp_path / "i_subspace.json"),
+                     "--images", str(images), "--verify", "--out", str(out),
+                     "--quiet"]) == 0
+        result = json.loads(out.read_text())
+        assert result["alpha"] == 0.0
+        assert result["certificate"] is None
 
     def test_failed_refinement_reports_its_residuals(self, tmp_path,
                                                      monkeypatch, capsys):
@@ -885,8 +939,11 @@ class TestCertificationGoldenBytes:
             "48aa599f9d53f83ed74d58986c3774e5609a2aa43ae20d7028385158e7a64a30",
         ("tensor-norm", "complex"):
             "bd1f899ed10873f8622f933cdb7fde671123c38fd6ee96015b583d0863e12d39",
+        # re-pinned when the extension LP began at its structural start basis
+        # with Dantzig pricing (alpha moved in its last bits) and condition
+        # (d) began drawing its tensors in one batch (a new sample)
         ("extend-verify", "real"):
-            "4a841f3a070db93fbb50ffa88171f60f79f501ae5b0e1ac4bf5acb8904ba2d72",
+            "dcd6f81ab5d8d62450cf9f419250542d1ac479fb5ac7c102b1f5f910127aab7c",
         ("selftest-fast", "real"):
             "328de6c4b6de8ccc29bab2814b7f71f252822b258cbee6b9c26ccccb2e0c0e7a",
         ("modulus", "real"):

@@ -12,12 +12,14 @@ from l1lattice import (REAL, MeasureSpace, RestrictedOperator, SimpleFn,
                        pair_operator_tensor, point_mass, tensor_norm,
                        verify_extension_theorem)
 from l1lattice import cli, extension, jsonio, lp
-from l1lattice.extension import (CONDITION_B_CHUNK, CONDITION_B_MAX_FAMILY,
-                                  CONDITION_D_TRIALS, ConditionBReport,
+from l1lattice.extension import (CERTIFICATE_TOL, CONDITION_B_CHUNK,
+                                  CONDITION_B_MAX_FAMILY, CONDITION_D_TRIALS,
+                                  ConditionBReport, certificate_failure,
                                   certificate_family_coeffs, extension_lp)
 from l1lattice.generate import (generate_instance, random_restricted,
                                 random_space, random_subspace, rng_for)
 from l1lattice.operators import INEQ_TOL
+from l1lattice.oracle import solve_exact
 
 
 def unit_space(n, prefix="a"):
@@ -119,12 +121,76 @@ class TestAlphaViaLP:
                 residual = l1_norm(SimpleFn(nu, REAL, image - y))
                 assert residual <= 1e-8 * (1.0 + l1_norm(SimpleFn(nu, REAL, y)))
 
+    @pytest.mark.parametrize("seed", [82, 229])
+    def test_zero_operator_on_twelve_atoms(self, seed):
+        # phase 1 once raised "phase-1 objective unbounded" on these
+        rng = rng_for(seed)
+        mu = random_space(rng, 12)
+        x = random_subspace(rng, mu, 3)
+        nu = random_space(rng, 12, prefix="s")
+        res = alpha_via_lp(x, RestrictedOperator(x, nu, np.zeros((3, 12))))
+        assert res.alpha == 0.0
+        assert not np.any(res.extension.kernel)
+        assert res.certificate is None
+
     def test_ambient_cap_enforced(self):
         sp = unit_space(33)
         x = Subspace(sp, np.ones((1, 33)))
         t = RestrictedOperator(x, sp, np.ones((1, 33)))
         with pytest.raises(ValueError):
             alpha_via_lp(x, t)
+
+
+def scaled_weights(x, t, mu_scale=1.0, nu_scale=1.0, image_scale=1.0):
+    """The instance with its mu weights, nu weights and images scaled."""
+    mu = MeasureSpace(x.ambient.atoms,
+                      tuple(w * mu_scale for w in x.ambient.weights))
+    nu = MeasureSpace(t.codomain.atoms,
+                      tuple(w * nu_scale for w in t.codomain.weights))
+    xs = Subspace(mu, x.basis_matrix)
+    return xs, RestrictedOperator(xs, nu, t.image_matrix * image_scale)
+
+
+class TestScaledInstances:
+    """The 40 instances of rng_for(1000 + s): 6 mu atoms, 5 nu atoms, dim 2.
+    Scaling the nu weights by c scales alpha by c, scaling the mu weights
+    by c scales it by 1/c, and scaling the images scales it by c.  Phase 1
+    once failed on every one of them at nu * 2^40 and mu * 2^-40, and an
+    absolute tie tolerance in the ratio test gave a wrong alpha on every one
+    at images * 2^-60."""
+
+    @staticmethod
+    def instances():
+        for s in range(40):
+            rng = rng_for(1000 + s)
+            mu = random_space(rng, 6)
+            nu = random_space(rng, 5, prefix="s")
+            x = random_subspace(rng, mu, 2)
+            yield x, random_restricted(rng, x, nu)
+
+    @pytest.mark.parametrize("scales, factor", [
+        (dict(nu_scale=2.0 ** 40), 2.0 ** 40),
+        (dict(mu_scale=2.0 ** -40), 2.0 ** 40),
+        (dict(image_scale=2.0 ** 60), 2.0 ** 60),
+        (dict(image_scale=2.0 ** -60), 2.0 ** -60),
+    ])
+    def test_alpha_scales(self, scales, factor):
+        for x, t in self.instances():
+            base = alpha_via_lp(x, t).alpha
+            res = alpha_via_lp(*scaled_weights(x, t, **scales))
+            assert res.alpha == pytest.approx(base * factor, rel=1e-14, abs=0.0)
+            assert certificate_failure(res) is None
+            if "image_scale" in scales:
+                assert res.alpha == base * factor
+
+    def test_tiny_nu_weights_never_pass_a_wrong_alpha(self):
+        # the mass-row entries of about 1e-12 sit below the absolute pivot
+        # tolerance, so the LP may stop short; the certificate must say so
+        for x, t in self.instances():
+            base = alpha_via_lp(x, t).alpha
+            res = alpha_via_lp(*scaled_weights(x, t, nu_scale=2.0 ** -40))
+            right = res.alpha == pytest.approx(base * 2.0 ** -40, rel=1e-12)
+            assert right or certificate_failure(res) is not None
 
 
 class TestDualCertificate:
@@ -415,22 +481,28 @@ class TestVerifyExtensionTheorem:
 def condition_d_loop(x, t, alphas, seed):
     """Condition (d) checked one random tensor at a time, as the verifier did
     before it evaluated all tensors in one batch, against each of ``alphas``
-    in one pass; the check of an alpha stops at its first violation.
+    in one pass; the check of an alpha stops at its first violation.  The
+    draws come in the order of condition_d_tensors: every term count, then
+    every normal, then every uniform.
 
     Returns the tensors drawn, as (coeffs, phis) per trial, and per alpha
     the largest ratio up to its first violation and that violation's
     message (or None)."""
     rng = np.random.default_rng(np.uint64(seed) + np.uint64(0x9E3779B9))
+    terms = rng.integers(1, 4, size=CONDITION_D_TRIALS)
+    normals = rng.standard_normal((CONDITION_D_TRIALS, 3, x.dim))
+    uniforms = rng.uniform(-1.0, 1.0, size=(CONDITION_D_TRIALS, 3,
+                                            t.codomain.size))
     mu_w, nu_w = x.ambient.weight_array, t.codomain.weight_array
     d_max = [0.0] * len(alphas)
     failure = [None] * len(alphas)
     draws = []
-    for _ in range(CONDITION_D_TRIALS):
+    for k in range(CONDITION_D_TRIALS):
         if all(failure):
             break
-        n = int(rng.integers(1, 4))
-        coeffs = rng.standard_normal((n, x.dim))
-        phis = rng.uniform(-1.0, 1.0, size=(n, t.codomain.size))
+        n = int(terms[k])
+        coeffs = normals[k, :n]
+        phis = uniforms[k, :n]
         draws.append((coeffs, phis))
         # f stacked from per-row products; integral_of_sup and pair_rows as
         # they were then, inlined
@@ -468,8 +540,10 @@ class TestConditionD:
             padded = np.zeros_like(coeffs), np.zeros_like(phis)
             for k, (c, p) in enumerate(draws):
                 padded[0][k, :len(c)], padded[1][k, :len(p)] = c, p
-            assert np.array_equal(coeffs[:len(draws)], padded[0][:len(draws)])
-            assert np.array_equal(phis[:len(draws)], padded[1][:len(draws)])
+            # byte equality: the unused rows hold +0.0, never -0.0
+            assert (coeffs[:len(draws)].tobytes()
+                    == padded[0][:len(draws)].tobytes())
+            assert phis[:len(draws)].tobytes() == padded[1][:len(draws)].tobytes()
             for scale, (d_max, message) in zip((1.0, 0.6), loop):
                 batch_max, batch_message = extension.check_condition_d(
                     x, t, scale * alpha, coeffs, phis)
@@ -572,6 +646,21 @@ class TestExtensionLP:
             assert ref.status == lp.OPTIMAL
             assert res.alpha == pytest.approx(ref.objective_value, rel=1e-9)
             assert res.certificate_ratio >= res.alpha * (1.0 - 1e-6)
+
+    @given(n_mu=st.integers(2, 5), n_nu=st.integers(2, 5),
+           dim=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           k=st.integers(-40, 40))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_the_exact_oracle(self, n_mu, n_nu, dim, seed, k):
+        rng = rng_for(seed)
+        x = random_subspace(rng, random_space(rng, n_mu), min(dim, n_mu))
+        t = random_restricted(rng, x, random_space(rng, n_nu, prefix="s"))
+        t = RestrictedOperator(x, t.codomain, t.image_matrix * 2.0 ** k)
+        res = alpha_via_lp(x, t)
+        status, value = solve_exact(extension_lp(x, t))
+        assert status == lp.OPTIMAL
+        assert res.lp_objective == pytest.approx(float(value),
+                                                 rel=CERTIFICATE_TOL, abs=0.0)
 
     def test_extend_verify_solves_once(self, tmp_path, monkeypatch):
         calls = []

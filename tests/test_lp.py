@@ -7,8 +7,9 @@ from test_oracle import HAND_SOLVED, integer_programs
 
 from l1lattice import jsonio, lp
 from l1lattice.acceptance import random_small_lp
-from l1lattice.extension import extension_lp
-from l1lattice.generate import generate_instance
+from l1lattice.extension import extension_lp, start_basis
+from l1lattice.generate import (generate_instance, random_restricted,
+                                random_space, random_subspace, rng_for)
 from l1lattice.oracle import solve_exact
 
 
@@ -178,6 +179,116 @@ class TestExactAnswers:
             assert abs(sol.objective_value - value) <= 1e-9 * (1 + abs(value))
 
 
+def generated_extension(seed):
+    """The extension instance drawn from rng_for(seed): 4..12 atoms per side
+    and dim 1..3."""
+    rng = rng_for(seed)
+    mu = random_space(rng, int(rng.integers(4, 13)))
+    nu = random_space(rng, int(rng.integers(4, 13)), prefix="s")
+    x = random_subspace(rng, mu, int(rng.integers(1, 1 + min(3, mu.size))))
+    return x, random_restricted(rng, x, nu)
+
+
+class TestPricing:
+    # Beale's example (1955), on which Dantzig's rule with lowest-index ties
+    # cycles through six degenerate bases; the optimum is -5/4
+    BEALE = lp.LinearProgram([-0.75, 20.0, -0.5, 6.0],
+                             g_ub=[[0.25, -8.0, -1.0, 9.0],
+                                   [0.5, -12.0, -0.5, 3.0],
+                                   [0.0, 0.0, 1.0, 0.0]],
+                             h_ub=[0.0, 0.0, 1.0])
+
+    def test_dantzig_alone_cycles(self, monkeypatch):
+        monkeypatch.setattr(lp, "DEGENERATE_RUN", 10 ** 9)
+        with pytest.raises(lp.LPError, match="iteration limit exceeded"):
+            lp.solve(self.BEALE)
+
+    def test_bland_fallback_ends_the_cycle(self):
+        sol = lp.solve(self.BEALE)
+        assert sol.status == lp.OPTIMAL
+        assert solve_exact(self.BEALE) == (lp.OPTIMAL, -1.25)
+        assert sol.objective_value == pytest.approx(-1.25, rel=1e-15)
+
+
+class TestStartBasis:
+    # minimize x0 + x1 + x2 subject to x0 + x1 + x2 = 1 and x0 + x2 <= cap;
+    # standard-form columns x0, x1, x2 and the slack s0, where x2's column
+    # repeats x0's
+    @staticmethod
+    def program(cap=2.0):
+        return lp.LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [1.0],
+                                [[1.0, 0.0, 1.0]], [cap])
+
+    def test_extension_start_matches_phase_1(self):
+        for i in range(40):
+            x, t = generated_extension(10_000 + i)
+            p = extension_lp(x, t)
+            start = lp.solve(p, start=start_basis(x, t))
+            cold = lp.solve(p)
+            assert start.status == cold.status == lp.OPTIMAL
+            assert start.objective_value == pytest.approx(
+                cold.objective_value, rel=1e-12, abs=0.0)
+            assert _objective_for_basis(p, start.basis) == pytest.approx(
+                start.objective_value, rel=1e-12, abs=0.0)
+
+    def test_phase_1_never_runs(self, monkeypatch):
+        def no_phase_1(*args):
+            raise AssertionError("phase 1 ran")
+
+        monkeypatch.setattr(lp, "_phase_1", no_phase_1)
+        x, t = generated_extension(10_000)
+        assert lp.solve(extension_lp(x, t),
+                        start=start_basis(x, t)).status == lp.OPTIMAL
+        sol = lp.solve(self.program(), start=[0, 3])
+        assert sol.objective_value == 1.0
+        assert sol.basis == (0, 3)
+
+    @pytest.mark.parametrize("start, message", [
+        ([0], "a start basis names 2 distinct columns in 0..3"),
+        ([0, 0], "a start basis names 2 distinct columns in 0..3"),
+        ([0, 4], "a start basis names 2 distinct columns in 0..3"),
+        ([0, 2], "start basis is singular"),
+    ])
+    def test_bad_basis_raises(self, start, message):
+        with pytest.raises(lp.LPError, match=message):
+            lp.solve(self.program(), start=start)
+
+    def test_infeasible_basis_raises(self):
+        # x0 = 1 leaves the slack of x0 <= 0.5 at -0.5
+        with pytest.raises(lp.LPError,
+                           match="start basis is not primal feasible"):
+            lp.solve(self.program(cap=0.5), start=[0, 3])
+
+
+class TestExitCheck:
+    """The extension LP of rng_for(12336) (12 x 6 atoms, dim 3) with every
+    K+ column ahead of every K- column: Bland's rule alone ends there at a
+    vertex of objective 0.7207 whose residuals are far from zero, where the
+    optimum is 0.8400."""
+
+    @staticmethod
+    def block_order():
+        x, t = generated_extension(10_000 + 2336)
+        p = extension_lp(x, t)
+        perm = np.r_[0, np.arange(1, p.n_vars, 2), np.arange(2, p.n_vars, 2)]
+        return p, lp.LinearProgram(p.c[perm], p.a_eq[:, perm], p.b_eq,
+                                   p.g_ub[:, perm], p.h_ub)
+
+    def test_block_order_reaches_the_optimum(self):
+        pair, block = self.block_order()
+        optimum = lp.solve(pair).objective_value
+        assert optimum == pytest.approx(0.8400, abs=1e-4)
+        sol = lp.solve(block)
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective_value == pytest.approx(optimum, rel=1e-12)
+
+    def test_wrong_vertex_raises(self, monkeypatch):
+        # with no Dantzig pivots at all, the pivots are Bland's alone
+        monkeypatch.setattr(lp, "DEGENERATE_RUN", 0)
+        with pytest.raises(lp.LPError, match="residual .* at the final basis"):
+            lp.solve(self.block_order()[1])
+
+
 def _solution_digest(h, sol) -> None:
     h.update(sol.status.encode())
     for arr in (sol.primal, sol.dual):
@@ -189,12 +300,14 @@ def _solution_digest(h, sol) -> None:
 class TestGoldenBytes:
     """Status, primal, dual, basis and objective are pinned byte for byte
     on seeded small programs of every random_small_lp shape and on seeded
-    extension LPs."""
+    extension LPs solved from their start basis.  Both pins last moved when
+    Dantzig's rule replaced Bland's as the pricing rule; every status and
+    objective stayed the same up to rounding."""
 
     SMALL = (
-        "c8ad9ce7de0857bb976b0c38d22db562ded8ce73b099c1046b5bea801ca463cf")
+        "f64cafe4330d77f51320997852a73013c28f4442dea008cfd868b22bb88b9a44")
     EXTENSION = (
-        "019f9ab02e68c800b2561b36eaf8f844a37f9f85c6c047031b532b71159c1fbd")
+        "135a67d43c3794f96c95d80f3d38b02e739241b2b5a8905f518f4ca33a294a38")
 
     def test_small_programs(self):
         rng = np.random.default_rng(2024)
@@ -212,5 +325,6 @@ class TestGoldenBytes:
                                                    "dim": dim}, seed)
             x = jsonio.subspace_from_json(docs["subspace"])
             t = jsonio.images_from_json(docs["images"], x)
-            _solution_digest(h, lp.solve(extension_lp(x, t)))
+            _solution_digest(h, lp.solve(extension_lp(x, t),
+                                         start=start_basis(x, t)))
         assert h.hexdigest() == self.EXTENSION
