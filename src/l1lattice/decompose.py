@@ -61,10 +61,11 @@ MIN_NET_EPS = 1e-6
 
 #: most sign matrices optimal_k_search may try, sum_{k <= k_max} C(3^n, k):
 #: n <= 2 with any k_max, n = 3 with k_max <= 3, n = 4 with k_max <= 2.  On
-#: 50 atoms n = 3, k_max = 3 (3,303, all infeasible) took 0.02 s random and
-#: 0.03 s with the infeasible atoms last (46 atoms (1, 0, 0), then four cube
-#: vertices; 95 exact solves), and n = 4, k_max = 2 (3,321) 0.02 s in both
-#: cases, the face bound refuting every candidate.  Without the bound, one
+#: 50 atoms n = 3, k_max = 3 (3,303, all infeasible) took 2 ms random
+#: (random_family, rng_for(3)) and 9 ms with the infeasible atoms last (46
+#: atoms (1, 0, 0), then four cube vertices; 95 exact solves), and n = 4,
+#: k_max = 2 (3,321) 2 ms in both cases (rng_for(4)), the face bound
+#: refuting every candidate (medians of 9 calls).  Without the bound, one
 #: exact solve per candidate and atom until one fails took 0.4 s, 2.8 s,
 #: 0.4 s and 0.8 s (shared 2-core x86-64, one BLAS).  A candidate the bound
 #: cannot refute still solves up to one system per active atom, so
@@ -72,7 +73,7 @@ MIN_NET_EPS = 1e-6
 MAX_CANDIDATES = 4_000
 #: most per-atom exact solves optimal_k_search may need, candidates x active
 #: atoms: every search within MAX_CANDIDATES on at most 50 atoms fits.  At
-#: the budget, n = 3, k_max = 3 on 60 atoms (198,180) took 0.03 s with the
+#: the budget, n = 3, k_max = 3 on 60 atoms (198,180) took 10 ms with the
 #: infeasible atoms last (56 atoms (1, 0, 0), then the four vertices; 115
 #: solves), and solving all 198,180 of its systems took 16 s (0.08 ms each)
 MAX_LP_SOLVES = MAX_CANDIDATES * 50
@@ -513,46 +514,39 @@ def _atom_feasible(columns: np.ndarray, target: np.ndarray,
         np.concatenate([[total], target])))
 
 
-def _face_rejected(matrices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Which (candidate, atom) pairs of the (N, n, k) sign ``matrices`` and
-    the (n, atoms) ``values`` of active atoms are infeasible by a cube-face
-    bound, as an (N, atoms) mask.
+def _face_masks(columns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The cube-face bound as a (len(columns), atoms) table of 2n-bit masks,
+    for the (C, n) sign ``columns`` and the (n, atoms) ``values`` of active
+    atoms.  A candidate is refuted on an atom unless the OR of its columns'
+    masks there has all 2n bits set.
 
     Atom w has L = max_i |f_i(w)| > 0, the point p = f(w) / L and the face
     (a, s) of [-1, 1]^n that p lies on: a is the first row with |f_a(w)| ==
-    L and s = sign f_a(w).  The face columns of a candidate C are those
-    with C[a, j] == s; M_i and m_i are the max and min of C[i, j] over
-    them.  The violation is v = max_i max(p_i - M_i, m_i - p_i, 0), or
-    v = 1 when no face column exists, and the pair is rejected iff
+    L and s = sign f_a(w).  Column c lies on that face when c_a == s; it
+    then sets bit 2 i when c_i >= p_i and bit 2 i + 1 when c_i <= p_i.  A
+    candidate's masks OR to all bits iff every p_i lies in [m_i, M_i], the
+    min and max of c_i over its face columns, and to none when it has no
+    face column.
 
-        v > 0.
-
-    No pair with a vertex h >= 0 is rejected: h lies on the face columns,
-    since sum h = L and (C h)_a = s L with |C[a, j]| <= 1, so f(w) / L is in
-    their hull.  M_i and m_i are -1, 0 or 1, and p is the correctly rounded
-    f(w) / L, so p_i outside [m_i, M_i] means the exact quotient is outside
-    too.  For n <= 2 the face is a point or a segment, so v == 0 means p is
-    in the hull, unless a nonzero f_i(w) / L underflowed to 0: the oracle
-    then runs only on the accepted candidate.  For n >= 3 the bound is a
-    necessary condition only.
+    No candidate with a vertex h >= 0 is refuted: h lies on the face
+    columns, since sum h = L and (C h)_a = s L with |C[a, j]| <= 1, so
+    f(w) / L is in their hull.  m_i and M_i are -1, 0 or 1, and p is the
+    correctly rounded f(w) / L, so p_i outside [m_i, M_i] means the exact
+    quotient is outside too.  For n <= 2 the face is a point or a segment,
+    so full masks mean p is in the hull, unless a nonzero f_i(w) / L
+    underflowed to 0: the oracle then runs only on the accepted candidate.
+    For n >= 3 the bound is a necessary condition only.
     """
-    n = matrices.shape[1]
+    n, atoms = values.shape
     latmax = np.max(np.abs(values), axis=0)
     tight = np.argmax(np.abs(values) == latmax, axis=0)
-    faces = 2 * tight + (values[tight, np.arange(values.shape[1])] > 0.0)
-    points = (values / latmax).T
-    rows = np.repeat(np.arange(n), 2)           # face 2 a + (s > 0)
-    signs = np.tile(np.array([-1, 1], dtype=np.int8), n)
-    in_face = (matrices[:, rows, :] == signs[:, None])[:, :, None, :]
-    cols = matrices[:, None]                    # candidate, face, row, column
-    hi = np.where(in_face, cols, -1).max(axis=3)
-    lo = np.where(in_face, cols, 1).min(axis=3)
-    viol = np.zeros((matrices.shape[0], faces.size))
-    for i in range(n):
-        np.maximum(viol, points[:, i] - hi[:, faces, i], out=viol)
-        np.maximum(viol, lo[:, faces, i] - points[:, i], out=viol)
-    viol[~in_face.any(axis=3)[:, faces, 0]] = 1.0
-    return viol > 0.0
+    side = np.where(values[tight, np.arange(atoms)] > 0.0, 1, -1)
+    points = (values / latmax).T                # atom, row
+    cols = columns[:, None, :]                  # column, atom, row
+    shifts = 2 * np.arange(n)
+    bits = np.bitwise_or.reduce(((cols >= points) << shifts)
+                                | ((cols <= points) << (shifts + 1)), axis=2)
+    return np.where(columns[:, tight] == side, bits, 0)
 
 
 def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
@@ -561,11 +555,13 @@ def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
     Exhausts sign matrices in {-1, 0, 1}^(n x k) up to column permutation and
     duplicate columns (i.e. k-subsets of the 3^n distinct columns, in
     lexicographic order), deciding each atom's feasibility exactly with the
-    integer oracle.  The cube-face bound of ``_face_rejected`` first
-    refutes, per k and without the oracle, every candidate that it proves
-    infeasible on some atom; the survivors solve the per-atom systems in
-    order, so the answer and ``candidates_tried`` are those of trying every
-    candidate exactly.  The witness parts are the exact vertices, each
+    integer oracle.  The cube-face bound first refutes, without the oracle,
+    every candidate that it proves infeasible on some atom: one table of
+    ``_face_masks`` per search holds each column's mask on each active atom,
+    and per k a candidate survives when its k columns' masks OR to all bits
+    on every atom.  Only a survivor is formed as a sign matrix; it solves
+    the per-atom systems in order, so the answer and ``candidates_tried``
+    are those of trying every candidate exactly.  The witness parts are the exact vertices, each
     rounded once.  Refuses k_max outside 1..8, more than MAX_CANDIDATES
     candidates up to k_max and more than MAX_LP_SOLVES candidates x active
     atoms.
@@ -591,7 +587,8 @@ def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
                          f"budget of {MAX_LP_SOLVES:,}")
     all_columns = np.array(list(itertools.product((-1, 0, 1), repeat=n)),
                            dtype=np.int8)
-    active_values = values[:, active]
+    masks = _face_masks(all_columns, values[:, active])
+    full = (1 << 2 * n) - 1
 
     tried = 0
     solves = 0
@@ -599,10 +596,9 @@ def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
     for k in range(1, k_max + 1):
         combos = np.array(list(itertools.combinations(range(3 ** n), k)),
                           dtype=np.intp).reshape(-1, k)
-        matrices = all_columns[combos].transpose(0, 2, 1)
-        rejected = np.any(_face_rejected(matrices, active_values), axis=1)
-        for c in np.flatnonzero(~rejected):
-            matrix = matrices[c].astype(np.float64)
+        joined = np.bitwise_or.reduce(masks[combos], axis=1)
+        for c in np.flatnonzero(np.all(joined == full, axis=1)):
+            matrix = all_columns[combos[c]].T.astype(np.float64)
             parts_matrix = np.zeros((k, fs.space.size))
             for w in active:
                 solves += 1

@@ -120,12 +120,7 @@ def extension_lp(x: Subspace, t: RestrictedOperator) -> lp.LinearProgram:
     (i, j) in row-major order, all >= 0.
 
     Each K+_ij sits next to its K-_ij, the layout ``start_basis`` reads.
-    The order no longer decides the answer: with all K+ columns ahead of all
-    K- columns, Bland's rule alone ended in a spurious unbounded phase 1 or
-    at a non-optimal vertex on about 1 in 1000 instances with 4..12 atoms
-    per side, but Dantzig pricing solved the same 2,500 instances in either
-    order, from phase 1 and from the start basis.  Refuses more than
-    MAX_AMBIENT_ATOMS atoms per side before building.
+    Refuses more than MAX_AMBIENT_ATOMS atoms per side before building.
     """
     if x.ambient.size > MAX_AMBIENT_ATOMS or t.codomain.size > MAX_AMBIENT_ATOMS:
         raise ValueError(f"extension instances are capped at "

@@ -340,7 +340,7 @@ def _finish(p: LinearProgram, sf: _StandardForm, row_keep_idx: np.ndarray,
     try:
         y_kept = np.linalg.solve(bmat.T, c_b)
     except np.linalg.LinAlgError:
-        y_kept = np.linalg.lstsq(bmat.T, c_b, rcond=None)[0]
+        raise LPError("final basis is singular") from None
     y_std = np.zeros(sf.rows.shape[0])
     y_std[row_keep_idx] = y_kept
     dual = sf.row_sign * y_std  # undo rhs sign normalization

@@ -22,7 +22,7 @@ from l1lattice.cli import main
 from l1lattice.core import unit_phases
 from l1lattice.decompose import (COMPLEX_PREPRUNE, MIN_NET_EPS, REAL_PREPRUNE,
                                  Decomposition, OptimalKResult, _atom_feasible,
-                                 _cell_rows, _coeff_array, _face_rejected,
+                                 _cell_rows, _coeff_array, _face_masks,
                                  _net_points, _net_rounded)
 from l1lattice.generate import random_family, random_space, rng_for
 
@@ -647,16 +647,50 @@ def _class_values(rng, kind, n, atoms):
             + rng.choice([0.0, 1e-12, -1e-12, 1e-9], size=(n, atoms)))
 
 
+def _reference_face_rejected(matrices, values):
+    """The cube-face bound as a violation: which (candidate, atom) pairs of
+    the (N, n, k) sign ``matrices`` and (n, atoms) ``values`` have v > 0,
+    where v = max_i max(p_i - M_i, m_i - p_i, 0) over the max M_i and min
+    m_i of row i on the columns of the atom's face, and v = 1 when the
+    candidate has no column there."""
+    n = matrices.shape[1]
+    latmax = np.max(np.abs(values), axis=0)
+    tight = np.argmax(np.abs(values) == latmax, axis=0)
+    faces = 2 * tight + (values[tight, np.arange(values.shape[1])] > 0.0)
+    points = (values / latmax).T
+    rows = np.repeat(np.arange(n), 2)           # face 2 a + (s > 0)
+    signs = np.tile(np.array([-1, 1], dtype=np.int8), n)
+    in_face = (matrices[:, rows, :] == signs[:, None])[:, :, None, :]
+    cols = matrices[:, None]                    # candidate, face, row, column
+    hi = np.where(in_face, cols, -1).max(axis=3)
+    lo = np.where(in_face, cols, 1).min(axis=3)
+    viol = np.zeros((matrices.shape[0], faces.size))
+    for i in range(n):
+        np.maximum(viol, points[:, i] - hi[:, faces, i], out=viol)
+        np.maximum(viol, lo[:, faces, i] - points[:, i], out=viol)
+    viol[~in_face.any(axis=3)[:, faces, 0]] = 1.0
+    return viol > 0.0
+
+
+def _mask_rejected(matrices, values):
+    """The (candidate, atom) verdicts of ``_face_masks`` on the (N, n, k)
+    sign ``matrices``: rejected unless a candidate's masks OR to all bits."""
+    count, n, k = matrices.shape
+    masks = _face_masks(matrices.transpose(0, 2, 1).reshape(-1, n), values)
+    joined = np.bitwise_or.reduce(masks.reshape(count, k, -1), axis=1)
+    return joined != (1 << 2 * n) - 1
+
+
 def _random_pairs(rng, n_max, kinds, count=100):
     """Random sign matrices and value columns of the ``kinds`` at n in
-    1..n_max, with the face bound's (candidate, atom) verdicts on them."""
+    1..n_max, with the face masks' (candidate, atom) verdicts on them."""
     for i in range(count):
         n = int(rng.integers(1, n_max + 1))
         k = int(rng.integers(1, 2 ** n + 2))
         matrices = rng.integers(-1, 2, size=(8, n, k)).astype(np.int8)
         values = _class_values(rng, kinds[i % len(kinds)], n, 6)
         values = values[:, np.max(np.abs(values), axis=0) > 0.0]
-        yield matrices, values, _face_rejected(matrices, values)
+        yield matrices, values, _mask_rejected(matrices, values)
 
 
 def assert_same_search(fs, k_max):
@@ -699,6 +733,29 @@ class TestFaceBound:
     def test_matches_lp_enumeration_on_tiny_values(self, values):
         fs = FnFamily(unit_space(2), REAL, values)
         assert_same_search(fs, 2 ** fs.size + 1)
+
+    @pytest.mark.parametrize("n, k_max", [(4, 2), (5, 1), (6, 1), (7, 1)])
+    def test_matches_lp_enumeration_n_ge_4(self, n, k_max):
+        # masks of up to 2 n = 14 bits; one atom in {-1, 0, 1}^n is its own
+        # column, so that family needs one part
+        rng = rng_for(1526 + n)
+        for kind in VALUE_CLASSES:
+            values = _class_values(rng, kind, n, int(rng.integers(1, 4)))
+            assert_same_search(FnFamily(unit_space(values.shape[1]), REAL,
+                                        values), k_max)
+        column = np.array([[1.0], [-1.0], [0.0], [1.0], [0.0], [-1.0], [1.0]])
+        fs = FnFamily(unit_space(1), REAL, column[:n])
+        assert optimal_k_search(fs, k_max).k == 1
+        assert_same_search(fs, k_max)
+
+    def test_masks_match_the_violation_formula(self):
+        rng = rng_for(1522)
+        sizes = set()
+        for matrices, values, mask in _random_pairs(
+                rng, 4, (*VALUE_CLASSES, "tiny"), count=400):
+            sizes.add(matrices.shape[1])
+            assert np.array_equal(mask, _reference_face_rejected(matrices, values))
+        assert sizes == {1, 2, 3, 4}
 
     def test_rejects_only_lp_infeasible_pairs(self):
         rng = rng_for(1520)

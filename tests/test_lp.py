@@ -289,6 +289,19 @@ class TestExitCheck:
             lp.solve(self.block_order()[1])
 
 
+class TestSingularFinalBasis:
+    def test_raises_instead_of_a_least_squares_dual(self, monkeypatch):
+        # a phase-1 program: the only solve with a basis matrix is the duals'
+        p = lp.LinearProgram([1.0, 1.0], a_eq=[[1.0, 2.0]], b_eq=[4.0])
+        assert lp.solve(p).status == lp.OPTIMAL
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(lp.LPError, match="final basis is singular"):
+            lp.solve(p)
+
+
 def _solution_digest(h, sol) -> None:
     h.update(sol.status.encode())
     for arr in (sol.primal, sol.dual):
