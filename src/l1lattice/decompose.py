@@ -555,16 +555,14 @@ def optimal_k_search(fs: FnFamily, k_max: int) -> OptimalKResult:
     Exhausts sign matrices in {-1, 0, 1}^(n x k) up to column permutation and
     duplicate columns (i.e. k-subsets of the 3^n distinct columns, in
     lexicographic order), deciding each atom's feasibility exactly with the
-    integer oracle.  The cube-face bound first refutes, without the oracle,
-    every candidate that it proves infeasible on some atom: one table of
-    ``_face_masks`` per search holds each column's mask on each active atom,
-    and per k a candidate survives when its k columns' masks OR to all bits
-    on every atom.  Only a survivor is formed as a sign matrix; it solves
-    the per-atom systems in order, so the answer and ``candidates_tried``
-    are those of trying every candidate exactly.  The witness parts are the exact vertices, each
-    rounded once.  Refuses k_max outside 1..8, more than MAX_CANDIDATES
-    candidates up to k_max and more than MAX_LP_SOLVES candidates x active
-    atoms.
+    integer oracle.  The cube-face bound of ``_face_masks``, one column x
+    atom table per search, first refutes without the oracle every candidate
+    it proves infeasible on some atom; only a survivor is formed as a sign
+    matrix and solves the per-atom systems in order, so the answer and
+    ``candidates_tried`` are those of trying every candidate exactly.  The
+    witness parts are the exact vertices, each rounded once.  Refuses k_max
+    outside 1..8, more than MAX_CANDIDATES candidates up to k_max and more
+    than MAX_LP_SOLVES candidates x active atoms.
     """
     if fs.mode != REAL:
         raise ValueError("optimal_k_search requires a real-mode family")
