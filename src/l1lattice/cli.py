@@ -44,18 +44,22 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _int_in(text: str, top: int) -> int:
+def _int_in(text: str, low: int, top: int) -> int:
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or not 0 <= value <= top:
-        raise argparse.ArgumentTypeError(f"must be in 0..{top}, got {text}")
+    if value is None or not low <= value <= top:
+        raise argparse.ArgumentTypeError(f"must be in {low}..{top}, got {text}")
     return value
 
 
 def _trials(text: str) -> int:
-    return _int_in(text, MAX_TRIALS)
+    return _int_in(text, 0, MAX_TRIALS)
+
+
+def _kmax(text: str) -> int:
+    return _int_in(text, 1, 8)          # optimal_k_search's range
 
 
 #: largest --seed: selftest and extend derive seeds up to 2**32 above it,
@@ -64,7 +68,7 @@ MAX_SEED = 2 ** 63 - 1
 
 
 def _seed(text: str) -> int:
-    return _int_in(text, MAX_SEED)
+    return _int_in(text, 0, MAX_SEED)
 
 
 def _seed_flag(sub: argparse.ArgumentParser) -> None:
@@ -311,7 +315,7 @@ def _decompose_args(p: argparse.ArgumentParser) -> None:
 
 def _optimal_k_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="family JSON (real mode)")
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_kmax, required=True)
 
 
 def _check_inequality_args(p: argparse.ArgumentParser) -> None:

@@ -1,25 +1,32 @@
 """Exact LP oracle: a two-phase simplex in integer arithmetic.
 
-Two uses.  ``solve_exact`` gives the exact status and optimum of an LP, so
-the test suite and the selftest can compare simplex answers against exact
-arithmetic.  ``feasible_point`` gives an exact vertex of a constraint
-system, or None when it has none; the minimal part-count search of
-:mod:`l1lattice.decompose` decides every per-atom system with it.  The
-solver in :mod:`l1lattice.lp` never calls into this module.
+Two entries share one phase 1.  ``solve_exact(p)`` gives the exact status
+and optimum of a ``LinearProgram``, so the test suite and the selftest can
+compare simplex answers against exact arithmetic.  ``feasible_point(rows,
+rhs)`` gives an exact vertex x >= 0 of the equality system rows @ x = rhs,
+integer rows and float right-hand sides, or None when it has none; the
+minimal part-count search of :mod:`l1lattice.decompose` decides every
+per-atom system with it.  The solver in :mod:`l1lattice.lp` never calls
+into this module.
 
 Every variable is nonnegative, the LP convention of :mod:`l1lattice.lp`.
 
 Arithmetic: every float is dyadic, so ``float.as_integer_ratio`` is
-exact; the constraint rows [a | b] are scaled to Python ints by the lcm of
-all their denominators, and the objective c by the lcm of its own.  No
-float and no tolerance is used after that.  One scale for every row keeps
-the phase-1 objective, the sum of the artificial rows, proportional to the
-float sum, and makes the pivots independent of a power-of-two scaling of
+exact.  ``solve_exact`` scales the constraint rows [a | b] to Python ints
+by the lcm of all their denominators, and the objective c by the lcm of
+its own.  ``feasible_point``'s rows are integers already, so it scales
+only the right-hand side, by the lcm s of its denominators, and carries no
+objective row.  No float and no tolerance is used after that.  Neither
+scaling moves a pivot: one positive factor on all rows of [A | b], or on
+the column b alone, keeps the sign of every phase-1 reduced cost, the
+order of every ratio and every zero test, so the basis path is the one of
+the unscaled system, and the vertex of [A | s b] is s times its vertex.
+For the same reason the pivots do not depend on a power-of-two scaling of
 the right-hand sides.  The tableau is kept as integers over one common
 denominator D > 0: every entry is an integer minor of the original system
 (an entry of adj(B) A for the current basis B), so the fraction-free pivot
 (p T_i - T_i[q] T_r) / D divides exactly (Edmonds 1967, the division of
-Bareiss 1968).  Both objective rows are carried as tableau rows.
+Bareiss 1968).  The objective rows are carried as tableau rows.
 
 It runs the phase design of :mod:`l1lattice.lp` in integers, on the same
 columns (originals, then slacks).  Rows with a negative right-hand side
@@ -93,6 +100,35 @@ def _bland(tab, basis, d):
         d = _pivot(tab, r, q, d)
 
 
+def _phase_1(tab, basis, width):
+    """Phase 1 and the drive-out of the artificials, in place; the final
+    denominator, or None when the constraints are infeasible.
+
+    The first len(basis) rows of ``tab`` are the constraints over ``width``
+    stored columns, each ending with its right-hand side >= 0, and
+    ``basis[i]`` is row i's basic variable (width + i for an artificial).
+    Any rows after them are objectives, pivoted along.
+    """
+    artificial = [row for row, b in zip(tab, basis) if b >= width]
+    tab.append([-sum(row[j] for row in artificial) for j in range(width + 1)])
+    d = _bland(tab, basis, 1)                # phase 1 is bounded below by 0
+    if tab.pop()[-1]:
+        return None
+    for r in reversed(range(len(basis))):   # drops shift only done rows
+        if basis[r] < width:
+            continue
+        row = tab[r]
+        q = next((j for j, v in enumerate(row[:-1]) if v), None)
+        if q is None:
+            del tab[r], basis[r]
+            continue
+        if row[q] < 0:
+            tab[r] = [-v for v in row]
+        basis[r] = q
+        d = _pivot(tab, r, q, d)
+    return d
+
+
 def _feasible_tableau(p: lp.LinearProgram):
     """The tableau, basis and denominator after phase 1 and the drive-out of
     the artificials, with the objective c as the last row, and c's scale;
@@ -111,25 +147,10 @@ def _feasible_tableau(p: lp.LinearProgram):
         tab.append(row)
         # the slack starts basic only on a <= row that kept its sign
         basis.append(n + k if k >= 0 and row[n + k] == 1 else width + i)
-    artificial = [row for row, b in zip(tab, basis) if b >= width]
     tab.append(c + [0] * (n_ub + 1))
-    tab.append([-sum(row[j] for row in artificial) for j in range(width + 1)])
-
-    d = _bland(tab, basis, 1)                # phase 1 is bounded below by 0
-    if tab.pop()[-1]:
+    d = _phase_1(tab, basis, width)
+    if d is None:
         return None
-    for r in reversed(range(len(basis))):   # drops shift only done rows
-        if basis[r] < width:
-            continue
-        row = tab[r]
-        q = next((j for j, v in enumerate(row[:-1]) if v), None)
-        if q is None:
-            del tab[r], basis[r]
-            continue
-        if row[q] < 0:
-            tab[r] = [-v for v in row]
-        basis[r] = q
-        d = _pivot(tab, r, q, d)
     return tab, basis, d, c_scale
 
 
@@ -145,15 +166,23 @@ def solve_exact(p: lp.LinearProgram):
     return lp.OPTIMAL, Fraction(-tab[-1][-1], d * c_scale)
 
 
-def feasible_point(p: lp.LinearProgram) -> list[Fraction] | None:
-    """An exact vertex x >= 0 of the constraints of ``p`` (its objective
-    plays no part), or None when they are infeasible."""
-    start = _feasible_tableau(p)
-    if start is None:
+def feasible_point(rows, rhs) -> list[Fraction] | None:
+    """An exact vertex x >= 0 of rows @ x = rhs, or None when there is none.
+
+    ``rows`` is a nonempty list of equally long rows of Python ints, and
+    ``rhs`` their float right-hand sides.  Only ``rhs`` is scaled, by
+    the lcm s of its denominators; the vertex of rows @ y = s rhs is s x.
+    """
+    (b,), scale = _scaled([rhs])
+    tab = [[*row, v] if v >= 0 else [*(-a for a in row), -v]
+           for row, v in zip(rows, b)]
+    n = len(rows[0])
+    basis = list(range(n, n + len(tab)))
+    d = _phase_1(tab, basis, n)
+    if d is None:
         return None
-    tab, basis, d, _ = start
-    x = [Fraction(0)] * p.n_vars
-    for row, b in zip(tab, basis):
-        if b < p.n_vars:
-            x[b] = Fraction(row[-1], d)
+    x = [Fraction(0)] * n
+    d *= scale
+    for row, j in zip(tab, basis):
+        x[j] = Fraction(row[-1], d)
     return x

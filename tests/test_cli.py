@@ -471,6 +471,9 @@ class TestExitCodes:
                        ["extend", "--subspace", "x.json", "--images", "t.json"],
                        ["selftest"])
           for seed in ("-1", str(2 ** 64), "1.5")],
+        # refused by the parser, before the input file is read
+        *[(["optimal-k", "--input", "f.json", "--kmax", kmax], "--kmax")
+          for kmax in ("0", "9")],
     ])
     def test_bad_flag_value_names_the_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -480,6 +483,8 @@ class TestExitCodes:
         assert f"argument {flag}:" in err and "Traceback" not in err
         if flag == "--seed":
             assert f"must be in 0..{2 ** 63 - 1}, got {argv[-1]}\n" in err
+        if flag == "--kmax":
+            assert f"must be in 1..8, got {argv[-1]}\n" in err
 
     @pytest.mark.parametrize("argv,line", [
         (["extend", "--subspace", "x.json", "--images", "t.json",
@@ -490,7 +495,10 @@ class TestExitCodes:
           "--tol", "abc"],
          "l1lattice check-inequality: error: argument --tol: "
          "must be finite and nonnegative, got 'abc'"),
-    ], ids=["trials", "tol"])
+        (["optimal-k", "--input", "f.json", "--kmax", "abc"],
+         "l1lattice optimal-k: error: argument --kmax: "
+         "must be in 1..8, got abc"),
+    ], ids=["trials", "tol", "kmax"])
     def test_unparsable_number_states_the_range(self, capsys, argv, line):
         # argparse names the type function when it raises ValueError
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from l1lattice.acceptance import _emitted_counts, pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import unit_phases
 from l1lattice.decompose import (COMPLEX_PREPRUNE, MIN_NET_EPS, REAL_PREPRUNE,
-                                 Decomposition, OptimalKResult, _atom_feasible,
-                                 _cell_rows, _coeff_array, _face_masks,
+                                 Decomposition, OptimalKResult, _cell_rows, _coeff_array, _face_masks,
                                  _net_points, _net_rounded)
 from l1lattice.generate import random_family, random_space, rng_for
+from l1lattice.lp import LinearProgram
 
 
 def circle_net(eps):
@@ -591,6 +592,33 @@ class TestOptimalKSearch:
         assert res.k == 1 and res.candidates_tried <= 27
 
 
+def _reference_atom_feasible(matrix, target, total):
+    """The vertex h >= 0 of sum h = total, matrix @ h = target, or None, read
+    off the oracle's ``LinearProgram`` path, which scales the rows and the
+    right-hand sides together: the per-atom decision before the search
+    posed integer rows and scaled only the right-hand sides."""
+    k = matrix.shape[1]
+    start = oracle._feasible_tableau(LinearProgram(
+        np.zeros(k), np.vstack([np.ones((1, k)), matrix]),
+        np.concatenate([[total], target])))
+    if start is None:
+        return None
+    tab, basis, d, _ = start
+    h = [Fraction(0)] * k
+    for row, b in zip(tab, basis):
+        if b < k:
+            h[b] = Fraction(row[-1], d)
+    return h
+
+
+def _atom_feasible(matrix, target, total):
+    """``oracle.feasible_point`` on an atom's system as the search poses it:
+    the integer rows [1 ... 1; matrix] and the right-hand side [total,
+    target]."""
+    return oracle.feasible_point([[1] * matrix.shape[1], *matrix.tolist()],
+                                 [total, *target.tolist()])
+
+
 def _reference_optimal_k(fs, k_max):
     """The search before the face bound: every candidate, in order, solves
     the per-atom systems until one fails (the budget checks left out)."""
@@ -609,7 +637,8 @@ def _reference_optimal_k(fs, k_max):
             ok = True
             for w in active:
                 solves += 1
-                h = _atom_feasible(matrix, values[:, w], float(latmax[w]))
+                h = _reference_atom_feasible(matrix, values[:, w],
+                                             float(latmax[w]))
                 if h is None:
                     ok = False
                     break
@@ -764,8 +793,8 @@ class TestFaceBound:
             latmax = np.max(np.abs(values), axis=0)
             for c, w in zip(*np.nonzero(mask)):
                 rejected += 1
-                assert _atom_feasible(matrices[c].astype(np.float64),
-                                      values[:, w], float(latmax[w])) is None
+                assert _atom_feasible(matrices[c], values[:, w],
+                                      float(latmax[w])) is None
         assert rejected > 1000
 
     def test_exact_at_n_le_2(self):
@@ -777,15 +806,15 @@ class TestFaceBound:
             latmax = np.max(np.abs(values), axis=0)
             for c, w in zip(*np.nonzero(~mask)):
                 survivors += 1
-                assert _atom_feasible(matrices[c].astype(np.float64),
-                                      values[:, w], float(latmax[w])) is not None
+                assert _atom_feasible(matrices[c], values[:, w],
+                                      float(latmax[w])) is not None
         assert survivors > 100
 
     def test_lp_count_on_the_pattern_family(self, monkeypatch):
         calls = []
         feasible_point = oracle.feasible_point
-        monkeypatch.setattr(oracle, "feasible_point",
-                            lambda p: calls.append(p) or feasible_point(p))
+        monkeypatch.setattr(oracle, "feasible_point", lambda rows, rhs:
+                            calls.append(rhs) or feasible_point(rows, rhs))
         res = optimal_k_search(pattern_family_n2(), 5)
         assert len(calls) == res.lp_solves == 9
         assert res.k == 4 and res.candidates_tried == 164
@@ -807,6 +836,28 @@ class TestFaceBound:
         assert scaled.lp_solves == base.lp_solves
         assert ([p.values.tobytes() for p in scaled.parts or ()]
                 == [(p.values * factor).tobytes() for p in base.parts or ()])
+
+
+class TestAtomSystems:
+    """The per-atom systems as the search poses them, integer sign rows
+    under a row of ones with only the right-hand side scaled, give the
+    vertex of the path that scales rows and right-hand side together: a
+    positive factor on every row, or on the right-hand side alone, moves no
+    pivot."""
+
+    @given(kind=st.sampled_from((*VALUE_CLASSES, "tiny")), n=st.integers(1, 3),
+           k=st.integers(1, 9), seed=st.integers(0, 10_000),
+           e=st.integers(-60, 60))
+    @settings(deadline=None, max_examples=300)
+    def test_vertex_matches_the_scaled_program_path(self, kind, n, k, seed, e):
+        rng = rng_for(seed)
+        matrix = rng.integers(-1, 2, size=(n, k)).astype(np.int8)
+        target = _class_values(rng, kind, n, 1)[:, 0] * 2.0 ** e
+        total = float(np.max(np.abs(target)))
+        got = _atom_feasible(matrix, target, total)
+        assert got == _reference_atom_feasible(matrix.astype(np.float64),
+                                               target, total)
+        assert got is None or all(type(v) is Fraction for v in got)
 
 
 def _pruned_n1(f):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -267,15 +268,37 @@ class TestHandSolved:
         assert reference_solve_exact(program) == expected
 
 
+def _standard_form(p):
+    """The constraints of ``p`` as one equality system over x and the
+    slacks: integer rows [a_eq 0; g_ub I] and float right-hand sides
+    [b_eq; h_ub].  Each row is scaled to integers by the lcm of its
+    coefficients' denominators (Beale's 0.25 and -0.5 entries), a positive
+    factor that keeps the system; it is a power of two, so its right-hand
+    side scales exactly."""
+    rows, rhs = [], []
+    for i, (a, b) in enumerate([*zip(p.a_eq, p.b_eq), *zip(p.g_ub, p.h_ub)]):
+        exact = [float(v).as_integer_ratio() for v in a]
+        s = math.lcm(*(d for _, d in exact))
+        slack = [s * (j == i - p.n_eq) for j in range(p.n_ub)]
+        rows.append([m * (s // d) for m, d in exact] + slack)
+        rhs.append(float(b) * s)
+    return rows, rhs
+
+
 def assert_feasible_point(p):
-    """``feasible_point`` is None exactly when ``solve_exact`` says
-    INFEASIBLE, and otherwise x >= 0 satisfies every row in Fractions."""
-    x = feasible_point(p)
+    """``feasible_point`` of the standard form is None exactly when
+    ``solve_exact`` says INFEASIBLE, and otherwise its first n coordinates
+    are an x >= 0 that satisfies every row in Fractions."""
+    rows, rhs = _standard_form(p)
+    if not rows:                        # x >= 0 alone poses no system
+        return
+    x = feasible_point(rows, rhs)
     if solve_exact(p)[0] == lp.INFEASIBLE:
         assert x is None
         return
-    assert len(x) == p.n_vars
+    assert len(x) == p.n_vars + p.n_ub
     assert all(type(v) is Fraction and v >= 0 for v in x)
+    x = x[:p.n_vars]
     eq, beq = _to_fractions(p.a_eq) if p.n_eq else [], _to_fractions([p.b_eq])[0]
     ub, hub = _to_fractions(p.g_ub) if p.n_ub else [], _to_fractions([p.h_ub])[0]
     assert all(sum(a * v for a, v in zip(row, x)) == b
@@ -297,11 +320,12 @@ class TestFeasiblePoint:
     @given(integer_programs(), st.integers(-60, 60))
     @settings(deadline=None, max_examples=300)
     def test_power_of_two_rhs_scales_the_vertex(self, program, k):
-        # all rows share one integer scale, so the pivots, and with them
-        # the vertex, do not depend on the unit of the right-hand sides
-        p = program
-        scaled = LinearProgram(p.c, p.a_eq, p.b_eq * 2.0 ** k, p.g_ub,
-                               p.h_ub * 2.0 ** k)
-        x, y = feasible_point(p), feasible_point(scaled)
+        # only the right-hand sides are scaled to integers, so the pivots,
+        # and with them the vertex, do not depend on their unit
+        rows, rhs = _standard_form(program)
+        if not rows:
+            return
+        x = feasible_point(rows, rhs)
+        y = feasible_point(rows, [v * 2.0 ** k for v in rhs])
         assert (y is None) == (x is None)
         assert x is None or y == [v * Fraction(2) ** k for v in x]
