@@ -15,8 +15,8 @@ import numpy as np
 
 from . import acceptance, jsonio, lp
 from .core import COMPLEX, REAL, FnFamily
-from .decompose import (Decomposition, decompose_complex, decompose_real,
-                        eps_net_coeffs, optimal_k_search, prune,
+from .decompose import (MIN_NET_EPS, Decomposition, decompose_complex,
+                        decompose_real, eps_net_coeffs, optimal_k_search, prune,
                         refine_to_constant_coeffs, verify_cell_decomposition,
                         verify_decomposition)
 from .extension import (MAX_TRIALS, alpha_via_lp, certificate_failure,
@@ -33,15 +33,23 @@ class CheckFailed(Exception):
     """A certified mathematical check failed; maps to exit code 1."""
 
 
-def _tolerance(text: str) -> float:
+def _finite_at_least(text: str, low: float, rule: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and nonnegative, got {text!r}")
+    if not (math.isfinite(value) and value >= low):
+        raise argparse.ArgumentTypeError(f"must be finite and {rule}, got {text!r}")
     return value
+
+
+def _tolerance(text: str) -> float:
+    return _finite_at_least(text, 0.0, "nonnegative")
+
+
+def _net_eps(text: str) -> float:
+    # eps_net_coeffs's range, checked before any file is read
+    return _finite_at_least(text, MIN_NET_EPS, f"at least {MIN_NET_EPS:g}")
 
 
 def _int_in(text: str, low: int, top: int) -> int:
@@ -309,7 +317,7 @@ def _decompose_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prune", action="store_true", help="drop identically-zero parts")
     p.add_argument("--cells", action="store_true",
                    help="refine to constant coefficients on cells")
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--eps", type=_net_eps, default=None,
                    help="round coefficients to a finite circle net of this mesh")
 
 
@@ -323,7 +331,7 @@ def _check_inequality_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, help="family JSON")
     p.add_argument("--trace", choices=["real", "complex"], default=None,
                    help="also certify a step-by-step proof trace")
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--eps", type=_net_eps, default=None,
                    help="net mesh for --trace complex (default 0.1)")
     p.add_argument("--tol", type=_tolerance, default=INEQ_TOL,
                    help="inequality and trace tolerance (default %(default)s)")

@@ -29,10 +29,10 @@ sign in real mode); every other part is +0.0 there.  In complex mode the
 node at depth e spans k(n - e) rows, one block per member left in it, and
 each member's row holds its phase on its own block.
 
-Also here: refinement to constant coefficients on cells (all (cell, part)
-products as one masked block), finite nets on the unit circle for
-approximate constant coefficients, pruning, the invariant checker, and the
-exhaustive minimal part-count search.
+Also here: refinement to constant coefficients on cells (the nonzero
+(cell, part) products only), finite nets on the unit circle for approximate
+constant coefficients, pruning, the invariant checker, and the exhaustive
+minimal part-count search.
 """
 
 from __future__ import annotations
@@ -59,13 +59,16 @@ MIN_NET_EPS = 1e-6
 
 #: most sign matrices optimal_k_search may try, sum_{k <= k_max} C(3^n, k):
 #: n <= 2 with any k_max, n = 3 with k_max <= 3, n = 4 with k_max <= 2.  On
-#: 50 atoms n = 3, k_max = 3 (3,303, all infeasible) took 2 ms random
-#: (random_family, rng_for(3)) and 9 ms with the infeasible atoms last (46
-#: atoms (1, 0, 0), then four cube vertices; 95 exact solves), and n = 4,
-#: k_max = 2 (3,321) 2 ms in both cases (rng_for(4)), the face bound
-#: refuting every candidate (medians of 9 calls).  Without the bound, one
-#: exact solve per candidate and atom until one fails took 0.4 s, 2.8 s,
-#: 0.4 s and 0.8 s (shared 2-core x86-64, one BLAS).  A candidate the bound
+#: 50 atoms, every search infeasible (medians of 9 calls): n = 3, k_max = 3
+#: (3,303 candidates) took 2 ms on random_family(rng, random_space(rng, 50),
+#: 3, REAL), rng = rng_for(3), and 5 ms on 50 unit-weight atoms with the
+#: infeasible ones last, 46 atoms (1, 0, 0) then (1, 1, 1), (1, 1, -1),
+#: (1, -1, 1), (-1, 1, 1) (95 exact solves); n = 4, k_max = 2 (3,321) took
+#: 2 ms the same way from rng_for(4) and 2 ms on 46 atoms (1, 0, 0, 0) then
+#: (1, 1, 1, 1), (1, 1, 1, -1), (1, 1, -1, 1), (-1, 1, 1, 1), the face bound
+#: refuting every candidate of both.  Without the bound, one exact solve
+#: per candidate and atom until one fails took 0.07 s, 0.67 s, 0.06 s and
+#: 0.15 s (shared 2-core x86-64, one BLAS).  A candidate the bound
 #: cannot refute still solves up to one system per active atom, so
 #: MAX_LP_SOLVES bounds candidates x active atoms as well
 MAX_CANDIDATES = 4_000
@@ -342,15 +345,17 @@ class CellDecomposition:
     """Parts restricted to a partition of the atoms so that every coefficient
     is a single scalar of modulus 1 or 0 per (function, part-on-cell) pair.
 
-    ``epsilon`` is the approximation bound the coefficients satisfy; 0 means
-    the recombination is exact.
+    Only the nonzero (cell, part) rows are kept, by cell, then by part: at
+    most n per atom, each supported in one cell.  ``epsilon`` is the
+    approximation bound the coefficients satisfy; 0 means the recombination
+    is exact.
     """
 
     space: MeasureSpace
     mode: str
     cells: tuple[tuple[int, ...], ...]
-    parts_matrix: np.ndarray            # (k * n_cells, atoms)
-    alphas: np.ndarray                  # (n, k * n_cells) complex
+    parts_matrix: np.ndarray            # (rows, atoms), nonzero rows only
+    alphas: np.ndarray                  # (n, rows) complex, one column per row
     epsilon: float
 
     @property
@@ -369,39 +374,26 @@ def _coeff_array(d: Decomposition) -> np.ndarray:
     return d.signs.astype(np.complex128)[:, :, None]
 
 
-def _cell_rows(d: Decomposition, rounded: np.ndarray
-               ) -> tuple[list[list[int]], np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero rows of the refinement of ``d`` into cells on which the
-    (n, k, atoms) ``rounded`` coefficients are constant.
+def _cells_to_decomposition(d: Decomposition, rounded: np.ndarray,
+                            epsilon: float) -> CellDecomposition:
+    """The refinement of ``d`` into cells on which the (n, k, atoms)
+    ``rounded`` coefficients are constant, as its nonzero (cell, part) rows.
 
-    Row c k + j of the dense refinement is part j restricted to cell c.  An
-    atom lies in one cell and has at most n nonzero parts, so at most n rows
-    per atom are nonzero.  Returns the cells, the dense index c k + j of each
-    nonzero row (increasing: cell-major, then part), those rows and their
-    (n, rows) coefficient columns.
+    An atom lies in one cell and has at most n nonzero parts, so at most n
+    rows per atom are kept, ordered by cell, then by part; each row's
+    coefficients are those of its part on the cell's first atom.
     """
+    rounded = np.broadcast_to(rounded, (d.n, d.k, d.space.size))
     groups = group_columns(rounded)
     cell_of = np.empty(d.space.size, dtype=np.intp)
     for c, g in enumerate(groups):
         cell_of[g] = c
     j, w = np.nonzero(d.parts_matrix)
     index, row = np.unique(cell_of[w] * d.k + j, return_inverse=True)
-    rows = np.zeros((index.size, d.space.size))
-    rows[row, w] = d.parts_matrix[j, w]
+    parts = np.zeros((index.size, d.space.size))
+    parts[row, w] = d.parts_matrix[j, w]
     reps = np.array([g[0] for g in groups], dtype=np.intp)
     alphas = rounded[:, index % d.k, reps[index // d.k]]
-    return groups, index, rows, alphas
-
-
-def _cells_to_decomposition(d: Decomposition, rounded: np.ndarray,
-                            epsilon: float) -> CellDecomposition:
-    rounded = np.broadcast_to(rounded, (d.n, d.k, d.space.size))
-    groups, index, rows, _ = _cell_rows(d, rounded)
-    # one block of k parts per cell, each restricted to its cell
-    parts = np.zeros((len(groups) * d.k, d.space.size))
-    parts[index] = rows
-    reps = [g[0] for g in groups]
-    alphas = rounded[:, :, reps].transpose(0, 2, 1).reshape(d.n, -1)
     cells = tuple(tuple(g) for g in groups)
     return CellDecomposition(d.space, d.mode, cells, parts, alphas, epsilon)
 

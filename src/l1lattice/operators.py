@@ -25,8 +25,8 @@ import numpy as np
 
 from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                    _as_mode_array, d_norm)
-from .decompose import (_cell_rows, _net_rounded, decompose_complex,
-                        decompose_real, prune)
+from .decompose import (decompose_complex, decompose_real, eps_net_coeffs,
+                        prune)
 
 #: relative tolerance for all inequality reports and proof-trace slacks
 INEQ_TOL = 1e-9
@@ -301,11 +301,10 @@ def proof_trace_complex(t: KernelOperator, fs: FnFamily, eps: float,
                         tol: float = INEQ_TOL) -> ProofTrace:
     """Certify the L1 inequality through the unimodular decomposition rounded
     to constant coefficients, with the (1 + n eps) relaxation.  The parts
-    are the nonzero (cell, part) rows of ``eps_net_coeffs``, at most n per
-    atom, without the dense refinement."""
+    are the (cell, part) rows of ``eps_net_coeffs``, at most n per atom."""
     _check_applicable(t, fs)
-    d = decompose_complex(fs)
-    _, _, parts, alphas = _cell_rows(d, _net_rounded(d, eps))
+    cd = eps_net_coeffs(decompose_complex(fs), eps)
+    parts, alphas = cd.parts_matrix, cd.alphas
     n = fs.size
     mu_w = t.domain.weight_array
     latmax = np.max(np.abs(fs.value_matrix), axis=0)

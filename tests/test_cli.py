@@ -498,7 +498,10 @@ class TestExitCodes:
         (["optimal-k", "--input", "f.json", "--kmax", "abc"],
          "l1lattice optimal-k: error: argument --kmax: "
          "must be in 1..8, got abc"),
-    ], ids=["trials", "tol", "kmax"])
+        (["decompose", "--input", "f.json", "--eps", "abc"],
+         "l1lattice decompose: error: argument --eps: "
+         "must be finite and at least 1e-06, got 'abc'"),
+    ], ids=["trials", "tol", "kmax", "eps"])
     def test_unparsable_number_states_the_range(self, capsys, argv, line):
         # argparse names the type function when it raises ValueError
         with pytest.raises(SystemExit) as exc:
@@ -508,19 +511,20 @@ class TestExitCodes:
         assert err.startswith(f"usage: l1lattice {argv[0]} ")
         assert err.endswith(f"\n{line}\n")
 
-    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1e-300"])
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1e-300", "1e-7"])
     @pytest.mark.parametrize("command", ["decompose", "check-inequality"])
     def test_bad_eps_is_usage_error(self, tmp_path, capsys, command, eps):
-        main(["generate", "--kind", "inequality", "--atoms", "4",
-              "--nu-atoms", "3", "--mode", "complex", "--seed", "2",
-              "--out", str(tmp_path / "i.json"), "--quiet"])
-        op, fam = tmp_path / "i_operator.json", tmp_path / "i_family.json"
-        argv = (["decompose", "--input", str(fam)] if command == "decompose"
-                else ["check-inequality", "--op", str(op), "--family", str(fam),
+        # argparse rejects it by name before the (missing) input is read
+        missing = str(tmp_path / "missing.json")
+        argv = (["decompose", "--input", missing] if command == "decompose"
+                else ["check-inequality", "--op", missing, "--family", missing,
                       "--trace", "complex"])
-        capsys.readouterr()
-        assert main([*argv, "--eps", eps, "--quiet"]) == 2
-        assert "eps must be finite and at least 1e-06" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--eps", eps, "--quiet"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"l1lattice {command}: error: argument --eps: must be finite and "
+            f"at least 1e-06, got {eps!r}\n")
 
     @pytest.mark.parametrize("kind,nu_atoms,cap", [
         ("operator", "0", 50), ("inequality", "0", 50), ("tensor", "0", 50),

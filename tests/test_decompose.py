@@ -22,7 +22,7 @@ from l1lattice.acceptance import _emitted_counts, pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import unit_phases
 from l1lattice.decompose import (COMPLEX_PREPRUNE, MIN_NET_EPS, REAL_PREPRUNE,
-                                 Decomposition, OptimalKResult, _cell_rows, _coeff_array, _face_masks,
+                                 Decomposition, OptimalKResult, _coeff_array, _face_masks,
                                  _net_points, _net_rounded)
 from l1lattice.generate import random_family, random_space, rng_for
 from l1lattice.lp import LinearProgram
@@ -331,7 +331,10 @@ class TestConstantCoefficients:
         cd = refine_to_constant_coeffs(d)
         assert cd.epsilon == 0.0
         assert len(cd.cells) == 1
-        assert np.array_equal(cd.alphas.real, d.signs.astype(float))
+        # one cell: the kept rows are the nonzero parts, with their signs
+        kept = np.any(d.parts_matrix != 0.0, axis=1)
+        assert np.array_equal(cd.parts_matrix, d.parts_matrix[kept])
+        assert np.array_equal(cd.alphas, d.signs[:, kept].astype(np.complex128))
         assert verify_cell_decomposition(cd, fs).passed
 
     def test_complex_n1_two_cells(self):
@@ -346,6 +349,23 @@ class TestConstantCoefficients:
         cd = refine_to_constant_coeffs(decompose_complex(fs))
         assert len(cd.cells) == 1
         assert np.all(cd.alphas == 0.0)
+
+    @pytest.mark.parametrize("flags", [["--cells"], ["--eps", "0.1"]])
+    @pytest.mark.parametrize("mode", [REAL, COMPLEX])
+    def test_zero_family_writes_no_rows(self, tmp_path, mode, flags):
+        fs = FnFamily(unit_space(3), mode, np.zeros((2, 3)))
+        split = decompose_real if mode == REAL else decompose_complex
+        cd = (eps_net_coeffs(split(fs), 0.1) if "--eps" in flags
+              else refine_to_constant_coeffs(split(fs)))
+        assert cd.parts_matrix.shape == (0, 3) and cd.alphas.shape == (2, 0)
+        assert verify_cell_decomposition(cd, fs).passed
+        fam, out = tmp_path / "fam.json", tmp_path / "cells.json"
+        fam.write_text(jsonio.dumps(jsonio.family_to_json(fs)))
+        assert main(["decompose", "--input", str(fam), *flags,
+                     "--out", str(out), "--quiet"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["cells"] == [[0, 1, 2]]
+        assert doc["parts"] == [] and doc["coeffs"] == [[], []]
 
     def test_exact_residual_on_random_families(self):
         rng = rng_for(5)
@@ -367,11 +387,11 @@ def _mask_product(d, cells):
 
 
 class TestCellRows:
-    """The refinement builds only its nonzero (cell, part) rows and
-    scatters them into the dense block layout."""
+    """The refinement keeps only the nonzero (cell, part) rows of the dense
+    block layout, in its order, with their coefficient columns."""
 
     @pytest.mark.parametrize("mode", [REAL, COMPLEX])
-    def test_scatter_matches_mask_product(self, mode):
+    def test_rows_are_the_nonzero_dense_rows(self, mode):
         rng = rng_for(88)
         split = decompose_real if mode == REAL else decompose_complex
         for i in range(60):
@@ -381,30 +401,24 @@ class TestCellRows:
             d = split(fs)
             if i % 2:
                 d = prune(d)
-            for cd in (refine_to_constant_coeffs(d), eps_net_coeffs(d, 0.1)):
+            for rounded, cd in ((_coeff_array(d), refine_to_constant_coeffs(d)),
+                                (_net_rounded(d, 0.1), eps_net_coeffs(d, 0.1))):
                 dense = _mask_product(d, cd.cells)
+                keep = np.flatnonzero(np.any(dense != 0.0, axis=1))
                 assert cd.parts_matrix.dtype == dense.dtype
-                assert cd.parts_matrix.tobytes() == dense.tobytes()
-
-    @pytest.mark.parametrize("mode", [REAL, COMPLEX])
-    def test_rows_are_the_nonzero_dense_rows(self, mode):
-        rng = rng_for(89)
-        split = decompose_real if mode == REAL else decompose_complex
-        for _ in range(40):
-            n = int(rng.integers(1, 6))
-            fs = random_family(rng, random_space(rng, int(rng.integers(1, 13))),
-                               n, mode)
-            d = split(fs)
-            rounded = np.broadcast_to(_net_rounded(d, 0.1),
-                                      (d.n, d.k, d.space.size))
-            cells, index, rows, alphas = _cell_rows(d, rounded)
-            cd = eps_net_coeffs(d, 0.1)
-            assert tuple(tuple(g) for g in cells) == cd.cells
-            assert np.array_equal(
-                index, np.flatnonzero(np.any(cd.parts_matrix != 0.0, axis=1)))
-            assert rows.tobytes() == cd.parts_matrix[index].tobytes()
-            assert alphas.tobytes() == cd.alphas[:, index].tobytes()
-            assert np.all(np.count_nonzero(rows, axis=0) <= n)
+                assert cd.parts_matrix.tobytes() == dense[keep].tobytes()
+                # dense column c k + j: part j's coefficients on cell c
+                reps = [g[0] for g in cd.cells]
+                full = np.broadcast_to(rounded, (d.n, d.k, d.space.size))
+                dense_alphas = full[:, :, reps].transpose(0, 2, 1).reshape(d.n, -1)
+                assert cd.alphas.dtype == np.complex128
+                assert cd.alphas.tobytes() == dense_alphas[:, keep].tobytes()
+                assert np.all(np.count_nonzero(cd.parts_matrix, axis=0) <= n)
+                cell_of = np.empty(d.space.size, dtype=np.intp)
+                for c, g in enumerate(cd.cells):
+                    cell_of[list(g)] = c
+                for row in cd.parts_matrix:
+                    assert np.unique(cell_of[row != 0.0]).size == 1
 
 
 class TestEpsNet:
@@ -940,11 +954,11 @@ class TestGoldenBytes:
             "766af2f20e4cfee7f1a4156fba7b2f7b5eff8c9a9227088f18908c4029ad1763",
     }
     CELLS = {
-        "real": "ee023c880c38326e73ff99f1cef62a8fe3bb72855c7fc35d77d046a05bde46e8",
-        "complex": "a5e2802778a35bd788d50ab20e5af6f341c33efc7a1d9d55597a6963e9c12689",
-        "ties-real": "a2c01fc07ee137644be035c0c84c55f1cbe6ebcb03790efb698f234fd7e36609",
+        "real": "705df707392a72a1eef672bd56494fc2d0f6b7b31762923fdf9c2336ed7eaf6b",
+        "complex": "3aa47966bcc1b9f29bfe78f60cf25f92a9feee4be0aee2d1a78c19b0f0138f37",
+        "ties-real": "d4fe78ddc2df2283af17f85381d780c66c70bd9567d18b66d2bed359b55f4fbd",
         "ties-complex":
-            "fd8938e69f93a79fda44d3e4a0a96808099fb362f6e91bec1ed42983f5bd4a36",
+            "06c1fe28dec4441e850b696aa6a34b28725b49305e824621f141e0010dabf9cf",
     }
     CLI_OUT = "867514a38f705aa217f595d7360b0b2bad35f043c566b3ff6e11106f40c66532"
 
@@ -986,9 +1000,9 @@ class TestGoldenBytes:
     CLI_OUTS = {
         (COMPLEX, ""): "e4f496d2db402d7c5eaa05beaeeb44265f30e25a45545711050739e760ba14b5",
         (COMPLEX, "--prune --cells"):
-            "ea61d1c6b4613ea3f13d2713f2fc77d43e43f02a76e59a19b21227e973dd605c",
+            "da250c319ad82fbe6a017709450899be501b0f3b119c28e3897da989962098dc",
         (COMPLEX, "--eps 0.1"):
-            "68fff65bdfbbddc4f1b30306d64e1e1cfbaec4830801505cf95a3738c538b208",
+            "2944d2e7da3f53d253a49f4d9f976ce904697a2bdd88532e5048ca86ade71161",
         (REAL, "--prune --cells"):
             "acb0b94ee7c01b723272bdd32a2925222478ee46f7cea8e83ae719c55ed8cdcb",
     }

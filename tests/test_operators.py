@@ -7,8 +7,9 @@ from l1lattice import (COMPLEX, REAL, FnFamily, KernelOperator, MeasureSpace,
                        SimpleFn, apply, check_grothendieck, d_norm, dominate,
                        decompose_complex, decompose_real, eps_net_coeffs,
                        identity_operator, l1_norm, modulus, op_norm,
-                       point_mass, proof_trace_complex, proof_trace_real,
-                       zero_fn, zero_operator)
+                       point_mass, preprune_count, proof_trace_complex,
+                       proof_trace_real, zero_fn, zero_operator)
+from l1lattice.decompose import _net_rounded
 from l1lattice.operators import (INEQ_TOL, ProofTrace, _eq_step, _le_step,
                                  _pointwise_le, _triangle_steps, apply_matrix)
 from l1lattice.generate import (random_family, random_fn, random_operator,
@@ -326,14 +327,28 @@ def _dense_trace_real(t, fs, tol=INEQ_TOL):
     return ProofTrace(tuple(steps), tol)
 
 
+def _dense_refinement(fs, eps):
+    """Every (cell, part) row of the refinement, zero or not, by cell, then
+    by part, and the (n, rows) coefficient columns of all of them."""
+    d = decompose_complex(fs)
+    cells = eps_net_coeffs(d, eps).cells
+    mask = np.zeros((len(cells), d.space.size))
+    for c, g in enumerate(cells):
+        mask[c, list(g)] = 1.0
+    parts = (mask[:, None, :] * d.parts_matrix[None]).reshape(-1, d.space.size)
+    rounded = np.broadcast_to(_net_rounded(d, eps), (d.n, d.k, d.space.size))
+    alphas = rounded[:, :, [g[0] for g in cells]].transpose(0, 2, 1)
+    return parts, alphas.reshape(d.n, -1)
+
+
 def _dense_trace_complex(t, fs, eps, tol=INEQ_TOL):
-    cd = eps_net_coeffs(decompose_complex(fs), eps)
+    parts, alphas = _dense_refinement(fs, eps)
     n = fs.size
     mu_w = t.domain.weight_array
     latmax = np.max(np.abs(fs.value_matrix), axis=0)
     values = fs.value_matrix.astype(np.complex128)
-    residual = values - cd.recombined()
-    t_parts = np.abs(apply_matrix(t, cd.parts_matrix))
+    residual = values - alphas @ parts.astype(np.complex128)
+    t_parts = np.abs(apply_matrix(t, parts))
     t_resid = np.abs(apply_matrix(t, residual))
     t_family = np.abs(apply_matrix(t, values))
     bound = t_parts.sum(axis=0) + t_resid.sum(axis=0)
@@ -347,7 +362,7 @@ def _dense_trace_complex(t, fs, eps, tol=INEQ_TOL):
         "recombine, then triangle inequality over parts and residuals", tol)
     steps += chain
     opn = op_norm(t)
-    mass = float((cd.parts_matrix @ mu_w).sum())
+    mass = float((parts @ mu_w).sum())
     resid_mass = float((np.abs(residual) @ mu_w).sum())
     steps.append(_le_step("bound parts and residuals",
                           "||Tg|| <= ||T|| ||g|| termwise",
@@ -414,7 +429,9 @@ class TestTracesMatchDense:
         dom = random_space(rng, 50)
         t = random_operator(rng, dom, random_space(rng, 50, prefix="s"), COMPLEX)
         fs = random_family(rng, dom, 5, COMPLEX)
-        dense_bytes = eps_net_coeffs(decompose_complex(fs), 0.1).parts_matrix.nbytes
+        cd = eps_net_coeffs(decompose_complex(fs), 0.1)
+        # the float64 (cell, part) rows of the dense refinement
+        dense_bytes = len(cd.cells) * preprune_count(5, COMPLEX) * dom.size * 8
         tracemalloc.start()
         try:
             proof_trace_complex(t, fs, 0.1)
