@@ -386,39 +386,51 @@ def _mask_product(d, cells):
     return (mask[:, None, :] * d.parts_matrix[None]).reshape(-1, d.space.size)
 
 
+def _refinements(seed, count, mode):
+    """(decomposition, rounded coefficients, refinement) triples of the
+    exact and the eps-net refinement of random families, every other one
+    pruned."""
+    rng = rng_for(seed)
+    split = decompose_real if mode == REAL else decompose_complex
+    for i in range(count):
+        n = int(rng.integers(1, 6))
+        fs = random_family(rng, random_space(rng, int(rng.integers(1, 13))),
+                           n, mode)
+        d = split(fs)
+        if i % 2:
+            d = prune(d)
+        yield d, _coeff_array(d), refine_to_constant_coeffs(d)
+        yield d, _net_rounded(d, 0.1), eps_net_coeffs(d, 0.1)
+
+
 class TestCellRows:
     """The refinement keeps only the nonzero (cell, part) rows of the dense
     block layout, in its order, with their coefficient columns."""
 
     @pytest.mark.parametrize("mode", [REAL, COMPLEX])
+    def test_scatter_matches_mask_product(self, mode):
+        for d, _, cd in _refinements(88, 60, mode):
+            dense = _mask_product(d, cd.cells)
+            keep = np.any(dense != 0.0, axis=1)
+            assert cd.parts_matrix.dtype == dense.dtype
+            assert cd.parts_matrix.tobytes() == dense[keep].tobytes()
+
+    @pytest.mark.parametrize("mode", [REAL, COMPLEX])
     def test_rows_are_the_nonzero_dense_rows(self, mode):
-        rng = rng_for(88)
-        split = decompose_real if mode == REAL else decompose_complex
-        for i in range(60):
-            n = int(rng.integers(1, 6))
-            fs = random_family(rng, random_space(rng, int(rng.integers(1, 13))),
-                               n, mode)
-            d = split(fs)
-            if i % 2:
-                d = prune(d)
-            for rounded, cd in ((_coeff_array(d), refine_to_constant_coeffs(d)),
-                                (_net_rounded(d, 0.1), eps_net_coeffs(d, 0.1))):
-                dense = _mask_product(d, cd.cells)
-                keep = np.flatnonzero(np.any(dense != 0.0, axis=1))
-                assert cd.parts_matrix.dtype == dense.dtype
-                assert cd.parts_matrix.tobytes() == dense[keep].tobytes()
-                # dense column c k + j: part j's coefficients on cell c
-                reps = [g[0] for g in cd.cells]
-                full = np.broadcast_to(rounded, (d.n, d.k, d.space.size))
-                dense_alphas = full[:, :, reps].transpose(0, 2, 1).reshape(d.n, -1)
-                assert cd.alphas.dtype == np.complex128
-                assert cd.alphas.tobytes() == dense_alphas[:, keep].tobytes()
-                assert np.all(np.count_nonzero(cd.parts_matrix, axis=0) <= n)
-                cell_of = np.empty(d.space.size, dtype=np.intp)
-                for c, g in enumerate(cd.cells):
-                    cell_of[list(g)] = c
-                for row in cd.parts_matrix:
-                    assert np.unique(cell_of[row != 0.0]).size == 1
+        for d, rounded, cd in _refinements(89, 40, mode):
+            keep = np.any(_mask_product(d, cd.cells) != 0.0, axis=1)
+            # dense column c k + j: part j's coefficients on cell c
+            reps = [g[0] for g in cd.cells]
+            full = np.broadcast_to(rounded, (d.n, d.k, d.space.size))
+            dense_alphas = full[:, :, reps].transpose(0, 2, 1).reshape(d.n, -1)
+            assert cd.alphas.dtype == np.complex128
+            assert cd.alphas.tobytes() == dense_alphas[:, keep].tobytes()
+            assert np.all(np.count_nonzero(cd.parts_matrix, axis=0) <= d.n)
+            cell_of = np.empty(d.space.size, dtype=np.intp)
+            for c, g in enumerate(cd.cells):
+                cell_of[list(g)] = c
+            for row in cd.parts_matrix:
+                assert np.unique(cell_of[row != 0.0]).size == 1
 
 
 class TestEpsNet:
