@@ -48,16 +48,16 @@ RANK_TOL = 1e-10
 CONDITION_B_MAX_FAMILY = 5
 #: random tensors checked against condition (d) per verification
 CONDITION_D_TRIALS = 200
-#: largest condition (b) sample.  At the cap, extend --verify took 1.1-1.3 s
-#: and peaked at 117 MB RSS on 32 x 32 atoms, dim 1, 3.7-3.8 s and 123 MB on
-#: 32 x 32 atoms, dim 8, and 0.6 s and 77 MB on 12 x 12 atoms, dim 3 (shared
-#: 2-core x86-64, one BLAS thread)
+#: largest condition (b) sample.  At the cap, extend --verify took
+#: 0.75-0.77 s and peaked at 76 MB RSS on 32 x 32 atoms, dim 1, 1.4-1.8 s
+#: and 69 MB with dim 3, 3.9-4.3 s and 77 MB with dim 8, and 0.7 s and 65 MB
+#: on 12 x 12 atoms, dim 3 (shared 2-core x86-64, one BLAS thread)
 MAX_TRIALS = 1_000_000
 #: condition (b) draws and checks the families of one size in chunks of at
 #: most this many, which bounds its temporaries whatever the trial count
-#: (unchunked, the cases above peaked at 848 MB and 377 MB); the chunks
-#: reproduce the draws of one call, and a sample of at most this many
-#: trials is one chunk per size
+#: (unchunked, 32 x 32 atoms with dim 1 peaked at 262 MB and 12 x 12 atoms
+#: with dim 3 at 153 MB); the chunks reproduce the draws of one call, and a
+#: sample of at most this many trials is one chunk per size
 CONDITION_B_CHUNK = 10_000
 
 
@@ -238,15 +238,28 @@ def _family_ratios(both: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray,
     """Dominated-norm ratios d_nu(T f_i) / d_mu(f_i) for families given as a
     (count, n, dim) stack of coefficients; zero families give ratio 0.
 
-    ``both`` is [basis | images] (dim, mu atoms + nu atoms), so every member
-    of every family is evaluated on both sides by one product."""
+    ``both`` is [basis | images] (dim, mu atoms + nu atoms), so member i of
+    every family is evaluated on both sides by one (count, dim) product, and
+    its absolute values are folded into the running family maximum.  A lone
+    family stays one (n, dim) product: numpy sends a one-row product to
+    gemv, which rounds differently from gemm.  At dim 1 the product is a
+    broadcast multiply, which rounds the same and skips matmul's slow loop
+    for an inner dimension of 1."""
     count, n, dim = coeffs.shape
-    vals = coeffs.reshape(count * n, dim) @ both
-    np.abs(vals, out=vals)
-    vals = vals.reshape(count, n, -1)
-    top = vals[:, 0]
-    for i in range(1, n):
-        np.maximum(top, vals[:, i], out=top)
+    if count == 1:
+        top = np.abs(coeffs[0] @ both).max(axis=0, keepdims=True)
+    else:
+        top = np.empty((count, both.shape[1]))
+        block = np.empty_like(top)
+        for i in range(n):
+            out = block if i else top
+            if dim == 1:
+                np.multiply(coeffs[:, i], both, out=out)
+            else:
+                np.matmul(coeffs[:, i], both, out=out)
+            np.abs(out, out=out)
+            if i:
+                np.maximum(top, block, out=top)
     mu = mu_w.size
     num = top[:, mu:] @ nu_w
     den = top[:, :mu] @ mu_w

@@ -2,6 +2,7 @@
 line per criterion (visible with ``pytest -s``), plus the byte-determinism
 check of two full CLI selftest runs."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -12,6 +13,9 @@ from l1lattice.decompose import Decomposition, verify_trace_counts
 from l1lattice.generate import random_family, random_space, rng_for
 
 SEED = 7
+#: sha256 of the `selftest --seed 7` report
+SELFTEST_SHA256 = (
+    "f18e9fcac4215ec5ca231bbfc987c93c25bf1a2f6cd312b915c2905294e36138")
 
 _caps = {1: 60.0, 3: 300.0, 8: 600.0}
 
@@ -69,8 +73,9 @@ def test_criterion_9_zero_disagreements(outcomes):
 
 
 def test_criterion_10_selftest_byte_identical(tmp_path):
-    """criterion 10: `selftest --seed 7` run twice gives identical reports.
-    The two runs are independent processes, started together."""
+    """criterion 10: `selftest --seed 7` run twice gives identical reports,
+    and the report keeps its pinned bytes.  The two runs are independent
+    processes, started together."""
     paths = [tmp_path / "one.json", tmp_path / "two.json"]
     procs = [subprocess.Popen(
         [sys.executable, "-m", "l1lattice.cli", "selftest",
@@ -83,6 +88,7 @@ def test_criterion_10_selftest_byte_identical(tmp_path):
     reports = [(path.read_bytes(), stdout)
                for path, (stdout, _) in zip(paths, outputs)]
     assert reports[0][0] == reports[1][0], "selftest reports differ"
+    assert hashlib.sha256(reports[0][0]).hexdigest() == SELFTEST_SHA256
     assert reports[0][1] == reports[1][1], "selftest stdout differs"
     print("criterion 10 [PASS] determinism (byte-identical selftest)",
           flush=True)

@@ -16,7 +16,7 @@ from l1lattice.cli import main
 from l1lattice.core import SimpleFn
 from l1lattice.decompose import CellReport, OptimalKResult
 from l1lattice.extension import (RestrictedOperator, Subspace, alpha_via_lp,
-                                  extension_lp)
+                                  certificate_family_coeffs, extension_lp)
 from l1lattice.generate import (generate_instance, random_family,
                                 random_operator, random_space, random_subspace,
                                 random_tensor, random_values, rng_for)
@@ -973,6 +973,36 @@ class TestCertificationGoldenBytes:
         assert main([*argv, "--out", str(out), "--quiet"]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.PINS[command, mode]
+
+
+class TestExtendVerifyGoldenBytes:
+    """extend --verify is pinned byte for byte on larger generated instances:
+    dim 1 on 12 x 12 atoms and dim 8 on 20 x 20, whose certificate families
+    of several canonical cells reach condition (b) as lone families."""
+
+    PINS = {
+        (1, 12):
+            "24264fb0932dbdc7e94e8a3a526139306e863951a7fd485f4db03482173a9a3f",
+        (8, 20):
+            "7d7e082dea3c115b768a4bdfd6e1b63c4e40ec78f4bdbba6c763fad782575722",
+    }
+
+    @pytest.mark.parametrize("dim,atoms", sorted(PINS))
+    def test_out_bytes(self, tmp_path, dim, atoms):
+        docs = generate_instance("extension", {"atoms": atoms, "dim": dim}, 1)
+        for name, doc in docs.items():
+            jsonio.write_json(str(tmp_path / f"{name}.json"), doc)
+        out = tmp_path / "out.json"
+        assert main(["extend", "--subspace", str(tmp_path / "subspace.json"),
+                     "--images", str(tmp_path / "images.json"), "--verify",
+                     "--trials", "2000", "--seed", "1", "--out", str(out),
+                     "--quiet"]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.PINS[dim, atoms]
+        x = jsonio.subspace_from_json(docs["subspace"])
+        t = jsonio.images_from_json(docs["images"], x)
+        cert = alpha_via_lp(x, t).certificate
+        assert len(certificate_family_coeffs(cert)) >= 2
 
 
 class TestGenerateGoldenBytes:

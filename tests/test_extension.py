@@ -265,6 +265,23 @@ def reference_condition_b(x, t, alpha, trials, seed, extra_coeffs=()):
                             INEQ_TOL)
 
 
+def whole_stack_ratios(both, mu_w, nu_w, coeffs):
+    """_family_ratios as one (count * n, dim) @ both product, with the member
+    maximum taken over strided views of it: the formula that evaluating one
+    member at a time must reproduce bit for bit."""
+    count, n, dim = coeffs.shape
+    vals = coeffs.reshape(count * n, dim) @ both
+    np.abs(vals, out=vals)
+    vals = vals.reshape(count, n, -1)
+    top = vals[:, 0]
+    for i in range(1, n):
+        np.maximum(top, vals[:, i], out=top)
+    mu = mu_w.size
+    num = top[:, mu:] @ nu_w
+    den = top[:, :mu] @ mu_w
+    return np.divide(num, den, out=np.zeros(count), where=den > 0.0)
+
+
 def scaled_instance(x, t, basis_scale, image_scale):
     xs = Subspace(x.ambient, x.basis_matrix * basis_scale)
     return xs, RestrictedOperator(xs, t.codomain, t.image_matrix * image_scale)
@@ -347,10 +364,11 @@ class TestConditionB:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_the_two_product_reference(self, dim):
-        # one product against [basis | images] tiles the BLAS product
-        # differently, so at dim >= 2 a sampled value can differ from the
-        # per-family products in its last bits; the counts and the verdict
-        # must agree exactly
+        # condition (b) evaluates each member against [basis | images] by
+        # one product (a lone family by one (m, dim) product), which tiles
+        # the BLAS product differently from the reference's per-side
+        # stacked products, so at dim >= 2 a sampled value can differ in its
+        # last bits; the counts and the verdict must agree exactly
         rng = rng_for(40 + dim)
         zero = np.zeros((2, dim))
         for mu_atoms in range(dim, 13):
@@ -402,6 +420,41 @@ class TestConditionB:
         for report in (images, basis):
             assert ((report.trials, report.violations, report.passed)
                     == (base.trials, base.violations, base.passed))
+
+    @given(count=st.sampled_from([1, 2, 3, 500, 2001]), n=st.integers(1, 5),
+           dim=st.integers(1, 8), mu=st.integers(1, 32), nu=st.integers(1, 32),
+           k=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_member_at_a_time_matches_the_whole_stack(self, count, n, dim, mu,
+                                                      nu, k, seed):
+        rng = np.random.default_rng(seed)
+        both = rng.standard_normal((dim, mu + nu)) * 2.0 ** k
+        mu_w, nu_w = rng.uniform(0.1, 2.0, mu), rng.uniform(0.1, 2.0, nu)
+        coeffs = rng.standard_normal((count, n, dim)) * 2.0 ** -k
+        coeffs[-1] = 0.0
+        # the drawn stack with an all-zero family, a lone family of at least
+        # two members (numpy would send its one-row products to gemv) and a
+        # lone all-zero family
+        for stack in (coeffs, rng.standard_normal((1, max(n, 2), dim)),
+                      np.zeros((1, n, dim))):
+            ratios = extension._family_ratios(both, mu_w, nu_w, stack)
+            assert np.array_equal(ratios,
+                                  whole_stack_ratios(both, mu_w, nu_w, stack))
+            assert ratios[-1] == 0.0 or stack[-1].any()
+
+    def test_certificate_families_match_the_whole_stack(self):
+        rng = rng_for(47)
+        for dim in range(1, 5):
+            for atoms in range(dim + 1, 13, 2):
+                x = random_subspace(rng, random_space(rng, atoms), dim)
+                t = random_restricted(rng, x,
+                                      random_space(rng, atoms, prefix="s"))
+                cert = certificate_family_coeffs(alpha_via_lp(x, t).certificate)
+                both = np.hstack([x.basis_matrix, t.image_matrix])
+                args = (both, x.ambient.weight_array, t.codomain.weight_array,
+                        cert[np.newaxis])
+                assert np.array_equal(extension._family_ratios(*args),
+                                      whole_stack_ratios(*args))
 
 
 class TestVerifyExtensionTheorem:
