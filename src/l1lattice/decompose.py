@@ -29,10 +29,16 @@ sign in real mode); every other part is +0.0 there.  In complex mode the
 node at depth e spans k(n - e) rows, one block per member left in it, and
 each member's row holds its phase on its own block.
 
+The real sign template is built one level at a time, each level gathered
+from the level below in one indexing step.
+
 Also here: refinement to constant coefficients on cells (the nonzero
 (cell, part) products only), finite nets on the unit circle for approximate
 constant coefficients, pruning, the invariant checker, and the exhaustive
-minimal part-count search.
+minimal part-count search.  The proof traces need only the nonzero parts,
+and in complex mode their net-rounded cells: ``nonzero_parts_real`` and
+``net_refinement`` read those straight from the chains, equal byte for byte
+to pruning and refining the dense decomposition, which they never build.
 """
 
 from __future__ import annotations
@@ -151,9 +157,10 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 
 def _chain(values: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
-    """The (k, atoms) parts of the (n, atoms) ``values`` and each atom's
-    chain, as (n, atoms) arrays by depth: the member taken and the first row
-    of the node the atom is in."""
+    """Each atom's chain through the (n, atoms) ``values``, as (n, atoms)
+    arrays by depth: the row of the part emitted there, its height (the
+    modulus step, never -0.0), the member taken and the first row of the
+    node the atom is in."""
     n, atoms = values.shape
     sizes = _node_sizes(n, mode)
     branches = 2 if mode == REAL else 1
@@ -167,54 +174,75 @@ def _chain(values: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
     later = (np.arange(n)[:, None] < np.arange(n))[:, :, None]
     local = np.sum((order[None] < order[:, None]) & later, axis=1)
     neg = values[order, w] < 0.0 if mode == REAL else np.zeros((n, atoms), dtype=bool)
-    parts = np.zeros((sizes[n], atoms))
+    rows = np.empty((n, atoms), dtype=np.intp)
     starts = np.empty((n, atoms), dtype=np.intp)
     start = np.zeros(atoms, dtype=np.intp)
     for e in range(n):
         k_sub = sizes[n - e - 1]
         cell = start + local[e] * branches * (k_sub + 1)
         starts[e] = start
-        parts[cell + branches * k_sub + neg[e], w] = heights[e]
+        rows[e] = cell + branches * k_sub + neg[e]
         start = cell + neg[e] * k_sub
-    return parts, order, starts
+    return rows, heights, order, starts
+
+
+def _dense_parts(rows: np.ndarray, heights: np.ndarray, k: int) -> np.ndarray:
+    """The (k, atoms) parts of a chain: each (row, atom) is written at most
+    once, and every other part is +0.0 there."""
+    parts = np.zeros((k, rows.shape[1]))
+    parts[rows, np.arange(rows.shape[1])] = heights
+    return parts
 
 
 def _real_signs(sub: np.ndarray, m: int) -> np.ndarray:
     """The (m, k) sign template of a node of m functions from the
-    (m - 1, k_sub) template below it."""
+    (m - 1, k_sub) template below it: cell i holds the sub-template twice
+    (f_i >= 0, then f_i < 0) in the rows other than i, in order, then two
+    zero columns, and [1]*k_sub + [-1]*k_sub + [1, -1] in row i."""
     k_sub = sub.shape[1]
-    blocks = np.zeros((m, m, 2 * k_sub + 2), dtype=np.int8)  # cell, row, part
-    for i in range(m):
-        rest = np.arange(m) != i
-        blocks[i, i] = np.repeat([1, -1, 1, -1], [k_sub, k_sub, 1, 1])
-        blocks[i, rest, :2 * k_sub] = np.hstack([sub, sub])
-    return np.hstack(blocks)
+    padded = np.zeros((m, 2 * k_sub + 2), dtype=np.int8)
+    padded[:m - 1, :k_sub] = sub
+    padded[:m - 1, k_sub:2 * k_sub] = sub
+    r = np.arange(m)
+    blocks = padded[r - (r > r[:, None])]             # cell, row, part
+    blocks[r, r] = np.repeat([1, -1, 1, -1], [k_sub, k_sub, 1, 1])
+    return blocks.transpose(1, 0, 2).reshape(m, -1)
 
 
 def _split_real(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    parts, _, _ = _chain(values, REAL)
+    rows, heights, _, _ = _chain(values, REAL)
     signs = np.array([[1, -1]], dtype=np.int8)
     for m in range(2, values.shape[0] + 1):
         signs = _real_signs(signs, m)
-    return parts, signs
+    return _dense_parts(rows, heights, signs.shape[1]), signs
+
+
+def _phases(values: np.ndarray) -> np.ndarray:
+    """The (2, n, atoms) phases of the complex ``values``: row 0 at the top
+    node, row 1 below it.  Below the top node the recursion restricts
+    values to a cell by a complex product with 1, which can change the sign
+    of a zero real or imaginary part, and with it the sign of a zero in the
+    phase."""
+    return unit_phases(np.stack([values, values * 1.0]))
 
 
 def _split_complex(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    parts, order, starts = _chain(values, COMPLEX)
+    rows, heights, order, starts = _chain(values, COMPLEX)
     n, atoms = values.shape
     sizes = _node_sizes(n, COMPLEX)
-    # below the top node the recursion restricts values to a cell by a
-    # complex product with 1, which can change the sign of a zero real or
-    # imaginary part, and with it the sign of a zero in the phase
-    phases = unit_phases(np.stack([values, values * 1.0]))
+    phases = _phases(values)
     coeffs = np.zeros((n, sizes[n], atoms), dtype=np.complex128)
+    # the top node: member c on block c, every atom alike
+    size = sizes[n - 1] + 1
+    for c in range(n):
+        coeffs[c, c * size:(c + 1) * size] = phases[0, c]
     w = np.arange(atoms)
-    for e in range(n):
+    for e in range(1, n):
         # block c of the node belongs to the c-th smallest member left in it
         members = np.sort(order[e:], axis=0)[:, None]
         block = np.arange(sizes[n - e]).reshape(n - e, -1, 1)
-        coeffs[members, starts[e] + block, w] = phases[min(e, 1)][members, w]
-    return parts, coeffs
+        coeffs[members, starts[e] + block, w] = phases[1][members, w]
+    return _dense_parts(rows, heights, sizes[n]), coeffs
 
 
 def _check_size(fs: FnFamily, mode: str) -> None:
@@ -315,17 +343,20 @@ def verify_decomposition(d: Decomposition, fs: FnFamily) -> DecompositionReport:
 
     violations: list[str] = []
     if d.signs is not None:
-        bad = ~np.isin(d.signs, (-1, 0, 1))
-        for i, j in zip(*np.nonzero(bad)):
-            violations.append(f"sign[{i}][{j}]={d.signs[i, j]} not in {{-1,0,1}}")
+        s = d.signs
+        bad = (s != -1) & (s != 0) & (s != 1)
+        if bad.any():
+            for i, j in zip(*np.nonzero(bad)):
+                violations.append(f"sign[{i}][{j}]={s[i, j]} not in {{-1,0,1}}")
     else:
         mod = np.abs(d.coeffs)
         bad = (mod != 0.0) & (np.abs(mod - 1.0) > UNIMODULAR_TOL)
-        for i, j, w in zip(*np.nonzero(bad)):
-            violations.append(
-                f"coeff[{i}][{j}] at atom {atoms[w]} has modulus {mod[i, j, w]}")
-            if len(violations) >= 10:
-                break
+        if bad.any():
+            for i, j, w in zip(*np.nonzero(bad)):
+                violations.append(f"coeff[{i}][{j}] at atom {atoms[w]} has "
+                                  f"modulus {mod[i, j, w]}")
+                if len(violations) >= 10:
+                    break
 
     passed = (float(sum_res[i_sum]) / scale <= IDENTITY_TOL
               and all(r <= IDENTITY_TOL for r in rec_res)
@@ -374,6 +405,24 @@ def _coeff_array(d: Decomposition) -> np.ndarray:
     return d.signs.astype(np.complex128)[:, :, None]
 
 
+def _sparse_rows(cell_of: np.ndarray, j: np.ndarray, w: np.ndarray,
+                 heights: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The nonzero (cell, part) rows of the part entries ``heights`` at rows
+    ``j`` and atoms ``w``: their sorted keys cell * k + part row, the row of
+    each entry and the (rows, atoms) parts."""
+    index, row = np.unique(cell_of[w] * k + j, return_inverse=True)
+    parts = np.zeros((index.size, cell_of.size))
+    parts[row, w] = heights
+    return index, row, parts
+
+
+def _cell_numbers(groups: list[list[int]], atoms: int) -> np.ndarray:
+    cell_of = np.empty(atoms, dtype=np.intp)
+    for c, g in enumerate(groups):
+        cell_of[g] = c
+    return cell_of
+
+
 def _cells_to_decomposition(d: Decomposition, rounded: np.ndarray,
                             epsilon: float) -> CellDecomposition:
     """The refinement of ``d`` into cells on which the (n, k, atoms)
@@ -385,13 +434,9 @@ def _cells_to_decomposition(d: Decomposition, rounded: np.ndarray,
     """
     rounded = np.broadcast_to(rounded, (d.n, d.k, d.space.size))
     groups = group_columns(rounded)
-    cell_of = np.empty(d.space.size, dtype=np.intp)
-    for c, g in enumerate(groups):
-        cell_of[g] = c
     j, w = np.nonzero(d.parts_matrix)
-    index, row = np.unique(cell_of[w] * d.k + j, return_inverse=True)
-    parts = np.zeros((index.size, d.space.size))
-    parts[row, w] = d.parts_matrix[j, w]
+    index, _, parts = _sparse_rows(_cell_numbers(groups, d.space.size), j, w,
+                                   d.parts_matrix[j, w], d.k)
     reps = np.array([g[0] for g in groups], dtype=np.intp)
     alphas = rounded[:, index % d.k, reps[index // d.k]]
     cells = tuple(tuple(g) for g in groups)
@@ -417,17 +462,16 @@ def _net_points(ticks: np.ndarray, m: int) -> np.ndarray:
     return points
 
 
-def _net_rounded(d: Decomposition, eps: float) -> np.ndarray:
-    """Every coefficient of ``d`` rounded to the nearest point of the circle
-    net of mesh eps, m = 2 ceil(pi / eps) points, with 0 kept at 0, as an
-    (n, k, atoms) array (n, k, 1 in real mode).  At most as many net points
-    are computed as there are coefficients.  eps must be finite and at least
-    MIN_NET_EPS."""
+def _net_round(coeff: np.ndarray, eps: float) -> np.ndarray:
+    """Every entry of the complex ``coeff`` rounded to the nearest point of
+    the circle net of mesh eps, m = 2 ceil(pi / eps) points, with 0 kept at
+    0.  At most as many net points are computed as there are nonzero
+    entries; each point is the same whichever way it is computed.  eps
+    must be finite and at least MIN_NET_EPS."""
     if not (math.isfinite(eps) and eps >= MIN_NET_EPS):
         raise ValueError(f"eps must be finite and at least {MIN_NET_EPS:g}, "
                          f"got {eps}")
     m = 2 * math.ceil(math.pi / eps)
-    coeff = _coeff_array(d)
     nonzero = coeff != 0.0
     angles = np.angle(coeff[nonzero])
     ticks = np.rint(angles * m / (2.0 * math.pi)).astype(np.int64) % m
@@ -439,6 +483,12 @@ def _net_rounded(d: Decomposition, eps: float) -> np.ndarray:
     return rounded
 
 
+def _net_rounded(d: Decomposition, eps: float) -> np.ndarray:
+    """Every coefficient of ``d`` rounded by ``_net_round``, as an (n, k,
+    atoms) array (n, k, 1 in real mode)."""
+    return _net_round(_coeff_array(d), eps)
+
+
 def eps_net_coeffs(d: Decomposition, eps: float) -> CellDecomposition:
     """Round every coefficient to the nearest point of a finite net on the
     unit circle (with 0 kept at 0), then refine into cells where the rounded
@@ -447,6 +497,75 @@ def eps_net_coeffs(d: Decomposition, eps: float) -> CellDecomposition:
     The recombination error is at most eps times the lattice max, pointwise.
     """
     return _cells_to_decomposition(d, _net_rounded(d, eps), eps)
+
+
+# ---------------------------------------------------------------------------
+# the proof traces' parts, straight from the chain
+# ---------------------------------------------------------------------------
+
+def nonzero_parts_real(fs: FnFamily) -> np.ndarray:
+    """The nonzero parts of a real family's decomposition, read from each
+    atom's chain without building the dense decomposition:
+
+        nonzero_parts_real(fs) == prune(decompose_real(fs)).parts_matrix
+
+    bit for bit and in shape.  A height is never -0.0, so a nonzero height
+    marks a part row that prune keeps.  Refuses what decompose_real
+    refuses."""
+    if fs.mode != REAL:
+        raise ValueError("nonzero_parts_real requires a real-mode family")
+    _check_size(fs, REAL)
+    rows, heights, _, _ = _chain(fs.value_matrix, REAL)
+    e, w = np.nonzero(heights)
+    # the nonzero rows of a refinement into one cell
+    one_cell = np.zeros(fs.space.size, dtype=np.intp)
+    return _sparse_rows(one_cell, rows[e, w], w, heights[e, w], 0)[2]
+
+
+def net_refinement(fs: FnFamily, eps: float) -> CellDecomposition:
+    """The complex decomposition rounded to the circle net of mesh eps and
+    refined into cells, read from each atom's chain without building the
+    dense decomposition:
+
+        net_refinement(fs, eps) == eps_net_coeffs(decompose_complex(fs), eps)
+
+    in cells, parts_matrix and alphas bytes and epsilon.  Only the (2, n,
+    atoms) phases are rounded.  An atom's rounded coefficient column is a
+    function of its key, the member order, the rounded top-node phase of
+    every member and the rounded lower-node phase of every member but the
+    top one, since each (member, row) entry is written once: on the
+    member's own block at the top, then inside the block of each member
+    taken before it.  The key can be read back from the column (zero
+    members come last, in index order, and each later member's entries lie
+    inside the block of the member taken before it), so grouping the atoms
+    by key groups them by column.  On the part row of depth e, member
+    order[e'] has its rounded phase of depth min(e', 1) for e' <= e and
+    every other member 0.  Refuses what decompose_complex and then
+    eps_net_coeffs refuse, in that order."""
+    _check_size(fs, COMPLEX)
+    values = fs.value_matrix.astype(np.complex128)
+    n, atoms = values.shape
+    rounded = _net_round(_phases(values), eps)
+    rows, heights, order, _ = _chain(values, COMPLEX)
+    w = np.arange(atoms)
+    # the rounded phase of the member taken at each depth
+    taken = np.concatenate([rounded[0][order[:1], w], rounded[1][order[1:], w]])
+    key = np.concatenate([order.astype(np.complex128), rounded[0], taken[1:]])
+    groups = group_columns(key)
+    e, w = np.nonzero(heights)
+    index, row, parts = _sparse_rows(_cell_numbers(groups, atoms), rows[e, w],
+                                     w, heights[e, w],
+                                     _node_sizes(n, COMPLEX)[n])
+    # one entry of each kept row; every atom of its cell has the same column
+    pick = np.empty(index.size, dtype=np.intp)
+    pick[row] = np.arange(row.size)
+    e, w = e[pick], w[pick]
+    alphas = np.zeros((n, index.size), dtype=np.complex128)
+    depth = np.arange(n)[:, None]
+    alphas[order[:, w], np.arange(index.size)] = np.where(
+        depth <= e, taken[:, w], 0.0)
+    cells = tuple(tuple(g) for g in groups)
+    return CellDecomposition(fs.space, COMPLEX, cells, parts, alphas, eps)
 
 
 @dataclass(frozen=True)

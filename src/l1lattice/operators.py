@@ -25,8 +25,7 @@ import numpy as np
 
 from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                    _as_mode_array, d_norm)
-from .decompose import (decompose_complex, decompose_real, eps_net_coeffs,
-                        prune)
+from .decompose import net_refinement, nonzero_parts_real
 
 #: relative tolerance for all inequality reports and proof-trace slacks
 INEQ_TOL = 1e-9
@@ -266,15 +265,16 @@ def proof_trace_real(t: KernelOperator, fs: FnFamily,
                      tol: float = INEQ_TOL) -> ProofTrace:
     """Certify the L1 inequality for a real family through the sign-matrix
     decomposition, one chain step at a time.  Only the nonzero parts enter
-    the sums; each atom has at most n of them."""
+    the sums, read from each atom's chain; each atom has at most n of
+    them."""
     if fs.mode != REAL or t.mode != REAL:
         raise ValueError("proof_trace_real requires real operator and family")
     _check_applicable(t, fs)
-    d = prune(decompose_real(fs))
+    parts = nonzero_parts_real(fs)
     nu_w = t.codomain.weight_array
     mu_w = t.domain.weight_array
 
-    t_parts = np.abs(apply_matrix(t, d.parts_matrix))          # |Th_j| rows
+    t_parts = np.abs(apply_matrix(t, parts))                   # |Th_j| rows
     bound = t_parts.sum(axis=0)                                # sum_j |Th_j|
     t_family = np.abs(apply_matrix(t, fs.value_matrix))        # |Tf_i| rows
     steps, int_max, int_bound = _triangle_steps(
@@ -283,7 +283,7 @@ def proof_trace_real(t: KernelOperator, fs: FnFamily,
     steps.append(_eq_step("swap sum and integral",
                           "finite sum of integrals", int_bound,
                           float(part_norms.sum()), tol))
-    part_masses = d.parts_matrix @ mu_w
+    part_masses = parts @ mu_w
     opn = op_norm(t)
     steps.append(_le_step("bound each part",
                           "||Th|| <= ||T|| integral h for h >= 0",
@@ -301,9 +301,10 @@ def proof_trace_complex(t: KernelOperator, fs: FnFamily, eps: float,
                         tol: float = INEQ_TOL) -> ProofTrace:
     """Certify the L1 inequality through the unimodular decomposition rounded
     to constant coefficients, with the (1 + n eps) relaxation.  The parts
-    are the (cell, part) rows of ``eps_net_coeffs``, at most n per atom."""
+    are the (cell, part) rows of ``net_refinement``, read from each atom's
+    chain, at most n per atom."""
     _check_applicable(t, fs)
-    cd = eps_net_coeffs(decompose_complex(fs), eps)
+    cd = net_refinement(fs, eps)
     parts, alphas = cd.parts_matrix, cd.alphas
     n = fs.size
     mu_w = t.domain.weight_array

@@ -23,7 +23,8 @@ from l1lattice.cli import main
 from l1lattice.core import unit_phases
 from l1lattice.decompose import (COMPLEX_PREPRUNE, MIN_NET_EPS, REAL_PREPRUNE,
                                  Decomposition, OptimalKResult, _coeff_array, _face_masks,
-                                 _net_points, _net_rounded)
+                                 _net_points, _net_rounded, net_refinement,
+                                 nonzero_parts_real)
 from l1lattice.generate import random_family, random_space, rng_for
 from l1lattice.lp import LinearProgram
 
@@ -431,6 +432,95 @@ class TestCellRows:
                 cell_of[list(g)] = c
             for row in cd.parts_matrix:
                 assert np.unique(cell_of[row != 0.0]).size == 1
+
+
+#: values with ties, zero members and signed zeros for the chain paths
+CHAIN_VALUES = [0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1j, -1j, 1 + 1j, -1 - 1j, 2j,
+                complex(0, -0.0), complex(-1, -0.0)]
+
+
+def _chain_family(data, mode):
+    """A family of 1..5 members on 1..30 atoms: uniform values, values from
+    CHAIN_VALUES (real ones only in real mode), 40% zeros, or each member
+    scaled by 2^k down to subnormals; maybe a zero member, maybe atoms that
+    repeat a few columns so that cells hold several atoms."""
+    n = data.draw(st.integers(1, 5), label="n")
+    atoms = data.draw(st.integers(1, 30), label="atoms")
+    kind = data.draw(st.sampled_from(("uniform", "values", "zeros", "scaled")),
+                     label="kind")
+    rng = rng_for(data.draw(st.integers(0, 2 ** 31), label="seed"))
+    v = rng.uniform(-10.0, 10.0, (n, atoms))
+    if mode == COMPLEX:
+        v = v + 1j * rng.uniform(-10.0, 10.0, (n, atoms))
+    if kind == "values":
+        choices = [c for c in CHAIN_VALUES if mode == COMPLEX or not
+                   isinstance(c, complex)]
+        v = np.array(choices)[rng.integers(len(choices), size=(n, atoms))]
+    elif kind == "zeros":
+        v = np.where(rng.random((n, atoms)) < 0.4, 0.0, v)
+    elif kind == "scaled":
+        v = v * 2.0 ** rng.integers(-1070, 1001, size=(n, 1)).astype(float)
+    if data.draw(st.booleans(), label="zero member"):
+        v[rng.integers(n)] = 0.0
+    if data.draw(st.booleans(), label="repeated columns"):
+        v = v[:, rng.integers(min(atoms, 4), size=atoms)]
+    return FnFamily(unit_space(atoms), mode, v)
+
+
+def _recursive_template(n):
+    """The real sign template as the parent recursion built it, cell by cell
+    (the reference of the level-at-a-time template)."""
+    signs = np.array([[1, -1]], dtype=np.int8)
+    for m in range(2, n + 1):
+        k_sub = signs.shape[1]
+        blocks = np.zeros((m, m, 2 * k_sub + 2), dtype=np.int8)
+        for i in range(m):
+            rest = np.arange(m) != i
+            blocks[i, i] = np.repeat([1, -1, 1, -1], [k_sub, k_sub, 1, 1])
+            blocks[i, rest, :2 * k_sub] = np.hstack([signs, signs])
+        signs = np.hstack(blocks)
+    return signs
+
+
+class TestChainPaths:
+    """The proof traces' parts and refinements, read from each atom's chain,
+    equal the dense decomposition's byte for byte."""
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_real_parts_match_pruned_decomposition(self, data):
+        fs = _chain_family(data, REAL)
+        assert_same_bytes(nonzero_parts_real(fs),
+                          prune(decompose_real(fs)).parts_matrix)
+
+    @given(st.sampled_from((REAL, COMPLEX)),
+           st.sampled_from((1e-6, 0.01, 0.1, 1.0)), st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_net_refinement_matches_dense_refinement(self, mode, eps, data):
+        fs = _chain_family(data, mode)
+        got = net_refinement(fs, eps)
+        want = eps_net_coeffs(decompose_complex(fs), eps)
+        assert got.cells == want.cells
+        assert_same_bytes(got.parts_matrix, want.parts_matrix)
+        assert_same_bytes(got.alphas, want.alphas)
+        assert got.epsilon == want.epsilon and got.mode == want.mode
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_template_matches_cell_by_cell_recursion(self, n):
+        d = decompose_real(FnFamily(unit_space(1), REAL, np.ones((n, 1))))
+        assert_same_bytes(d.signs, _recursive_template(n))
+
+    def test_refusals_keep_their_order(self):
+        big = FnFamily(unit_space(4), COMPLEX, np.ones((7, 4)))
+        with pytest.raises(ValueError, match="above the budget"):
+            net_refinement(big, 0.0)
+        small = FnFamily(unit_space(4), COMPLEX, np.ones((2, 4)))
+        with pytest.raises(ValueError, match="eps must be finite"):
+            net_refinement(small, 0.0)
+        with pytest.raises(ValueError, match="above the budget"):
+            nonzero_parts_real(FnFamily(unit_space(5), REAL, np.ones((6, 5))))
+        with pytest.raises(ValueError, match="real-mode"):
+            nonzero_parts_real(small)
 
 
 class TestEpsNet:
