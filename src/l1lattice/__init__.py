@@ -6,9 +6,8 @@ from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                    argmax_partition, d_norm, l1_norm, lattice_max, point_mass,
                    pos_neg_split, zero_fn)
 from .decompose import (CellDecomposition, Decomposition, decompose_complex,
-                        decompose_real, eps_net_coeffs, net_refinement,
-                        nonzero_parts_real, optimal_k_search, preprune_count,
-                        prune, refine_to_constant_coeffs,
+                        decompose_real, eps_net_coeffs, optimal_k_search,
+                        preprune_count, prune, refine_to_constant_coeffs,
                         verify_cell_decomposition, verify_decomposition,
                         verify_trace_counts)
 from .extension import (ExtensionResult, RestrictedOperator, Subspace,

@@ -120,14 +120,15 @@ def _cmd_decompose(args) -> int:
         raise CheckFailed(f"decomposition invariants failed: {report.to_json()}")
 
     if args.cells or args.eps is not None:
-        cd = (eps_net_coeffs(d, args.eps) if args.eps is not None
-              else refine_to_constant_coeffs(d))
+        cd = (eps_net_coeffs(fs, mode, args.eps) if args.eps is not None
+              else refine_to_constant_coeffs(fs, mode))
         cell_report = verify_cell_decomposition(cd, fs)
         if not cell_report.passed:
             raise CheckFailed(
                 "constant-coefficient refinement failed its bound: sum residual "
                 f"{cell_report.sum_residual:.3e}, bound excess "
-                f"{cell_report.bound_excess:.3e}")
+                f"{cell_report.bound_excess:.3e}"
+                + "".join(f"; {v}" for v in cell_report.violations))
         doc = jsonio.cell_decomposition_to_json(cd)
         _emit(args, doc, f"{cd.n_parts} parts on {len(cd.cells)} cells, "
                          f"epsilon {cd.epsilon}")
@@ -314,7 +315,9 @@ def _cmd_selftest(args) -> int:
 def _decompose_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="family JSON")
     p.add_argument("--mode", choices=[REAL, COMPLEX], default=None)
-    p.add_argument("--prune", action="store_true", help="drop identically-zero parts")
+    p.add_argument("--prune", action="store_true",
+                   help="drop identically-zero parts (a --cells or --eps "
+                        "document is the same either way)")
     p.add_argument("--cells", action="store_true",
                    help="refine to constant coefficients on cells")
     p.add_argument("--eps", type=_net_eps, default=None,

@@ -32,13 +32,12 @@ each member's row holds its phase on its own block.
 The real sign template is built one level at a time, each level gathered
 from the level below in one indexing step.
 
-Also here: refinement to constant coefficients on cells (the nonzero
-(cell, part) products only), finite nets on the unit circle for approximate
-constant coefficients, pruning, the invariant checker, and the exhaustive
-minimal part-count search.  The proof traces need only the nonzero parts,
-and in complex mode their net-rounded cells: ``nonzero_parts_real`` and
-``net_refinement`` read those straight from the chains, equal byte for byte
-to pruning and refining the dense decomposition, which they never build.
+Also here: pruning, the invariant checker, the exhaustive minimal
+part-count search, and refinement to constant coefficients on cells,
+exact or rounded to a finite net on the unit circle.  A refinement keeps
+only the nonzero (cell, part) rows and is read from each atom's chain, so
+it never builds the dense decomposition; it is the same whether that
+decomposition is pruned or not.
 """
 
 from __future__ import annotations
@@ -397,58 +396,6 @@ class CellDecomposition:
         return self.alphas @ self.parts_matrix.astype(np.complex128)
 
 
-def _coeff_array(d: Decomposition) -> np.ndarray:
-    """The (n, k, atoms) complex coefficients; in real mode the signs, which
-    are the same on every atom, as an (n, k, 1) array that broadcasts."""
-    if d.coeffs is not None:
-        return d.coeffs
-    return d.signs.astype(np.complex128)[:, :, None]
-
-
-def _sparse_rows(cell_of: np.ndarray, j: np.ndarray, w: np.ndarray,
-                 heights: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """The nonzero (cell, part) rows of the part entries ``heights`` at rows
-    ``j`` and atoms ``w``: their sorted keys cell * k + part row, the row of
-    each entry and the (rows, atoms) parts."""
-    index, row = np.unique(cell_of[w] * k + j, return_inverse=True)
-    parts = np.zeros((index.size, cell_of.size))
-    parts[row, w] = heights
-    return index, row, parts
-
-
-def _cell_numbers(groups: list[list[int]], atoms: int) -> np.ndarray:
-    cell_of = np.empty(atoms, dtype=np.intp)
-    for c, g in enumerate(groups):
-        cell_of[g] = c
-    return cell_of
-
-
-def _cells_to_decomposition(d: Decomposition, rounded: np.ndarray,
-                            epsilon: float) -> CellDecomposition:
-    """The refinement of ``d`` into cells on which the (n, k, atoms)
-    ``rounded`` coefficients are constant, as its nonzero (cell, part) rows.
-
-    An atom lies in one cell and has at most n nonzero parts, so at most n
-    rows per atom are kept, ordered by cell, then by part; each row's
-    coefficients are those of its part on the cell's first atom.
-    """
-    rounded = np.broadcast_to(rounded, (d.n, d.k, d.space.size))
-    groups = group_columns(rounded)
-    j, w = np.nonzero(d.parts_matrix)
-    index, _, parts = _sparse_rows(_cell_numbers(groups, d.space.size), j, w,
-                                   d.parts_matrix[j, w], d.k)
-    reps = np.array([g[0] for g in groups], dtype=np.intp)
-    alphas = rounded[:, index % d.k, reps[index // d.k]]
-    cells = tuple(tuple(g) for g in groups)
-    return CellDecomposition(d.space, d.mode, cells, parts, alphas, epsilon)
-
-
-def refine_to_constant_coeffs(d: Decomposition) -> CellDecomposition:
-    """Make every coefficient constant by refining the atoms into cells on
-    which all coefficient fields are constant.  Exact: epsilon = 0."""
-    return _cells_to_decomposition(d, _coeff_array(d), 0.0)
-
-
 def _net_points(ticks: np.ndarray, m: int) -> np.ndarray:
     """Points exp(2 pi i t / m) of the net of m points on the unit circle,
     for the integer ticks t in 0..m-1, with the cardinal points snapped so
@@ -483,89 +430,82 @@ def _net_round(coeff: np.ndarray, eps: float) -> np.ndarray:
     return rounded
 
 
-def _net_rounded(d: Decomposition, eps: float) -> np.ndarray:
-    """Every coefficient of ``d`` rounded by ``_net_round``, as an (n, k,
-    atoms) array (n, k, 1 in real mode)."""
-    return _net_round(_coeff_array(d), eps)
+def _refinement(fs: FnFamily, mode: str, eps: float | None) -> CellDecomposition:
+    """The decomposition of ``fs`` in ``mode``, its coefficients rounded by
+    ``_net_round`` unless eps is None, refined into cells on which every
+    coefficient is constant, read from each atom's chain.
 
-
-def eps_net_coeffs(d: Decomposition, eps: float) -> CellDecomposition:
-    """Round every coefficient to the nearest point of a finite net on the
-    unit circle (with 0 kept at 0), then refine into cells where the rounded
-    values are constant.
-
-    The recombination error is at most eps times the lattice max, pointwise.
-    """
-    return _cells_to_decomposition(d, _net_rounded(d, eps), eps)
-
-
-# ---------------------------------------------------------------------------
-# the proof traces' parts, straight from the chain
-# ---------------------------------------------------------------------------
-
-def nonzero_parts_real(fs: FnFamily) -> np.ndarray:
-    """The nonzero parts of a real family's decomposition, read from each
-    atom's chain without building the dense decomposition:
-
-        nonzero_parts_real(fs) == prune(decompose_real(fs)).parts_matrix
-
-    bit for bit and in shape.  A height is never -0.0, so a nonzero height
-    marks a part row that prune keeps.  Refuses what decompose_real
-    refuses."""
-    if fs.mode != REAL:
-        raise ValueError("nonzero_parts_real requires a real-mode family")
-    _check_size(fs, REAL)
-    rows, heights, _, _ = _chain(fs.value_matrix, REAL)
-    e, w = np.nonzero(heights)
-    # the nonzero rows of a refinement into one cell
-    one_cell = np.zeros(fs.space.size, dtype=np.intp)
-    return _sparse_rows(one_cell, rows[e, w], w, heights[e, w], 0)[2]
-
-
-def net_refinement(fs: FnFamily, eps: float) -> CellDecomposition:
-    """The complex decomposition rounded to the circle net of mesh eps and
-    refined into cells, read from each atom's chain without building the
-    dense decomposition:
-
-        net_refinement(fs, eps) == eps_net_coeffs(decompose_complex(fs), eps)
-
-    in cells, parts_matrix and alphas bytes and epsilon.  Only the (2, n,
-    atoms) phases are rounded.  An atom's rounded coefficient column is a
-    function of its key, the member order, the rounded top-node phase of
-    every member and the rounded lower-node phase of every member but the
-    top one, since each (member, row) entry is written once: on the
-    member's own block at the top, then inside the block of each member
-    taken before it.  The key can be read back from the column (zero
-    members come last, in index order, and each later member's entries lie
-    inside the block of the member taken before it), so grouping the atoms
-    by key groups them by column.  On the part row of depth e, member
-    order[e'] has its rounded phase of depth min(e', 1) for e' <= e and
-    every other member 0.  Refuses what decompose_complex and then
-    eps_net_coeffs refuse, in that order."""
-    _check_size(fs, COMPLEX)
-    values = fs.value_matrix.astype(np.complex128)
+    On the part row of depth e, member order[e'] has the coefficient
+    taken[e'] for e' <= e and every other member 0: in real mode +-1 by the
+    member's sign, in complex mode its phase, at the top node for e' = 0
+    and below it otherwise.  Real mode is one cell, its sign matrix being
+    the same on every atom.  In complex mode each (member, row) entry of an
+    atom's coefficient column is written once, on the member's own block at
+    the top, then inside the block of each member taken before it, so up to
+    the sign of a zero component the column is a function of the member
+    order and the taken coefficients.  That key can be read back from the
+    column (zero members come last, in index order, and each later
+    member's entries lie inside the block of the member taken before it),
+    so grouping the atoms by the key with every zero made +0.0 groups them
+    by column, whether the decomposition is pruned or not.  Each row's
+    coefficients are those of its cell's first atom.  Refuses what
+    decompose_real or decompose_complex refuses, then eps outside
+    ``_net_round``'s range."""
+    _check_size(fs, mode)
+    if mode == REAL and fs.mode != REAL:
+        raise ValueError("a real refinement requires a real-mode family")
+    values = (fs.value_matrix if mode == REAL
+              else fs.value_matrix.astype(np.complex128))
     n, atoms = values.shape
-    rounded = _net_round(_phases(values), eps)
-    rows, heights, order, _ = _chain(values, COMPLEX)
+    rows, heights, order, _ = _chain(values, mode)
     w = np.arange(atoms)
-    # the rounded phase of the member taken at each depth
-    taken = np.concatenate([rounded[0][order[:1], w], rounded[1][order[1:], w]])
-    key = np.concatenate([order.astype(np.complex128), rounded[0], taken[1:]])
-    groups = group_columns(key)
+    if mode == REAL:
+        taken = np.where(values[order, w] < 0.0, -1.0, 1.0).astype(np.complex128)
+    else:
+        phases = _phases(values)
+        taken = np.concatenate([phases[0][order[:1], w], phases[1][order[1:], w]])
+    if eps is not None:
+        taken = _net_round(taken, eps)
+    groups = ([list(range(atoms))] if mode == REAL else group_columns(
+        np.concatenate([order.astype(np.complex128), taken + 0.0])))
+    cell_of = np.empty(atoms, dtype=np.intp)
+    for c, g in enumerate(groups):
+        cell_of[g] = c
+    # the nonzero (cell, part) rows, keyed cell * k + part row and sorted
+    k = _node_sizes(n, mode)[n]
     e, w = np.nonzero(heights)
-    index, row, parts = _sparse_rows(_cell_numbers(groups, atoms), rows[e, w],
-                                     w, heights[e, w],
-                                     _node_sizes(n, COMPLEX)[n])
-    # one entry of each kept row; every atom of its cell has the same column
+    index, row = np.unique(cell_of[w] * k + rows[e, w], return_inverse=True)
+    parts = np.zeros((index.size, atoms))
+    parts[row, w] = heights[e, w]
+    # one entry of each kept row: its depth is the same on every atom of
+    # the cell, and in real mode so are its signs
     pick = np.empty(index.size, dtype=np.intp)
     pick[row] = np.arange(row.size)
     e, w = e[pick], w[pick]
+    if mode == COMPLEX:
+        w = np.array([g[0] for g in groups], dtype=np.intp)[index // k]
     alphas = np.zeros((n, index.size), dtype=np.complex128)
-    depth = np.arange(n)[:, None]
     alphas[order[:, w], np.arange(index.size)] = np.where(
-        depth <= e, taken[:, w], 0.0)
+        np.arange(n)[:, None] <= e, taken[:, w], 0.0)
     cells = tuple(tuple(g) for g in groups)
-    return CellDecomposition(fs.space, COMPLEX, cells, parts, alphas, eps)
+    return CellDecomposition(fs.space, mode, cells, parts, alphas,
+                             0.0 if eps is None else eps)
+
+
+def refine_to_constant_coeffs(fs: FnFamily, mode: str) -> CellDecomposition:
+    """The decomposition of ``fs`` in ``mode`` refined into cells on which
+    every coefficient is constant.  Exact: epsilon = 0."""
+    return _refinement(fs, mode, None)
+
+
+def eps_net_coeffs(fs: FnFamily, mode: str, eps: float) -> CellDecomposition:
+    """The decomposition of ``fs`` in ``mode``, every coefficient rounded to
+    the nearest point of a finite net on the unit circle (with 0 kept at
+    0), refined into cells where the rounded values are constant.
+
+    The recombination error is at most eps times the lattice max, pointwise.
+    """
+    return _refinement(fs, mode, eps)
 
 
 @dataclass(frozen=True)
@@ -573,18 +513,36 @@ class CellReport:
     passed: bool
     sum_residual: float
     bound_excess: float     # max over atoms of |f_i - sum| - eps * latmax
+    violations: tuple[str, ...]     # partition, negative parts, alpha moduli
     tolerance: float
 
 
 def verify_cell_decomposition(cd: CellDecomposition, fs: FnFamily) -> CellReport:
-    """Check the part-sum identity and the epsilon residual bound."""
+    """Check the part-sum identity, the epsilon residual bound, that the
+    cells partition the atoms, that no part is negative and that every
+    alpha is 0 or unimodular; at most 10 violations of each of the last two
+    are named."""
     latmax = np.max(np.abs(fs.value_matrix), axis=0)
     scale = max(1.0, float(latmax.max()))
     sum_res = float(np.max(np.abs(cd.parts_matrix.sum(axis=0) - latmax))) / scale
     resid = np.abs(cd.recombined() - fs.value_matrix.astype(np.complex128))
     excess = float(np.max(resid - cd.epsilon * latmax[None, :])) / scale
-    passed = sum_res <= IDENTITY_TOL and excess <= IDENTITY_TOL
-    return CellReport(passed, sum_res, excess, IDENTITY_TOL)
+
+    violations: list[str] = []
+    if sorted(w for g in cd.cells for w in g) != list(range(fs.space.size)):
+        violations.append("cells do not partition the atoms")
+    j, w = np.nonzero(cd.parts_matrix < 0.0)
+    violations += [f"part[{r}] at atom {fs.space.atoms[c]} is "
+                   f"{cd.parts_matrix[r, c]}" for r, c in zip(j[:10], w[:10])]
+    mod = np.abs(cd.alphas)
+    i, j = np.nonzero((mod != 0.0) & (np.abs(mod - 1.0) > UNIMODULAR_TOL))
+    violations += [f"alpha[{a}][{b}] has modulus {mod[a, b]}"
+                   for a, b in zip(i[:10], j[:10])]
+
+    passed = (sum_res <= IDENTITY_TOL and excess <= IDENTITY_TOL
+              and not violations)
+    return CellReport(passed, sum_res, excess, tuple(violations),
+                      IDENTITY_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                    _as_mode_array, d_norm)
-from .decompose import net_refinement, nonzero_parts_real
+from .decompose import eps_net_coeffs, refine_to_constant_coeffs
 
 #: relative tolerance for all inequality reports and proof-trace slacks
 INEQ_TOL = 1e-9
@@ -265,12 +265,12 @@ def proof_trace_real(t: KernelOperator, fs: FnFamily,
                      tol: float = INEQ_TOL) -> ProofTrace:
     """Certify the L1 inequality for a real family through the sign-matrix
     decomposition, one chain step at a time.  Only the nonzero parts enter
-    the sums, read from each atom's chain; each atom has at most n of
-    them."""
+    the sums, the rows of its refinement into one cell, read from each
+    atom's chain; each atom has at most n of them."""
     if fs.mode != REAL or t.mode != REAL:
         raise ValueError("proof_trace_real requires real operator and family")
     _check_applicable(t, fs)
-    parts = nonzero_parts_real(fs)
+    parts = refine_to_constant_coeffs(fs, REAL).parts_matrix
     nu_w = t.codomain.weight_array
     mu_w = t.domain.weight_array
 
@@ -301,10 +301,10 @@ def proof_trace_complex(t: KernelOperator, fs: FnFamily, eps: float,
                         tol: float = INEQ_TOL) -> ProofTrace:
     """Certify the L1 inequality through the unimodular decomposition rounded
     to constant coefficients, with the (1 + n eps) relaxation.  The parts
-    are the (cell, part) rows of ``net_refinement``, read from each atom's
+    are the (cell, part) rows of ``eps_net_coeffs``, read from each atom's
     chain, at most n per atom."""
     _check_applicable(t, fs)
-    cd = net_refinement(fs, eps)
+    cd = eps_net_coeffs(fs, COMPLEX, eps)
     parts, alphas = cd.parts_matrix, cd.alphas
     n = fs.size
     mu_w = t.domain.weight_array

@@ -14,8 +14,7 @@ from l1lattice import cli, jsonio, lp
 from l1lattice.acceptance import pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import FnFamily, SimpleFn
-from l1lattice.decompose import (CellReport, OptimalKResult, decompose_complex,
-                                 eps_net_coeffs)
+from l1lattice.decompose import CellReport, OptimalKResult, eps_net_coeffs
 from l1lattice.extension import (RestrictedOperator, Subspace, alpha_via_lp,
                                   certificate_family_coeffs, extension_lp)
 from l1lattice.generate import (generate_instance, random_family,
@@ -301,8 +300,27 @@ class TestSubcommands:
                      "--out", str(out), "--quiet"]) == 0
         assert json.loads(out.read_text())["parts"] == []
 
+    def test_prune_keeps_cells_of_signed_zeros(self, tmp_path):
+        # atoms 0 and 1 differ only in the sign of a zero component, so
+        # their coefficients are equal and they share one cell
+        fam = {"spaces": {"mu": {"atoms": ["a", "b", "c"],
+                                 "weights": [1.0, 1.0, 1.0]}},
+               "members": [{"space": "mu", "mode": "complex",
+                            "values": [[1.0, 0.0], [1.0, -0.0], [-0.0, 2.0]]},
+                           {"space": "mu", "mode": "complex",
+                            "values": [[-0.0, -1.0], [0.0, -1.0], [-1.0, 0.0]]}]}
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(jsonio.dumps(fam))
+        outs = []
+        for flags in (["--cells"], ["--prune", "--cells"]):
+            outs.append(tmp_path / f"cells{len(outs)}.json")
+            assert main(["decompose", "--input", str(fam_path), *flags,
+                         "--out", str(outs[-1]), "--quiet"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["cells"] == [[0, 1], [2]]
 
-SPACE_2 = '{"atoms": ["a", "b"], "weights": [1.0, 2.0]}'
+
+SPACE_2 ='{"atoms": ["a", "b"], "weights": [1.0, 2.0]}'
 SPACE_1 = '{"atoms": ["a"], "weights": [1.0]}'
 
 # (subcommand, input document, text the error must contain)
@@ -778,7 +796,8 @@ class TestExitCodes:
         main(["generate", "--kind", "family", "--atoms", "4", "--seed", "3",
               "--out", str(fam), "--quiet"])
         failing = CellReport(passed=False, sum_residual=2.5e-9,
-                             bound_excess=0.125, tolerance=1e-10)
+                             bound_excess=0.125, violations=(),
+                             tolerance=1e-10)
         monkeypatch.setattr(cli, "verify_cell_decomposition",
                             lambda cd, fs: failing)
         assert main(["decompose", "--input", str(fam), "--cells",
@@ -786,6 +805,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "check failed: constant-coefficient refinement failed its bound: "
             "sum residual 2.500e-09, bound excess 1.250e-01\n")
+        failing = dataclasses.replace(failing, violations=(
+            "cells do not partition the atoms", "alpha[0][1] has modulus 2.0"))
+        assert main(["decompose", "--input", str(fam), "--cells",
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: constant-coefficient refinement failed its bound: "
+            "sum residual 2.500e-09, bound excess 1.250e-01; cells do not "
+            "partition the atoms; alpha[0][1] has modulus 2.0\n")
 
 
 class TestParserPins:
@@ -828,7 +855,7 @@ class TestParserPins:
         "help check-inequality":
             "d5c4ce8051c7713156d67b17da05e549bf265e6169c91c82d8c93928a24c5725",
         "help decompose":
-            "a2b7ad28a3a51ebe7c521fd54da05a17176e145227280e8f9972a93dadca9670",
+            "699adcf66f413f09549390a68d833fcd26e83d6d1160287130a314cc0ad78fe9",
         "help dominate":
             "1a69612666a6b2ff5acf6ee55ce99ffdbb6c8971c8e5009598a6bc53f0c52e74",
         "help extend":
@@ -1054,7 +1081,7 @@ class TestTraceGoldenBytesN5:
         _write_n5_trace_inputs(tmp_path, "complex")
         fs = jsonio.family_from_json(jsonio.read_json(
             str(tmp_path / "family.json")))
-        cd = eps_net_coeffs(decompose_complex(fs), 0.1)
+        cd = eps_net_coeffs(fs, fs.mode, 0.1)
         assert len(cd.cells) >= 5 and max(map(len, cd.cells)) >= 2
         assert not fs.value_matrix[3].any()
 

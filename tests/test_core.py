@@ -1,8 +1,13 @@
+import keyword
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import l1lattice
 from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        argmax_partition, d_norm, l1_norm, lattice_max,
                        pos_neg_split, zero_fn)
@@ -223,3 +228,14 @@ class TestGroupColumns:
             keys = keys + 1j * values[rng.integers(0, values.size,
                                                    (rows, atoms))]
         assert group_columns(keys) == _dict_group_columns(keys)
+
+
+def test_readme_library_names_exist():
+    """Every backticked name in README's Library paragraph is public."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = text.split("\n## Library\n\n", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`(\w+)`", paragraph)
+    assert "refine_to_constant_coeffs" in names
+    missing = [n for n in names if not keyword.iskeyword(n)
+               and not hasattr(l1lattice, n) and not hasattr(l1lattice.lp, n)]
+    assert missing == []

@@ -20,17 +20,16 @@ from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
 from l1lattice import jsonio, oracle
 from l1lattice.acceptance import _emitted_counts, pattern_family_n2
 from l1lattice.cli import main
-from l1lattice.core import unit_phases
+from l1lattice.core import group_columns, unit_phases
 from l1lattice.decompose import (COMPLEX_PREPRUNE, MIN_NET_EPS, REAL_PREPRUNE,
-                                 Decomposition, OptimalKResult, _coeff_array, _face_masks,
-                                 _net_points, _net_rounded, net_refinement,
-                                 nonzero_parts_real)
+                                 CellDecomposition, Decomposition, OptimalKResult,
+                                 _face_masks, _net_points, _net_round)
 from l1lattice.generate import random_family, random_space, rng_for
 from l1lattice.lp import LinearProgram
 
 
 def circle_net(eps):
-    """The whole net that ``_net_rounded`` rounds to, the reference for the
+    """The whole net that ``_net_round`` rounds to, the reference for the
     points it computes: m = 2 ceil(pi / eps) points exp(2 pi i t / m) with
     the cardinal points snapped."""
     m = 2 * math.ceil(math.pi / eps)
@@ -329,7 +328,7 @@ class TestConstantCoefficients:
         rng = rng_for(4)
         fs = random_family(rng, random_space(rng, 5), 2, REAL)
         d = decompose_real(fs)
-        cd = refine_to_constant_coeffs(d)
+        cd = refine_to_constant_coeffs(fs, REAL)
         assert cd.epsilon == 0.0
         assert len(cd.cells) == 1
         # one cell: the kept rows are the nonzero parts, with their signs
@@ -340,14 +339,14 @@ class TestConstantCoefficients:
 
     def test_complex_n1_two_cells(self):
         fs = FnFamily(unit_space(2), COMPLEX, [[1.0j, -1.0 + 0.0j]])
-        cd = refine_to_constant_coeffs(decompose_complex(fs))
+        cd = refine_to_constant_coeffs(fs, COMPLEX)
         assert cd.cells == ((0,), (1,))
         assert cd.alphas[0, 0] == 1.0j and cd.alphas[0, 1] == -1.0
         assert verify_cell_decomposition(cd, fs).passed
 
     def test_zero_function_single_cell(self):
         fs = FnFamily(unit_space(3), COMPLEX, np.zeros((1, 3)))
-        cd = refine_to_constant_coeffs(decompose_complex(fs))
+        cd = refine_to_constant_coeffs(fs, COMPLEX)
         assert len(cd.cells) == 1
         assert np.all(cd.alphas == 0.0)
 
@@ -355,9 +354,8 @@ class TestConstantCoefficients:
     @pytest.mark.parametrize("mode", [REAL, COMPLEX])
     def test_zero_family_writes_no_rows(self, tmp_path, mode, flags):
         fs = FnFamily(unit_space(3), mode, np.zeros((2, 3)))
-        split = decompose_real if mode == REAL else decompose_complex
-        cd = (eps_net_coeffs(split(fs), 0.1) if "--eps" in flags
-              else refine_to_constant_coeffs(split(fs)))
+        cd = (eps_net_coeffs(fs, mode, 0.1) if "--eps" in flags
+              else refine_to_constant_coeffs(fs, mode))
         assert cd.parts_matrix.shape == (0, 3) and cd.alphas.shape == (2, 0)
         assert verify_cell_decomposition(cd, fs).passed
         fam, out = tmp_path / "fam.json", tmp_path / "cells.json"
@@ -368,12 +366,36 @@ class TestConstantCoefficients:
         assert doc["cells"] == [[0, 1, 2]]
         assert doc["parts"] == [] and doc["coeffs"] == [[], []]
 
+    # each refinement passes both identities and fails one domain check
+    BROKEN = {
+        "partition": (((0,),), [[1.0, 0.0], [0.0, 2.0]], [[1.0, -1.0]],
+                      "cells do not partition the atoms"),
+        "negative part": (((0, 1),), [[1.0, 0.0], [0.0, 2.0], [0.5, 0.0],
+                                      [-0.5, 0.0]], [[1.0, -1.0, 0.0, 0.0]],
+                          "part[3] at atom a0 is -0.5"),
+        "alpha modulus": (((0, 1),), [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]],
+                          [[1.0, -1.0, 2.0]], "alpha[0][2] has modulus 2.0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_verify_names_each_broken_domain(self, case):
+        cells, parts, alphas, message = self.BROKEN[case]
+        fs = FnFamily(unit_space(2), REAL, [[1.0, -2.0]])
+        good = refine_to_constant_coeffs(fs, REAL)
+        assert good.parts_matrix.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+        assert verify_cell_decomposition(good, fs).violations == ()
+        cd = CellDecomposition(fs.space, REAL, cells, np.array(parts),
+                               np.array(alphas, dtype=np.complex128), 0.0)
+        report = verify_cell_decomposition(cd, fs)
+        assert report.sum_residual == 0.0 and report.bound_excess <= 0.0
+        assert not report.passed and report.violations == (message,)
+
     def test_exact_residual_on_random_families(self):
         rng = rng_for(5)
         for _ in range(50):
             fs = random_family(rng, random_space(rng, int(rng.integers(1, 9))),
                                int(rng.integers(1, 4)), COMPLEX)
-            cd = refine_to_constant_coeffs(decompose_complex(fs))
+            cd = refine_to_constant_coeffs(fs, COMPLEX)
             resid = np.abs(cd.recombined() - fs.value_matrix)
             assert np.max(resid) <= 1e-10 * (1.0 + np.max(np.abs(fs.value_matrix)))
 
@@ -387,9 +409,41 @@ def _mask_product(d, cells):
     return (mask[:, None, :] * d.parts_matrix[None]).reshape(-1, d.space.size)
 
 
+def _dense_coeffs(d, eps=None):
+    """The (n, k, atoms) coefficients of the dense ``d``, rounded by
+    ``_net_round`` unless eps is None; in real mode its signs, the same on
+    every atom, broadcast."""
+    coeff = (d.coeffs if d.coeffs is not None
+             else d.signs.astype(np.complex128)[:, :, None])
+    if eps is not None:
+        coeff = _net_round(coeff, eps)
+    return np.broadcast_to(coeff, (d.n, d.k, d.space.size))
+
+
+def _dense_refinement(d, eps=None):
+    """The cell refinement of a dense decomposition, pruned or not: atoms
+    grouped by their whole coefficient columns with every zero made +0.0,
+    the nonzero (cell, part) rows by cell, then by part, and each row's
+    coefficients those of its part on the cell's first atom.  The reference
+    of the chain refinement."""
+    coeff = _dense_coeffs(d, eps)
+    groups = group_columns(coeff + 0.0)
+    cell_of = np.empty(d.space.size, dtype=np.intp)
+    for c, g in enumerate(groups):
+        cell_of[g] = c
+    j, w = np.nonzero(d.parts_matrix)
+    index, row = np.unique(cell_of[w] * d.k + j, return_inverse=True)
+    parts = np.zeros((index.size, d.space.size))
+    parts[row, w] = d.parts_matrix[j, w]
+    reps = np.array([g[0] for g in groups], dtype=np.intp)
+    alphas = coeff[:, index % d.k, reps[index // d.k]]
+    return CellDecomposition(d.space, d.mode, tuple(tuple(g) for g in groups),
+                             parts, alphas, 0.0 if eps is None else eps)
+
+
 def _refinements(seed, count, mode):
-    """(decomposition, rounded coefficients, refinement) triples of the
-    exact and the eps-net refinement of random families, every other one
+    """(decomposition, coefficients, refinement) triples of the exact and
+    the eps-net refinement of random families, every other decomposition
     pruned."""
     rng = rng_for(seed)
     split = decompose_real if mode == REAL else decompose_complex
@@ -400,8 +454,8 @@ def _refinements(seed, count, mode):
         d = split(fs)
         if i % 2:
             d = prune(d)
-        yield d, _coeff_array(d), refine_to_constant_coeffs(d)
-        yield d, _net_rounded(d, 0.1), eps_net_coeffs(d, 0.1)
+        yield d, _dense_coeffs(d), refine_to_constant_coeffs(fs, mode)
+        yield d, _dense_coeffs(d, 0.1), eps_net_coeffs(fs, mode, 0.1)
 
 
 class TestCellRows:
@@ -422,8 +476,7 @@ class TestCellRows:
             keep = np.any(_mask_product(d, cd.cells) != 0.0, axis=1)
             # dense column c k + j: part j's coefficients on cell c
             reps = [g[0] for g in cd.cells]
-            full = np.broadcast_to(rounded, (d.n, d.k, d.space.size))
-            dense_alphas = full[:, :, reps].transpose(0, 2, 1).reshape(d.n, -1)
+            dense_alphas = rounded[:, :, reps].transpose(0, 2, 1).reshape(d.n, -1)
             assert cd.alphas.dtype == np.complex128
             assert cd.alphas.tobytes() == dense_alphas[:, keep].tobytes()
             assert np.all(np.count_nonzero(cd.parts_matrix, axis=0) <= d.n)
@@ -435,24 +488,41 @@ class TestCellRows:
 
 
 #: values with ties, zero members and signed zeros for the chain paths
-CHAIN_VALUES = [0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1j, -1j, 1 + 1j, -1 - 1j, 2j,
-                complex(0, -0.0), complex(-1, -0.0)]
+CHAIN_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1j, -1j, 1 + 1j, -1 - 1j,
+                2j, complex(0, -0.0), complex(-1, -0.0), complex(1, -0.0),
+                complex(-0.0, 2), complex(-0.0, -1), complex(-0.0, -0.0)]
+
+
+def _random_zero_signs(rng, v):
+    """``v`` with the sign of each zero real or imaginary part drawn at
+    random."""
+    def signed(x):
+        return np.where(x == 0.0, np.where(rng.random(x.shape) < 0.5, 0.0, -0.0),
+                        x)
+    if np.iscomplexobj(v):
+        # a complex sum would make -0.0 + 0.0 = +0.0
+        out = np.empty(v.shape, dtype=np.complex128)
+        out.real, out.imag = signed(v.real), signed(v.imag)
+        return out
+    return signed(v)
 
 
 def _chain_family(data, mode):
     """A family of 1..5 members on 1..30 atoms: uniform values, values from
     CHAIN_VALUES (real ones only in real mode), 40% zeros, or each member
     scaled by 2^k down to subnormals; maybe a zero member, maybe atoms that
-    repeat a few columns so that cells hold several atoms."""
+    repeat a few columns so that cells hold several atoms.  The "signed
+    zeros" kind takes CHAIN_VALUES on repeated columns, then draws the sign
+    of every zero component, so that atoms may differ in it alone."""
     n = data.draw(st.integers(1, 5), label="n")
     atoms = data.draw(st.integers(1, 30), label="atoms")
-    kind = data.draw(st.sampled_from(("uniform", "values", "zeros", "scaled")),
-                     label="kind")
+    kind = data.draw(st.sampled_from(("uniform", "values", "signed zeros",
+                                      "zeros", "scaled")), label="kind")
     rng = rng_for(data.draw(st.integers(0, 2 ** 31), label="seed"))
     v = rng.uniform(-10.0, 10.0, (n, atoms))
     if mode == COMPLEX:
         v = v + 1j * rng.uniform(-10.0, 10.0, (n, atoms))
-    if kind == "values":
+    if kind in ("values", "signed zeros"):
         choices = [c for c in CHAIN_VALUES if mode == COMPLEX or not
                    isinstance(c, complex)]
         v = np.array(choices)[rng.integers(len(choices), size=(n, atoms))]
@@ -462,8 +532,11 @@ def _chain_family(data, mode):
         v = v * 2.0 ** rng.integers(-1070, 1001, size=(n, 1)).astype(float)
     if data.draw(st.booleans(), label="zero member"):
         v[rng.integers(n)] = 0.0
-    if data.draw(st.booleans(), label="repeated columns"):
+    if kind == "signed zeros" or data.draw(st.booleans(),
+                                           label="repeated columns"):
         v = v[:, rng.integers(min(atoms, 4), size=atoms)]
+    if kind == "signed zeros":
+        v = _random_zero_signs(rng, v)
     return FnFamily(unit_space(atoms), mode, v)
 
 
@@ -483,23 +556,21 @@ def _recursive_template(n):
 
 
 class TestChainPaths:
-    """The proof traces' parts and refinements, read from each atom's chain,
-    equal the dense decomposition's byte for byte."""
+    """The cell refinements, read from each atom's chain, equal those of
+    the dense decomposition, pruned or not, byte for byte."""
 
-    @given(st.data())
-    @settings(deadline=None, max_examples=200)
-    def test_real_parts_match_pruned_decomposition(self, data):
-        fs = _chain_family(data, REAL)
-        assert_same_bytes(nonzero_parts_real(fs),
-                          prune(decompose_real(fs)).parts_matrix)
-
-    @given(st.sampled_from((REAL, COMPLEX)),
-           st.sampled_from((1e-6, 0.01, 0.1, 1.0)), st.data())
-    @settings(deadline=None, max_examples=300)
-    def test_net_refinement_matches_dense_refinement(self, mode, eps, data):
-        fs = _chain_family(data, mode)
-        got = net_refinement(fs, eps)
-        want = eps_net_coeffs(decompose_complex(fs), eps)
+    @given(st.sampled_from(((REAL, REAL), (REAL, COMPLEX), (COMPLEX, COMPLEX))),
+           st.one_of(st.none(), st.sampled_from((1e-6, 0.01, 0.1, 1.0))),
+           st.booleans(), st.data())
+    @settings(deadline=None, max_examples=600)
+    def test_refinement_matches_dense_refinement(self, modes, eps, pruned,
+                                                 data):
+        family_mode, mode = modes
+        fs = _chain_family(data, family_mode)
+        d = (decompose_real if mode == REAL else decompose_complex)(fs)
+        want = _dense_refinement(prune(d) if pruned else d, eps)
+        got = (refine_to_constant_coeffs(fs, mode) if eps is None
+               else eps_net_coeffs(fs, mode, eps))
         assert got.cells == want.cells
         assert_same_bytes(got.parts_matrix, want.parts_matrix)
         assert_same_bytes(got.alphas, want.alphas)
@@ -513,14 +584,18 @@ class TestChainPaths:
     def test_refusals_keep_their_order(self):
         big = FnFamily(unit_space(4), COMPLEX, np.ones((7, 4)))
         with pytest.raises(ValueError, match="above the budget"):
-            net_refinement(big, 0.0)
+            eps_net_coeffs(big, COMPLEX, 0.0)
         small = FnFamily(unit_space(4), COMPLEX, np.ones((2, 4)))
         with pytest.raises(ValueError, match="eps must be finite"):
-            net_refinement(small, 0.0)
+            eps_net_coeffs(small, COMPLEX, 0.0)
+        big_real = FnFamily(unit_space(5), REAL, np.ones((6, 5)))
         with pytest.raises(ValueError, match="above the budget"):
-            nonzero_parts_real(FnFamily(unit_space(5), REAL, np.ones((6, 5))))
+            refine_to_constant_coeffs(big_real, REAL)
+        with pytest.raises(ValueError, match="above the budget"):
+            refine_to_constant_coeffs(FnFamily(unit_space(5), COMPLEX,
+                                               np.ones((6, 5))), REAL)
         with pytest.raises(ValueError, match="real-mode"):
-            nonzero_parts_real(small)
+            eps_net_coeffs(small, REAL, 0.0)
 
 
 class TestEpsNet:
@@ -553,23 +628,21 @@ class TestEpsNet:
         for _ in range(20):
             fs = random_family(rng, random_space(rng, int(rng.integers(1, 9))),
                                int(rng.integers(1, 4)), mode)
-            d = split(fs)
-            coeff = _coeff_array(d)
+            coeff = _dense_coeffs(split(fs))
             nonzero = coeff != 0.0
             ticks = (np.rint(np.angle(coeff[nonzero]) * net.size
                              / (2.0 * math.pi)).astype(np.int64) % net.size)
             want = np.zeros(coeff.shape, dtype=np.complex128)
             want[nonzero] = net[ticks]
-            assert _net_rounded(d, eps).tobytes() == want.tobytes()
+            assert _net_round(coeff, eps).tobytes() == want.tobytes()
 
     def test_finest_net_costs_no_table(self):
         # the whole net at MIN_NET_EPS takes 6,283,186 x 16 bytes = 100 MB
         rng = rng_for(5)
         fs = random_family(rng, random_space(rng, 4), 2, COMPLEX)
-        d = decompose_complex(fs)
         tracemalloc.start()
         try:
-            cd = eps_net_coeffs(d, MIN_NET_EPS)
+            cd = eps_net_coeffs(fs, COMPLEX, MIN_NET_EPS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -579,7 +652,7 @@ class TestEpsNet:
     def test_real_data_has_zero_residual(self):
         rng = rng_for(6)
         fs = random_family(rng, random_space(rng, 6), 3, REAL)
-        cd = eps_net_coeffs(decompose_complex(fs), 0.3)
+        cd = eps_net_coeffs(fs, COMPLEX, 0.3)
         assert np.max(np.abs(cd.recombined() - fs.value_matrix)) == 0.0
 
     def test_single_atom_rounding_bound(self):
@@ -587,8 +660,7 @@ class TestEpsNet:
         sp = unit_space(1)
         theta = 0.7
         f = SimpleFn(sp, COMPLEX, [5.0 * np.exp(1j * theta)])
-        cd = eps_net_coeffs(decompose_complex(FnFamily(sp, COMPLEX, [f.values])),
-                            0.1)
+        cd = eps_net_coeffs(FnFamily(sp, COMPLEX, [f.values]), COMPLEX, 0.1)
         assert abs(cd.alphas[0, 0] - np.exp(1j * theta)) <= 0.1
         resid = abs(f.values[0] - cd.recombined()[0, 0])
         assert resid <= 0.5
@@ -596,13 +668,13 @@ class TestEpsNet:
     def test_huge_eps_still_bounded(self):
         rng = rng_for(7)
         fs = random_family(rng, random_space(rng, 4), 2, COMPLEX)
-        cd = eps_net_coeffs(decompose_complex(fs), 2.5)
+        cd = eps_net_coeffs(fs, COMPLEX, 2.5)
         assert verify_cell_decomposition(cd, fs).passed
 
     def test_nonpositive_eps_rejected(self):
         fs = FnFamily(unit_space(1), COMPLEX, np.zeros((1, 1)))
         with pytest.raises(ValueError):
-            eps_net_coeffs(decompose_complex(fs), 0.0)
+            eps_net_coeffs(fs, COMPLEX, 0.0)
 
     @given(st.integers(1, 3), st.integers(1, 8), st.integers(0, 2 ** 31),
            st.sampled_from([0.25, 0.1, 0.03]))
@@ -610,7 +682,7 @@ class TestEpsNet:
     def test_pointwise_bound_random(self, n, atoms, seed, eps):
         rng = rng_for(seed)
         fs = random_family(rng, random_space(rng, atoms), n, COMPLEX)
-        cd = eps_net_coeffs(decompose_complex(fs), eps)
+        cd = eps_net_coeffs(fs, COMPLEX, eps)
         latmax = np.max(np.abs(fs.value_matrix), axis=0)
         resid = np.abs(cd.recombined() - fs.value_matrix)
         assert np.all(resid <= eps * latmax[None, :]
@@ -624,7 +696,7 @@ class TestEpsNet:
             fs = random_family(rng, random_space(rng, int(rng.integers(1, 9))),
                                int(rng.integers(1, 4)), COMPLEX)
             eps = float(rng.uniform(0.02, 0.5))
-            cd = eps_net_coeffs(decompose_complex(fs), eps)
+            cd = eps_net_coeffs(fs, COMPLEX, eps)
             latmax = np.max(np.abs(fs.value_matrix), axis=0)
             resid = np.abs(cd.recombined() - fs.value_matrix)
             assert np.all(resid <= eps * latmax[None, :]
@@ -1080,13 +1152,13 @@ class TestGoldenBytes:
         assert got == self.TIES
 
     def test_cell_refinements(self):
-        cases = {"real": decompose_real(_golden_family(3, 7, REAL)),
-                 "complex": decompose_complex(_golden_family(3, 7, COMPLEX)),
-                 "ties-real": decompose_real(_ties_family(REAL)),
-                 "ties-complex": decompose_complex(_ties_family(COMPLEX))}
-        got = {name: _sha(_cells_digest(refine_to_constant_coeffs(prune(d))),
-                          _cells_digest(eps_net_coeffs(d, 0.1)))
-               for name, d in cases.items()}
+        cases = {"real": (_golden_family(3, 7, REAL), REAL),
+                 "complex": (_golden_family(3, 7, COMPLEX), COMPLEX),
+                 "ties-real": (_ties_family(REAL), REAL),
+                 "ties-complex": (_ties_family(COMPLEX), COMPLEX)}
+        got = {name: _sha(_cells_digest(refine_to_constant_coeffs(fs, mode)),
+                          _cells_digest(eps_net_coeffs(fs, mode, 0.1)))
+               for name, (fs, mode) in cases.items()}
         assert got == self.CELLS
 
     def test_decompose_out_bytes(self, tmp_path):

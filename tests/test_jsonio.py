@@ -436,8 +436,8 @@ def _row_documents(seed, mode):
         ("decomposition", jsonio.decomposition_to_json(d)),
         ("pruned", jsonio.decomposition_to_json(prune(d))),
         ("cells", jsonio.cell_decomposition_to_json(
-            refine_to_constant_coeffs(d))),
-        ("net", jsonio.cell_decomposition_to_json(eps_net_coeffs(d, 0.1)))]
+            refine_to_constant_coeffs(fs, mode))),
+        ("net", jsonio.cell_decomposition_to_json(eps_net_coeffs(fs, mode, 0.1)))]
 
 
 def _edge_matrices(rows, atoms, mode):

@@ -9,7 +9,7 @@ from l1lattice import (COMPLEX, REAL, FnFamily, KernelOperator, MeasureSpace,
                        identity_operator, l1_norm, modulus, op_norm,
                        point_mass, preprune_count, proof_trace_complex,
                        proof_trace_real, zero_fn, zero_operator)
-from l1lattice.decompose import _net_rounded
+from l1lattice.decompose import _net_round
 from l1lattice.operators import (INEQ_TOL, ProofTrace, _eq_step, _le_step,
                                  _pointwise_le, _triangle_steps, apply_matrix)
 from l1lattice.generate import (random_family, random_fn, random_operator,
@@ -331,12 +331,12 @@ def _dense_refinement(fs, eps):
     """Every (cell, part) row of the refinement, zero or not, by cell, then
     by part, and the (n, rows) coefficient columns of all of them."""
     d = decompose_complex(fs)
-    cells = eps_net_coeffs(d, eps).cells
+    cells = eps_net_coeffs(fs, COMPLEX, eps).cells
     mask = np.zeros((len(cells), d.space.size))
     for c, g in enumerate(cells):
         mask[c, list(g)] = 1.0
     parts = (mask[:, None, :] * d.parts_matrix[None]).reshape(-1, d.space.size)
-    rounded = np.broadcast_to(_net_rounded(d, eps), (d.n, d.k, d.space.size))
+    rounded = _net_round(d.coeffs, eps)
     alphas = rounded[:, :, [g[0] for g in cells]].transpose(0, 2, 1)
     return parts, alphas.reshape(d.n, -1)
 
@@ -429,7 +429,7 @@ class TestTracesMatchDense:
         dom = random_space(rng, 50)
         t = random_operator(rng, dom, random_space(rng, 50, prefix="s"), COMPLEX)
         fs = random_family(rng, dom, 5, COMPLEX)
-        cd = eps_net_coeffs(decompose_complex(fs), 0.1)
+        cd = eps_net_coeffs(fs, COMPLEX, 0.1)
         # the float64 (cell, part) rows of the dense refinement
         dense_bytes = len(cd.cells) * preprune_count(5, COMPLEX) * dom.size * 8
         tracemalloc.start()
