@@ -107,19 +107,10 @@ def _load_family(path: str) -> FnFamily:
 def _cmd_decompose(args) -> int:
     fs = _load_family(args.input)
     mode = args.mode or fs.mode
-    if mode == REAL:
-        if fs.mode != REAL:
-            raise SchemaError("cannot run a real decomposition on a complex family")
-        d = decompose_real(fs)
-    else:
-        d = decompose_complex(fs)
-    if args.prune:
-        d = prune(d)
-    report = verify_decomposition(d, fs)
-    if not report.passed:
-        raise CheckFailed(f"decomposition invariants failed: {report.to_json()}")
-
+    if mode == REAL and fs.mode != REAL:
+        raise SchemaError("cannot run a real decomposition on a complex family")
     if args.cells or args.eps is not None:
+        # refined from the family's chains: no dense decomposition is built
         cd = (eps_net_coeffs(fs, mode, args.eps) if args.eps is not None
               else refine_to_constant_coeffs(fs, mode))
         cell_report = verify_cell_decomposition(cd, fs)
@@ -129,17 +120,24 @@ def _cmd_decompose(args) -> int:
                 f"{cell_report.sum_residual:.3e}, bound excess "
                 f"{cell_report.bound_excess:.3e}"
                 + "".join(f"; {v}" for v in cell_report.violations))
-        doc = jsonio.cell_decomposition_to_json(cd)
-        _emit(args, doc, f"{cd.n_parts} parts on {len(cd.cells)} cells, "
-                         f"epsilon {cd.epsilon}")
-    else:
-        # the residual checks in report order: parts sum, then each member
-        residuals = (report.sum_residual, *report.recombination_residuals)
-        worst = max(range(len(residuals)), key=residuals.__getitem__)
-        doc = jsonio.decomposition_to_json(d)
-        _emit(args, doc, f"{d.k} parts, counts per level {list(d.level_counts)}, "
-                         f"max residual {residuals[worst]:.2e} "
-                         f"at atom {report.worst_atoms[worst]}")
+        _emit(args, jsonio.cell_decomposition_to_json(cd),
+              f"{cd.n_parts} parts on {len(cd.cells)} cells, "
+              f"epsilon {cd.epsilon}")
+        return 0
+
+    d = decompose_real(fs) if mode == REAL else decompose_complex(fs)
+    if args.prune:
+        d = prune(d)
+    report = verify_decomposition(d, fs)
+    if not report.passed:
+        raise CheckFailed(f"decomposition invariants failed: {report.to_json()}")
+    # the residual checks in report order: parts sum, then each member
+    residuals = (report.sum_residual, *report.recombination_residuals)
+    worst = max(range(len(residuals)), key=residuals.__getitem__)
+    _emit(args, jsonio.decomposition_to_json(d),
+          f"{d.k} parts, counts per level {list(d.level_counts)}, "
+          f"max residual {residuals[worst]:.2e} "
+          f"at atom {report.worst_atoms[worst]}")
     return 0
 
 
@@ -278,9 +276,9 @@ def _cmd_extend(args) -> int:
 def _cmd_generate(args) -> int:
     params = {key: getattr(args, key) for key in KIND_PARAMS[args.kind]
               if getattr(args, key) is not None}
-    docs = generate_instance(args.kind, params, args.seed)
     if not args.out:
         raise SchemaError("generate requires --out")
+    docs = generate_instance(args.kind, params, args.seed)
     if len(docs) == 1:
         jsonio.write_json(args.out, next(iter(docs.values())))
         written = [args.out]

@@ -213,7 +213,8 @@ def unit_phases(v: np.ndarray) -> np.ndarray:
     Divides componentwise (complex division by a subnormal modulus would
     overflow through the reciprocal) and rescales subnormal inputs by an
     exact power of two first: the subnormal grid is too coarse for hypot
-    to keep full relative precision.
+    to keep full relative precision.  Each component is written in place,
+    so a zero component keeps the sign it has in v.
     """
     v = np.asarray(v, dtype=np.complex128)
     re = np.array(v.real)
@@ -226,5 +227,6 @@ def unit_phases(v: np.ndarray) -> np.ndarray:
     a = np.hypot(re, im)
     out = np.zeros(v.shape, dtype=np.complex128)
     nz = a != 0.0
-    out[nz] = re[nz] / a[nz] + 1j * (im[nz] / a[nz])
+    out.real[nz] = re[nz] / a[nz]
+    out.imag[nz] = im[nz] / a[nz]
     return out

@@ -216,31 +216,22 @@ def _split_real(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _dense_parts(rows, heights, signs.shape[1]), signs
 
 
-def _phases(values: np.ndarray) -> np.ndarray:
-    """The (2, n, atoms) phases of the complex ``values``: row 0 at the top
-    node, row 1 below it.  Below the top node the recursion restricts
-    values to a cell by a complex product with 1, which can change the sign
-    of a zero real or imaginary part, and with it the sign of a zero in the
-    phase."""
-    return unit_phases(np.stack([values, values * 1.0]))
-
-
 def _split_complex(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, heights, order, starts = _chain(values, COMPLEX)
     n, atoms = values.shape
     sizes = _node_sizes(n, COMPLEX)
-    phases = _phases(values)
+    phases = unit_phases(values)
     coeffs = np.zeros((n, sizes[n], atoms), dtype=np.complex128)
     # the top node: member c on block c, every atom alike
     size = sizes[n - 1] + 1
     for c in range(n):
-        coeffs[c, c * size:(c + 1) * size] = phases[0, c]
+        coeffs[c, c * size:(c + 1) * size] = phases[c]
     w = np.arange(atoms)
     for e in range(1, n):
         # block c of the node belongs to the c-th smallest member left in it
         members = np.sort(order[e:], axis=0)[:, None]
         block = np.arange(sizes[n - e]).reshape(n - e, -1, 1)
-        coeffs[members, starts[e] + block, w] = phases[1][members, w]
+        coeffs[members, starts[e] + block, w] = phases[members, w]
     return _dense_parts(rows, heights, sizes[n]), coeffs
 
 
@@ -437,20 +428,19 @@ def _refinement(fs: FnFamily, mode: str, eps: float | None) -> CellDecomposition
 
     On the part row of depth e, member order[e'] has the coefficient
     taken[e'] for e' <= e and every other member 0: in real mode +-1 by the
-    member's sign, in complex mode its phase, at the top node for e' = 0
-    and below it otherwise.  Real mode is one cell, its sign matrix being
-    the same on every atom.  In complex mode each (member, row) entry of an
-    atom's coefficient column is written once, on the member's own block at
-    the top, then inside the block of each member taken before it, so up to
-    the sign of a zero component the column is a function of the member
-    order and the taken coefficients.  That key can be read back from the
-    column (zero members come last, in index order, and each later
-    member's entries lie inside the block of the member taken before it),
-    so grouping the atoms by the key with every zero made +0.0 groups them
-    by column, whether the decomposition is pruned or not.  Each row's
-    coefficients are those of its cell's first atom.  Refuses what
-    decompose_real or decompose_complex refuses, then eps outside
-    ``_net_round``'s range."""
+    member's sign, in complex mode its phase.  Real mode is one cell, its
+    sign matrix being the same on every atom.  In complex mode each
+    (member, row) entry of an atom's coefficient column is written once,
+    on the member's own block at the top, then inside the block of each
+    member taken before it, always with the member's phase, so the column
+    is a function of the member order and the taken coefficients.  That
+    key can be read back from the column (zero members come last, in index
+    order, and each later member's entries lie inside the block of the
+    member taken before it), so grouping the atoms by the key with every
+    zero made +0.0 groups them by column, whether the decomposition is
+    pruned or not.  Each row's coefficients are those of its cell's first
+    atom.  Refuses what decompose_real or decompose_complex refuses, then
+    eps outside ``_net_round``'s range."""
     _check_size(fs, mode)
     if mode == REAL and fs.mode != REAL:
         raise ValueError("a real refinement requires a real-mode family")
@@ -462,8 +452,7 @@ def _refinement(fs: FnFamily, mode: str, eps: float | None) -> CellDecomposition
     if mode == REAL:
         taken = np.where(values[order, w] < 0.0, -1.0, 1.0).astype(np.complex128)
     else:
-        phases = _phases(values)
-        taken = np.concatenate([phases[0][order[:1], w], phases[1][order[1:], w]])
+        taken = unit_phases(values)[order, w]
     if eps is not None:
         taken = _net_round(taken, eps)
     groups = ([list(range(atoms))] if mode == REAL else group_columns(

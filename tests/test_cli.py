@@ -596,6 +596,13 @@ class TestExitCodes:
                 written = tmp_path / f"{kind}_{stem}.json"
                 assert written.read_text() == jsonio.dumps(doc)
 
+    def test_generate_without_out_builds_nothing(self, monkeypatch, capsys):
+        def build(*args):
+            raise AssertionError("an instance was generated")
+        monkeypatch.setattr(cli, "generate_instance", build)
+        assert main(["generate", "--kind", "extension", "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: generate requires --out\n"
+
     def test_generate_instance_refuses_unread_params(self):
         with pytest.raises(ValueError, match="family instances do not read dim"):
             generate_instance("family", {"atoms": 3, "dim": 2}, 0)

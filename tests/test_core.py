@@ -1,3 +1,4 @@
+import ast
 import keyword
 import re
 from pathlib import Path
@@ -11,7 +12,7 @@ import l1lattice
 from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        argmax_partition, d_norm, l1_norm, lattice_max,
                        pos_neg_split, zero_fn)
-from l1lattice.core import group_columns
+from l1lattice.core import group_columns, unit_phases
 
 
 def space(n, weights=None):
@@ -228,6 +229,74 @@ class TestGroupColumns:
             keys = keys + 1j * values[rng.integers(0, values.size,
                                                    (rows, atoms))]
         assert group_columns(keys) == _dict_group_columns(keys)
+
+
+#: finite components with both zeros and subnormals
+components = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestUnitPhases:
+    def test_negative_zero_imaginary_part_kept(self):
+        p = unit_phases(np.array([complex(-2.0, -0.0)]))
+        assert p[0] == -1.0
+        assert np.signbit(p.real[0]) and np.signbit(p.imag[0])
+
+    def test_negative_zero_real_part_kept(self):
+        p = unit_phases(np.array([complex(-0.0, 1.0)]))
+        assert p[0] == 1j
+        assert np.signbit(p.real[0]) and not np.signbit(p.imag[0])
+
+    def test_zero_is_positive_zero(self):
+        p = unit_phases(np.array([complex(-0.0, -0.0), 0.0]))
+        assert p.tobytes() == np.zeros(2, dtype=np.complex128).tobytes()
+
+    @given(st.lists(st.tuples(components, components), min_size=1,
+                    max_size=12))
+    @settings(deadline=None)
+    def test_components_keep_their_signs(self, pairs):
+        v = np.empty(len(pairs), dtype=np.complex128)
+        v.real, v.imag = np.array(pairs).T
+        p = unit_phases(v)
+        nz = np.abs(v) > 0.0
+        assert np.array_equal(np.signbit(p.real[nz]), np.signbit(v.real[nz]))
+        assert np.array_equal(np.signbit(p.imag[nz]), np.signbit(v.imag[nz]))
+
+
+def _private_definitions(tree):
+    """(name, node) of every module-level private function, class or
+    constant of ``tree``; dunder names are not private helpers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_helper_has_a_caller():
+    """Every module-level private function, class or constant in src/ is
+    read by name somewhere outside its own definition."""
+    src = Path(__file__).resolve().parents[1] / "src" / "l1lattice"
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    uses = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)]
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            own = {id(n) for n in ast.walk(definition)}
+            if not any(used == name and id(node) not in own
+                       for used, node in uses):
+                unused.append(f"{module}: {name}")
+    assert unused == []
 
 
 def test_readme_library_names_exist():

@@ -17,7 +17,7 @@ from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        prune, refine_to_constant_coeffs,
                        verify_cell_decomposition, verify_decomposition,
                        verify_trace_counts, zero_fn)
-from l1lattice import jsonio, oracle
+from l1lattice import cli, jsonio, oracle
 from l1lattice.acceptance import _emitted_counts, pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import group_columns, unit_phases
@@ -179,7 +179,7 @@ def _reference_complex(values):
     for i in range(n):
         in_cell = cells == i
         rest = np.arange(n) != i
-        sub = values[rest] * in_cell
+        sub = np.where(in_cell, values[rest], 0.0)
         sub_parts, sub_coeffs, counts = _reference_complex(sub)
         child_counts.add(counts)
         tau = np.max(np.abs(sub), axis=0)
@@ -507,17 +507,18 @@ def _random_zero_signs(rng, v):
     return signed(v)
 
 
-def _chain_family(data, mode):
+def _chain_family(data, mode, kinds=("uniform", "values", "signed zeros",
+                                     "zeros", "scaled")):
     """A family of 1..5 members on 1..30 atoms: uniform values, values from
     CHAIN_VALUES (real ones only in real mode), 40% zeros, or each member
     scaled by 2^k down to subnormals; maybe a zero member, maybe atoms that
     repeat a few columns so that cells hold several atoms.  The "signed
     zeros" kind takes CHAIN_VALUES on repeated columns, then draws the sign
-    of every zero component, so that atoms may differ in it alone."""
+    of every zero component, so that atoms may differ in it alone.  The
+    kind is drawn from ``kinds``."""
     n = data.draw(st.integers(1, 5), label="n")
     atoms = data.draw(st.integers(1, 30), label="atoms")
-    kind = data.draw(st.sampled_from(("uniform", "values", "signed zeros",
-                                      "zeros", "scaled")), label="kind")
+    kind = data.draw(st.sampled_from(kinds), label="kind")
     rng = rng_for(data.draw(st.integers(0, 2 ** 31), label="seed"))
     v = rng.uniform(-10.0, 10.0, (n, atoms))
     if mode == COMPLEX:
@@ -580,6 +581,25 @@ class TestChainPaths:
     def test_template_matches_cell_by_cell_recursion(self, n):
         d = decompose_real(FnFamily(unit_space(1), REAL, np.ones((n, 1))))
         assert_same_bytes(d.signs, _recursive_template(n))
+
+    @given(st.sampled_from((REAL, COMPLEX)), st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_every_coefficient_is_the_members_phase(self, family_mode, data):
+        # with the sign of every zero component: the dense coefficients and
+        # the exact alphas all read the one phase array of the values
+        fs = _chain_family(data, family_mode, kinds=("signed zeros",))
+        phases = unit_phases(fs.value_matrix.astype(np.complex128))
+        coeffs = decompose_complex(fs).coeffs
+        i, _, w = np.nonzero(coeffs)
+        assert_same_bytes(coeffs[coeffs != 0.0], phases[i, w])
+        cd = refine_to_constant_coeffs(fs, COMPLEX)
+        first = np.empty(fs.space.size, dtype=np.intp)
+        for g in cd.cells:
+            first[list(g)] = g[0]
+        # each row is supported in one cell: read it at the first atom there
+        rows_first = first[np.argmax(cd.parts_matrix != 0.0, axis=1)]
+        i, r = np.nonzero(cd.alphas)
+        assert_same_bytes(cd.alphas[i, r], phases[i, rows_first[r]])
 
     def test_refusals_keep_their_order(self):
         big = FnFamily(unit_space(4), COMPLEX, np.ones((7, 4)))
@@ -1191,3 +1211,33 @@ class TestGoldenBytes:
                      "--out", str(out), "--quiet"]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.CLI_OUTS[mode, flags]
+
+
+class TestRefinementBuildsNothingDense:
+    """--cells and --eps documents are refined from the family and checked
+    by the refinement's own check: no dense decomposition is built, pruned
+    or verified, and the documents keep their bytes."""
+
+    #: the pinned documents, and --eps 0.1 on the real family
+    OUTS = {**TestGoldenBytes.CLI_OUTS,
+            (REAL, "--eps 0.1"):
+                "88f33a070194768511cca97c493a8c9df3c7bb59f553c84e928eb3a42284be3c"}
+
+    @pytest.mark.parametrize("mode", [REAL, COMPLEX])
+    @pytest.mark.parametrize("flags", ["--cells", "--prune --cells",
+                                       "--eps 0.1"])
+    def test_refined_documents(self, tmp_path, monkeypatch, mode, flags):
+        def dense(*args):
+            raise AssertionError("a dense decomposition was built")
+        for name in ("decompose_real", "decompose_complex", "prune",
+                     "verify_decomposition"):
+            monkeypatch.setattr(cli, name, dense)
+        fam = tmp_path / "fam.json"
+        fam.write_text(jsonio.dumps(jsonio.family_to_json(
+            _golden_family(3, 6, mode))))
+        out = tmp_path / "dec.json"
+        assert main(["decompose", "--input", str(fam), *flags.split(),
+                     "--out", str(out), "--quiet"]) == 0
+        # --prune changes no refinement, so --cells has the --prune pin
+        pin = self.OUTS[mode, "--prune --cells" if flags == "--cells" else flags]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
