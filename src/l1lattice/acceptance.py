@@ -19,7 +19,7 @@ from . import jsonio, lp, oracle
 from .core import COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn
 from .decompose import (COMPLEX_PREPRUNE, REAL_PREPRUNE, decompose_complex,
                         decompose_real, optimal_k_search, preprune_count,
-                        prune, verify_decomposition, verify_trace_counts)
+                        verify_decomposition, verify_trace_counts)
 from .extension import verify_extension_theorem
 from .generate import (random_family, random_fn, random_operator,
                        random_restricted, random_space, random_subspace,
@@ -98,19 +98,11 @@ def criterion_1(seed: int, scale: float):
                            "max_residual_complex": worst["complex"]}
 
 
-def _emitted_counts(fs: FnFamily, mode: str) -> tuple[int, ...]:
-    """The parts each decomposition emits on the leading m members of the
-    family, for m = n, ..., 1: the per-level counts of the recursion."""
-    split = decompose_real if mode == REAL else decompose_complex
-    return tuple(split(FnFamily(fs.space, fs.mode, fs.value_matrix[:m])).k
-                 for m in range(fs.size, 0, -1))
-
-
 @_criterion(2, "recursion part counts")
 def criterion_2(seed: int, scale: float):
-    """Pre-prune part counts match the recursion exactly and respect the
-    factorial growth bounds.  The per-level counts are those the
-    decompositions emit on the leading members of each family."""
+    """The recursion's part counts per level are exact and respect the
+    factorial growth bounds, and every decomposition has at most n nonzero
+    parts on every atom, as each atom's chain promises."""
     rng = rng_for(seed + 202)
     ok = True
     observed = {"real": [], "complex": []}
@@ -118,16 +110,16 @@ def criterion_2(seed: int, scale: float):
         space = random_space(rng, 6)
         fs_r = random_family(rng, space, n, REAL)
         fs_c = random_family(rng, space, n, COMPLEX)
-        d_r = decompose_real(fs_r)
-        d_c = decompose_complex(fs_c)
-        observed["real"].append(d_r.k)
-        observed["complex"].append(d_c.k)
-        ok &= d_r.k == REAL_PREPRUNE[n - 1] == preprune_count(n, REAL)
-        ok &= d_c.k == COMPLEX_PREPRUNE[n - 1] == preprune_count(n, COMPLEX)
-        ok &= verify_trace_counts(_emitted_counts(fs_r, REAL), REAL)
-        ok &= verify_trace_counts(_emitted_counts(fs_c, COMPLEX), COMPLEX)
-        ok &= d_r.k <= math.exp(0.5) * 2 ** n * math.factorial(n)
-        ok &= d_c.k <= math.e * math.factorial(n)
+        for mode, d, expected in ((REAL, decompose_real(fs_r), REAL_PREPRUNE),
+                                  (COMPLEX, decompose_complex(fs_c),
+                                   COMPLEX_PREPRUNE)):
+            counts = d.level_counts
+            observed[mode].append(counts[0])
+            ok &= counts[0] == expected[n - 1] == preprune_count(n, mode)
+            ok &= verify_trace_counts(counts, mode)
+            ok &= bool(np.all(np.count_nonzero(d.parts_matrix, axis=0) <= n))
+        ok &= observed[REAL][-1] <= math.exp(0.5) * 2 ** n * math.factorial(n)
+        ok &= observed[COMPLEX][-1] <= math.e * math.factorial(n)
     return ok, {"observed": observed, "expected_real": list(REAL_PREPRUNE),
                 "expected_complex": list(COMPLEX_PREPRUNE)}
 
@@ -155,7 +147,7 @@ def criterion_3(seed: int, scale: float):
     ok &= res2.feasible and res2.k == 4 and res2.infeasible_k == (1, 2, 3)
 
     fc = FnFamily(space2, COMPLEX, [[1j, 2.0 + 0.0j]])
-    resc = prune(decompose_complex(fc))
+    resc = decompose_complex(fc)
     ok &= resc.k == 1
     return ok, {"n1_k": res1.k, "n2_k": res2.k,
                 "n2_infeasible": list(res2.infeasible_k),

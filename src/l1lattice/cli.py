@@ -16,7 +16,7 @@ import numpy as np
 from . import acceptance, jsonio, lp
 from .core import COMPLEX, REAL, FnFamily
 from .decompose import (MIN_NET_EPS, Decomposition, decompose_complex,
-                        decompose_real, eps_net_coeffs, optimal_k_search, prune,
+                        decompose_real, eps_net_coeffs, optimal_k_search,
                         refine_to_constant_coeffs, verify_cell_decomposition,
                         verify_decomposition)
 from .extension import (MAX_TRIALS, alpha_via_lp, certificate_failure,
@@ -126,8 +126,6 @@ def _cmd_decompose(args) -> int:
         return 0
 
     d = decompose_real(fs) if mode == REAL else decompose_complex(fs)
-    if args.prune:
-        d = prune(d)
     report = verify_decomposition(d, fs)
     if not report.passed:
         raise CheckFailed(f"decomposition invariants failed: {report.to_json()}")
@@ -314,8 +312,8 @@ def _decompose_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="family JSON")
     p.add_argument("--mode", choices=[REAL, COMPLEX], default=None)
     p.add_argument("--prune", action="store_true",
-                   help="drop identically-zero parts (a --cells or --eps "
-                        "document is the same either way)")
+                   help="changes nothing: every document lists only the "
+                        "nonzero parts")
     p.add_argument("--cells", action="store_true",
                    help="refine to constant coefficients on cells")
     p.add_argument("--eps", type=_net_eps, default=None,

@@ -18,15 +18,17 @@ import numpy as np
 REAL = "real"
 COMPLEX = "complex"
 
-#: largest array, in entries, that a decomposition (its pre-prune parts, and
-#: in complex mode its coefficient fields) or a tensor evaluation may build.
-#: It admits every family of at most 5 members on at most 50 atoms (the
-#: largest, 5 real members on 50 atoms, needs 6330 x 50 = 316,500).  The
-#: costliest family under it, 7 complex members on 3 atoms, decomposes in
-#: 0.003 s at 41 MB peak RSS (36 MB after import); ``decompose --out`` on it
-#: takes 0.65-0.85 s and 203 MB peak RSS in a fresh process and writes
-#: 32.5 MB of JSON (shared 2-core x86-64, Python 3.11, numpy 2.4, one BLAS
-#: thread)
+#: largest array, in entries, that a decomposition or a tensor evaluation
+#: may be charged.  A decomposition is charged all k(n) rows of the
+#: recursion, though it builds only the nonzero ones: the rows times the
+#: atoms, times n again in complex mode for the coefficient fields.  It
+#: admits every family of at most 5 members on at most 50 atoms (5 real
+#: members on 50 atoms are charged 6330 x 50 = 316,500).  7 complex members
+#: on 3 atoms, charged 287,679, decompose in 0.4 ms at 31 MB peak RSS (30 MB
+#: after import), and ``decompose --out`` on them takes 0.17-0.21 s and
+#: 32 MB peak RSS in a fresh process and writes 51 KB of JSON; with all
+#: k(n) rows built it took 0.55-0.70 s and 189 MB and wrote 32.5 MB
+#: (shared 2-core x86-64, Python 3.11, numpy 2.4, one BLAS thread)
 MAX_ENTRIES = 320_000
 
 
@@ -66,7 +68,8 @@ class MeasureSpace:
 def _as_mode_array(values, mode: str, shape: tuple, what: str) -> np.ndarray:
     """``values`` as a frozen C-ordered copy in the dtype of ``mode``, checked
     for ``shape`` (None stands for any length), a zero imaginary part in
-    real mode, and finite entries; errors name ``what``."""
+    real mode, and finite entries (with a finite modulus in complex mode);
+    errors name ``what``."""
     v = np.asarray(values)
     if v.ndim != len(shape) or any(s is not None and s != d
                                    for s, d in zip(shape, v.shape)):
@@ -85,11 +88,16 @@ def _as_mode_array(values, mode: str, shape: tuple, what: str) -> np.ndarray:
         raise ValueError(f"mode must be {REAL!r} or {COMPLEX!r}, got {mode!r}")
     # a copy, so freezing it leaves the caller's array writeable
     v = np.array(v, dtype=dtype, order="C")
-    if not np.isfinite(v).all():
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(v))[0])
+    bad, rule = ~np.isfinite(v), "be finite"
+    if mode == COMPLEX and not bad.any():
+        # finite parts may still overflow the modulus, e.g. 1.7e308 (1 + i)
+        with np.errstate(over="ignore"):
+            bad, rule = ~np.isfinite(np.abs(v)), "have a finite modulus"
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
         where = (f"index {idx[0]}" if v.ndim == 1
                  else "".join(f"[{i}]" for i in idx))
-        raise ValueError(f"{what} must be finite, got {v[idx]} at {where}")
+        raise ValueError(f"{what} must {rule}, got {v[idx]} at {where}")
     v.flags.writeable = False
     return v
 

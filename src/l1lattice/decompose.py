@@ -16,28 +16,28 @@ f_i >= 0 and on f_i < 0, with signs +1 / -1 in row i and the
 sub-decomposition's signs (then 0) in the other rows, so the sign matrix
 depends on n alone.  In complex mode the cell's coefficients are the phase
 of f_i in row i and the sub-decomposition's coefficients (then 0) elsewhere.
-Every node of m functions emits the same number of parts before pruning:
+Every node of m functions emits the same number of parts, at rows
+0..k(m) - 1 of the node:
 
     real     k(1) = 2,  k(m) = 2 m (k(m-1) + 1)   ->  2, 12, 78, 632, 6330
     complex  k(1) = 1,  k(m) = m (k(m-1) + 1)     ->  1, 4, 15, 64, 325
 
-The tree is never built: an atom lies in one cell per node, so it follows
-one chain, its members by decreasing modulus, ties to the lower index.  Its
-nonzero parts are the telescoping |f_s1| - |f_s2|, ..., |f_sn|, at rows
-fixed by each member's position among those left in the node (and by its
-sign in real mode); every other part is +0.0 there.  In complex mode the
-node at depth e spans k(n - e) rows, one block per member left in it, and
-each member's row holds its phase on its own block.
+Neither the tree nor its k(n) rows are built: an atom lies in one cell per
+node, so it follows one chain, its members by decreasing modulus, ties to
+the lower index.  Its nonzero parts are the telescoping |f_s1| - |f_s2|,
+..., |f_sn|, at rows fixed by each member's position among those left in
+the node (and by its sign in real mode); every other part is 0 there.  A
+decomposition keeps only the rows that are nonzero on some atom, in row
+order.  On the part row of depth e, the members taken at depths up to e
+have their sign or phase and every other member 0, so a kept row's sign
+column is read off any atom that reaches it, and its complex coefficients
+are written where the part is nonzero and are 0 elsewhere.
 
-The real sign template is built one level at a time, each level gathered
-from the level below in one indexing step.
-
-Also here: pruning, the invariant checker, the exhaustive minimal
-part-count search, and refinement to constant coefficients on cells,
-exact or rounded to a finite net on the unit circle.  A refinement keeps
-only the nonzero (cell, part) rows and is read from each atom's chain, so
-it never builds the dense decomposition; it is the same whether that
-decomposition is pruned or not.
+Also here: pruning of hand-built decompositions, the invariant checker,
+the exhaustive minimal part-count search, and refinement to constant
+coefficients on cells, exact or rounded to a finite net on the unit
+circle.  A refinement keeps only the nonzero (cell, part) rows and is read
+from each atom's chain too.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ COMPLEX_PREPRUNE = (1, 4, 15, 64, 325)
 
 
 def preprune_count(n: int, mode: str) -> int:
-    """Parts emitted by the recursion for an n-member family, before pruning."""
+    """Parts the recursion emits for an n-member family, zero rows included."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return _node_sizes(n, mode)[n]
@@ -122,7 +122,10 @@ class Decomposition:
 
     ``parts_matrix`` has one row per part.  In real mode ``signs`` is the
     (n, k) matrix of entries in {-1, 0, 1}; in complex mode ``coeffs`` is the
-    (n, k, atoms) array of per-atom coefficients of modulus 1 or 0.
+    (n, k, atoms) array of per-atom coefficients of modulus 1 or 0.  The
+    decompositions built here hold only the parts that are nonzero on some
+    atom, in the order of their rows among the recursion's k(n), and their
+    coefficient fields are 0 wherever their part is.
     """
 
     space: MeasureSpace
@@ -141,13 +144,14 @@ class Decomposition:
 
     @property
     def level_counts(self) -> tuple[int, ...]:
-        """Pre-prune parts per recursion level, top first."""
+        """Parts the recursion emits per level, zero rows included, top
+        first."""
         return tuple(preprune_count(m, self.mode) for m in range(self.n, 0, -1))
 
     def recombined(self) -> np.ndarray:
         """The (n, atoms) matrix sum_j coeff_ij * h_j, one row per function."""
         if self.signs is not None:
-            return self.signs.astype(np.float64) @ self.parts_matrix
+            return np.einsum("ij,jw->iw", self.signs, self.parts_matrix)
         return np.einsum("ijw,jw->iw", self.coeffs, self.parts_matrix)
 
 
@@ -156,10 +160,11 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 
 def _chain(values: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
-    """Each atom's chain through the (n, atoms) ``values``, as (n, atoms)
-    arrays by depth: the row of the part emitted there, its height (the
-    modulus step, never -0.0), the member taken and the first row of the
-    node the atom is in."""
+    """Each atom's chain through the (n, atoms) ``values``: the depths e and
+    atoms w of its nonzero parts, in (e, w) order, their part rows and
+    heights (the modulus step, never -0.0), then the (n, atoms) member order
+    by depth and each member's coefficient where it is taken, ``taken``: in
+    real mode +-1 by its sign (int8), in complex mode its phase."""
     n, atoms = values.shape
     sizes = _node_sizes(n, mode)
     branches = 2 if mode == REAL else 1
@@ -174,71 +179,47 @@ def _chain(values: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
     local = np.sum((order[None] < order[:, None]) & later, axis=1)
     neg = values[order, w] < 0.0 if mode == REAL else np.zeros((n, atoms), dtype=bool)
     rows = np.empty((n, atoms), dtype=np.intp)
-    starts = np.empty((n, atoms), dtype=np.intp)
     start = np.zeros(atoms, dtype=np.intp)
     for e in range(n):
         k_sub = sizes[n - e - 1]
         cell = start + local[e] * branches * (k_sub + 1)
-        starts[e] = start
         rows[e] = cell + branches * k_sub + neg[e]
         start = cell + neg[e] * k_sub
-    return rows, heights, order, starts
+    taken = (np.where(neg, -1, 1).astype(np.int8) if mode == REAL
+             else unit_phases(values)[order, w])
+    e, w = np.nonzero(heights)
+    return e, w, rows[e, w], heights[e, w], order, taken
 
 
-def _dense_parts(rows: np.ndarray, heights: np.ndarray, k: int) -> np.ndarray:
-    """The (k, atoms) parts of a chain: each (row, atom) is written at most
-    once, and every other part is +0.0 there."""
-    parts = np.zeros((k, rows.shape[1]))
-    parts[rows, np.arange(rows.shape[1])] = heights
-    return parts
+def _kept_rows(keys: np.ndarray, w: np.ndarray, heights: np.ndarray,
+               atoms: int) -> tuple[np.ndarray, ...]:
+    """The sorted distinct ``keys`` of the chain entries, each entry's index
+    among them, the (keys, atoms) parts holding each entry's height and one
+    entry of each key."""
+    index, row = np.unique(keys, return_inverse=True)
+    parts = np.zeros((index.size, atoms))
+    parts[row, w] = heights
+    pick = np.empty(index.size, dtype=np.intp)
+    pick[row] = np.arange(row.size)
+    return index, row, parts, pick
 
 
-def _real_signs(sub: np.ndarray, m: int) -> np.ndarray:
-    """The (m, k) sign template of a node of m functions from the
-    (m - 1, k_sub) template below it: cell i holds the sub-template twice
-    (f_i >= 0, then f_i < 0) in the rows other than i, in order, then two
-    zero columns, and [1]*k_sub + [-1]*k_sub + [1, -1] in row i."""
-    k_sub = sub.shape[1]
-    padded = np.zeros((m, 2 * k_sub + 2), dtype=np.int8)
-    padded[:m - 1, :k_sub] = sub
-    padded[:m - 1, k_sub:2 * k_sub] = sub
-    r = np.arange(m)
-    blocks = padded[r - (r > r[:, None])]             # cell, row, part
-    blocks[r, r] = np.repeat([1, -1, 1, -1], [k_sub, k_sub, 1, 1])
-    return blocks.transpose(1, 0, 2).reshape(m, -1)
-
-
-def _split_real(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows, heights, _, _ = _chain(values, REAL)
-    signs = np.array([[1, -1]], dtype=np.int8)
-    for m in range(2, values.shape[0] + 1):
-        signs = _real_signs(signs, m)
-    return _dense_parts(rows, heights, signs.shape[1]), signs
-
-
-def _split_complex(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows, heights, order, starts = _chain(values, COMPLEX)
-    n, atoms = values.shape
-    sizes = _node_sizes(n, COMPLEX)
-    phases = unit_phases(values)
-    coeffs = np.zeros((n, sizes[n], atoms), dtype=np.complex128)
-    # the top node: member c on block c, every atom alike
-    size = sizes[n - 1] + 1
-    for c in range(n):
-        coeffs[c, c * size:(c + 1) * size] = phases[c]
-    w = np.arange(atoms)
-    for e in range(1, n):
-        # block c of the node belongs to the c-th smallest member left in it
-        members = np.sort(order[e:], axis=0)[:, None]
-        block = np.arange(sizes[n - e]).reshape(n - e, -1, 1)
-        coeffs[members, starts[e] + block, w] = phases[members, w]
-    return _dense_parts(rows, heights, sizes[n]), coeffs
+def _columns(order: np.ndarray, taken: np.ndarray, e: np.ndarray,
+             w: np.ndarray) -> np.ndarray:
+    """The (n, entries) coefficients of the part rows of depths ``e`` on the
+    atoms ``w``: member order[e'] has taken[e'] for e' <= e, every other
+    member 0."""
+    n = order.shape[0]
+    cols = np.zeros((n, e.size), dtype=taken.dtype)
+    cols[order[:, w], np.arange(e.size)] = np.where(np.arange(n)[:, None] <= e,
+                                                    taken[:, w], 0)
+    return cols
 
 
 def _check_size(fs: FnFamily, mode: str) -> None:
-    """Reject a family whose decomposition needs more than MAX_ENTRIES
-    entries: the pre-prune parts, times n in complex mode for the
-    coefficient fields."""
+    """Reject a family whose decomposition, charged with all k(n) rows,
+    needs more than MAX_ENTRIES entries: the parts, times n in complex mode
+    for the coefficient fields."""
     n, atoms = fs.size, fs.space.size
     # k(n) >= n! is above any budget under 10! = 3,628,800 from n = 10 on,
     # so larger n is charged the count of n = 10
@@ -252,7 +233,9 @@ def decompose_real(fs: FnFamily) -> Decomposition:
     if fs.mode != REAL:
         raise ValueError("decompose_real requires a real-mode family")
     _check_size(fs, REAL)
-    parts, signs = _split_real(fs.value_matrix)
+    e, w, rows, heights, order, taken = _chain(fs.value_matrix, REAL)
+    _, _, parts, pick = _kept_rows(rows, w, heights, fs.space.size)
+    signs = _columns(order, taken, e[pick], w[pick])
     return Decomposition(fs.space, REAL, parts, signs, None)
 
 
@@ -263,15 +246,20 @@ def decompose_complex(fs: FnFamily) -> Decomposition:
     """
     _check_size(fs, COMPLEX)
     values = fs.value_matrix.astype(np.complex128)
-    parts, coeffs = _split_complex(values)
+    n, atoms = values.shape
+    e, w, rows, heights, order, taken = _chain(values, COMPLEX)
+    _, row, parts, _ = _kept_rows(rows, w, heights, atoms)
+    coeffs = np.zeros((n, parts.shape[0], atoms), dtype=np.complex128)
+    coeffs[:, row, w] = _columns(order, taken, e, w)
     return Decomposition(fs.space, COMPLEX, parts, None, coeffs)
 
 
 def prune(d: Decomposition) -> Decomposition:
     """Drop parts that are identically zero, with their coefficient columns.
 
-    Kept parts and coefficients are untouched (bit for bit); the level
-    counts still record the pre-prune counts.
+    Kept parts and coefficients are untouched (bit for bit).  The
+    decompositions built here have no zero part, so this returns them as
+    they are; it is for decompositions built by hand.
     """
     keep = (d.parts_matrix != 0.0).any(axis=1)
     if keep.all():
@@ -426,33 +414,27 @@ def _refinement(fs: FnFamily, mode: str, eps: float | None) -> CellDecomposition
     ``_net_round`` unless eps is None, refined into cells on which every
     coefficient is constant, read from each atom's chain.
 
-    On the part row of depth e, member order[e'] has the coefficient
-    taken[e'] for e' <= e and every other member 0: in real mode +-1 by the
-    member's sign, in complex mode its phase.  Real mode is one cell, its
-    sign matrix being the same on every atom.  In complex mode each
-    (member, row) entry of an atom's coefficient column is written once,
-    on the member's own block at the top, then inside the block of each
-    member taken before it, always with the member's phase, so the column
-    is a function of the member order and the taken coefficients.  That
-    key can be read back from the column (zero members come last, in index
-    order, and each later member's entries lie inside the block of the
-    member taken before it), so grouping the atoms by the key with every
-    zero made +0.0 groups them by column, whether the decomposition is
-    pruned or not.  Each row's coefficients are those of its cell's first
-    atom.  Refuses what decompose_real or decompose_complex refuses, then
-    eps outside ``_net_round``'s range."""
+    Real mode is one cell, its sign matrix being the same on every atom.
+    In complex mode each (member, row) entry of an atom's coefficient
+    column in the full recursion, zero rows included, is written once, on
+    the member's own block at the top, then inside the block of each member
+    taken before it, always with the member's phase, so the column is a
+    function of the member order and the taken coefficients.  That key can
+    be read back from the column (zero members come last, in index order,
+    and each later member's entries lie inside the block of the member
+    taken before it), so grouping the atoms by the key with every zero made
+    +0.0 groups them by those full columns, which only the tests build.
+    Each row's coefficients are those of its cell's first atom.  Refuses
+    what decompose_real or decompose_complex refuses, then eps outside
+    ``_net_round``'s range."""
     _check_size(fs, mode)
     if mode == REAL and fs.mode != REAL:
         raise ValueError("a real refinement requires a real-mode family")
     values = (fs.value_matrix if mode == REAL
               else fs.value_matrix.astype(np.complex128))
     n, atoms = values.shape
-    rows, heights, order, _ = _chain(values, mode)
-    w = np.arange(atoms)
-    if mode == REAL:
-        taken = np.where(values[order, w] < 0.0, -1.0, 1.0).astype(np.complex128)
-    else:
-        taken = unit_phases(values)[order, w]
+    e, w, rows, heights, order, taken = _chain(values, mode)
+    taken = taken.astype(np.complex128)
     if eps is not None:
         taken = _net_round(taken, eps)
     groups = ([list(range(atoms))] if mode == REAL else group_columns(
@@ -460,22 +442,16 @@ def _refinement(fs: FnFamily, mode: str, eps: float | None) -> CellDecomposition
     cell_of = np.empty(atoms, dtype=np.intp)
     for c, g in enumerate(groups):
         cell_of[g] = c
-    # the nonzero (cell, part) rows, keyed cell * k + part row and sorted
+    # the nonzero (cell, part) rows, keyed cell * k + part row and sorted;
+    # a kept row's depth is the same on every atom of the cell, and in real
+    # mode so are its signs
     k = _node_sizes(n, mode)[n]
-    e, w = np.nonzero(heights)
-    index, row = np.unique(cell_of[w] * k + rows[e, w], return_inverse=True)
-    parts = np.zeros((index.size, atoms))
-    parts[row, w] = heights[e, w]
-    # one entry of each kept row: its depth is the same on every atom of
-    # the cell, and in real mode so are its signs
-    pick = np.empty(index.size, dtype=np.intp)
-    pick[row] = np.arange(row.size)
+    index, _, parts, pick = _kept_rows(cell_of[w] * k + rows, w, heights,
+                                       atoms)
     e, w = e[pick], w[pick]
     if mode == COMPLEX:
         w = np.array([g[0] for g in groups], dtype=np.intp)[index // k]
-    alphas = np.zeros((n, index.size), dtype=np.complex128)
-    alphas[order[:, w], np.arange(index.size)] = np.where(
-        np.arange(n)[:, None] <= e, taken[:, w], 0.0)
+    alphas = _columns(order, taken, e, w)
     cells = tuple(tuple(g) for g in groups)
     return CellDecomposition(fs.space, mode, cells, parts, alphas,
                              0.0 if eps is None else eps)

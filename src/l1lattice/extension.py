@@ -76,9 +76,11 @@ class Subspace:
             raise ValueError("a subspace needs at least one basis element")
         if mat.shape[0] > self.ambient.size:
             raise ValueError("more basis elements than atoms cannot be independent")
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[0] == 0.0:
+        scale = np.max(np.abs(mat))
+        if scale == 0.0:
             raise ValueError("basis elements are all zero")
+        # scaled to entries of at most 1, so no singular value overflows
+        sv = np.linalg.svd(mat / scale, compute_uv=False)
         if sv[-1] <= RANK_TOL * sv[0]:
             raise ValueError("basis is not linearly independent "
                              f"(singular value ratio {sv[-1] / sv[0]:.3e})")

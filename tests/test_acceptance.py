@@ -6,10 +6,11 @@ import hashlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from l1lattice import REAL, acceptance
-from l1lattice.decompose import Decomposition, verify_trace_counts
+from l1lattice.decompose import Decomposition, verify_decomposition
 from l1lattice.generate import random_family, random_space, rng_for
 
 SEED = 7
@@ -94,21 +95,22 @@ def test_criterion_10_selftest_byte_identical(tmp_path):
           flush=True)
 
 
-def test_criterion_2_reads_the_counts_each_level_emits(monkeypatch):
-    # a split that emits one part too few on two-member families only: the
-    # top-level count of a three-member family stays right, its levels not
+def test_criterion_2_counts_the_nonzero_parts_on_each_atom(monkeypatch):
+    # a split that cuts its first part in two halves: still a decomposition,
+    # but with n + 1 nonzero parts on the atoms where it had n
     split = acceptance.decompose_real
 
-    def short_at_two(fs):
+    def halved_first_part(fs):
         d = split(fs)
-        if fs.size != 2:
-            return d
-        return Decomposition(d.space, d.mode, d.parts_matrix[:-1],
-                             d.signs[:, :-1], None)
+        parts = np.vstack([d.parts_matrix[:1] / 2, d.parts_matrix])
+        parts[1] /= 2
+        signs = np.hstack([d.signs[:, :1], d.signs])
+        return Decomposition(d.space, d.mode, parts, signs, None)
 
-    monkeypatch.setattr(acceptance, "decompose_real", short_at_two)
+    monkeypatch.setattr(acceptance, "decompose_real", halved_first_part)
     rng = rng_for(3)
     fs = random_family(rng, random_space(rng, 6), 3, REAL)
-    assert acceptance.decompose_real(fs).k == 78
-    assert not verify_trace_counts(acceptance._emitted_counts(fs, REAL), REAL)
+    d = acceptance.decompose_real(fs)
+    assert verify_decomposition(d, fs).passed
+    assert np.max(np.count_nonzero(d.parts_matrix, axis=0)) == 4
     assert not acceptance.criterion_2(SEED).passed

@@ -112,7 +112,7 @@ class TestSubcommands:
             random_family(rng, random_space(rng, 6), 3, "complex"))))
         assert main(["decompose", "--input", str(fam)]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("15 parts, counts per level [15, 4, 1], ")
+        assert out.startswith("11 parts, counts per level [15, 4, 1], ")
         assert out.endswith(" at atom a2\n") and "max residual 1.4" in out
 
     def test_generate_then_full_pipeline(self, tmp_path):
@@ -349,6 +349,12 @@ BAD_INPUTS = {
     "missing-key": (
         "modulus", '{"codomain": %s, "kernel": [[1.0]]}' % SPACE_1,
         "operator: missing key 'domain'"),
+    "huge-modulus-kernel": (
+        "modulus",
+        '{"domain": %s, "codomain": %s, "mode": "complex", '
+        '"kernel": [[[1.7e308, 1.7e308]]]}' % (SPACE_1, SPACE_1),
+        "kernel entries must have a finite modulus, got "
+        "(1.7e+308+1.7e+308j) at [0][0]"),
 }
 
 # (argv, document, message): containers of the wrong JSON type and JSON
@@ -409,6 +415,18 @@ class TestExitCodes:
         flag = "--input" if command == "decompose" else "--op"
         assert main([command, flag, str(path), "--quiet"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--cells"]])
+    def test_overflowing_modulus_exits_2(self, tmp_path, capsys, flags):
+        # finite parts whose modulus overflows: refused before any work
+        path = tmp_path / "doc.json"
+        path.write_text('{"spaces": {"mu": %s}, "members": [{"space": "mu", '
+                        '"mode": "complex", "values": [[1.7e308, 1.7e308]]}]}'
+                        % SPACE_1)
+        assert main(["decompose", "--input", str(path), *flags,
+                     "--quiet"]) == 2
+        assert ("values must have a finite modulus, got "
+                "(1.7e+308+1.7e+308j) at index 0") in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_container_names_the_field(self, tmp_path, capsys, case):
@@ -862,7 +880,7 @@ class TestParserPins:
         "help check-inequality":
             "d5c4ce8051c7713156d67b17da05e549bf265e6169c91c82d8c93928a24c5725",
         "help decompose":
-            "699adcf66f413f09549390a68d833fcd26e83d6d1160287130a314cc0ad78fe9",
+            "5c8aab588dfb76bf3b024b6e94676448b32a48a27e69170136dcaad3202be5b3",
         "help dominate":
             "1a69612666a6b2ff5acf6ee55ce99ffdbb6c8971c8e5009598a6bc53f0c52e74",
         "help extend":

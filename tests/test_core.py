@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import l1lattice
-from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
-                       argmax_partition, d_norm, l1_norm, lattice_max,
-                       pos_neg_split, zero_fn)
+from l1lattice import (COMPLEX, REAL, FnFamily, KernelOperator,
+                       MeasureSpace, SimpleFn, argmax_partition, d_norm,
+                       l1_norm, lattice_max, pos_neg_split, zero_fn)
 from l1lattice.core import group_columns, unit_phases
 
 
@@ -52,6 +52,17 @@ class TestSimpleFn:
     def test_real_mode_rejects_imaginary(self):
         with pytest.raises(ValueError):
             SimpleFn(space(1), REAL, [1.0 + 1e-30j])
+
+    def test_complex_modulus_must_be_finite(self):
+        # both parts are finite, but |1.7e308 (1 + i)| overflows
+        huge = complex(1.7e308, 1.7e308)
+        with pytest.raises(ValueError, match=r"family values must have a "
+                           r"finite modulus, got .* at \[1\]\[0\]"):
+            FnFamily(space(1), COMPLEX, [[1.0], [huge]])
+        with pytest.raises(ValueError, match=r"kernel entries must have a "
+                           r"finite modulus, got .* at \[0\]\[1\]"):
+            KernelOperator(space(2), space(1), [[1.0, huge]], COMPLEX)
+        assert FnFamily(space(1), COMPLEX, [[complex(1e308, 1e308)]]).size == 1
 
     def test_values_immutable(self):
         f = SimpleFn(space(2), REAL, [1.0, 2.0])

@@ -18,9 +18,9 @@ from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        verify_cell_decomposition, verify_decomposition,
                        verify_trace_counts, zero_fn)
 from l1lattice import cli, jsonio, oracle
-from l1lattice.acceptance import _emitted_counts, pattern_family_n2
+from l1lattice.acceptance import pattern_family_n2
 from l1lattice.cli import main
-from l1lattice.core import group_columns, unit_phases
+from l1lattice.core import MAX_ENTRIES, group_columns, unit_phases
 from l1lattice.decompose import (COMPLEX_PREPRUNE, MIN_NET_EPS, REAL_PREPRUNE,
                                  CellDecomposition, Decomposition, OptimalKResult,
                                  _face_masks, _net_points, _net_round)
@@ -72,7 +72,8 @@ class TestDecomposeReal:
         sp = unit_space(2)
         fs = FnFamily(sp, REAL, [[1.0, 0.0], [0.0, 1.0]])
         d = decompose_real(fs)
-        assert d.k == 12
+        # of the recursion's 12 rows, one is nonzero on each atom
+        assert d.level_counts == (12, 2) and d.k == 2
         report = verify_decomposition(d, fs)
         assert report.passed
         assert np.array_equal(d.parts_matrix.sum(axis=0), [1.0, 1.0])
@@ -94,8 +95,9 @@ class TestDecomposeReal:
         rng = rng_for(seed)
         fs = random_family(rng, random_space(rng, atoms), n, REAL)
         d = decompose_real(fs)
-        assert d.k == REAL_PREPRUNE[n - 1]
-        assert verify_trace_counts(_emitted_counts(fs, REAL), REAL)
+        assert d.level_counts[0] == REAL_PREPRUNE[n - 1]
+        assert verify_trace_counts(d.level_counts, REAL)
+        assert np.all(np.count_nonzero(d.parts_matrix, axis=0) <= n)
         report = verify_decomposition(d, fs)
         assert report.passed, report
 
@@ -111,8 +113,9 @@ class TestDecomposeComplex:
     def test_preprune_counts_small_n(self):
         rng = rng_for(0)
         sp = random_space(rng, 3)
-        assert decompose_complex(random_family(rng, sp, 2, COMPLEX)).k == 4
-        assert decompose_complex(random_family(rng, sp, 3, COMPLEX)).k == 15
+        for n, k in ((2, 4), (3, 15)):
+            d = decompose_complex(random_family(rng, sp, n, COMPLEX))
+            assert d.level_counts[0] == k and d.k <= n * sp.size
 
     def test_real_input_allowed(self):
         fs = FnFamily(unit_space(2), REAL, [[1.0, -2.0]])
@@ -126,9 +129,33 @@ class TestDecomposeComplex:
         rng = rng_for(seed)
         fs = random_family(rng, random_space(rng, atoms), n, COMPLEX)
         d = decompose_complex(fs)
-        assert d.k == COMPLEX_PREPRUNE[n - 1]
-        assert verify_trace_counts(_emitted_counts(fs, COMPLEX), COMPLEX)
+        assert d.level_counts[0] == COMPLEX_PREPRUNE[n - 1]
+        assert verify_trace_counts(d.level_counts, COMPLEX)
+        assert np.all(np.count_nonzero(d.parts_matrix, axis=0) <= n)
         assert verify_decomposition(d, fs).passed
+
+
+class TestNoDenseRows:
+    """A decomposition and its check build no array of the recursion's k(n)
+    rows: at n = 5 on 50 atoms those are 6330 x 50 real parts (2.5 MB) or
+    325 x 50 complex parts with 5 x 325 x 50 coefficients (1.4 MB)."""
+
+    @pytest.mark.parametrize("mode,limit", [(REAL, 1_000_000),
+                                            (COMPLEX, 2_000_000)])
+    def test_peak_memory(self, mode, limit):
+        rng = rng_for(35)
+        fs = random_family(rng, random_space(rng, 50), 5, mode)
+        split = decompose_real if mode == REAL else decompose_complex
+        tracemalloc.start()
+        try:
+            d = split(fs)
+            report = verify_decomposition(d, fs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < limit, peak
+        assert d.k <= fs.size * fs.space.size
 
 
 def _reference_real(values):
@@ -206,32 +233,50 @@ TIE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, 5e-324, -5e-324,
               -2.0 ** -1060]
 
 
+def _dense_decomposition(fs, mode):
+    """The per-node recursion's decomposition of ``fs`` in ``mode``, every
+    one of its k(n) rows kept and every real zero made +0.0: the dense
+    reference of the chain paths."""
+    if mode == REAL:
+        parts, signs, _ = _reference_real(fs.value_matrix)
+        return Decomposition(fs.space, REAL, parts + 0.0, signs, None)
+    values = fs.value_matrix.astype(np.complex128)
+    parts, coeffs, _ = _reference_complex(values)
+    return Decomposition(fs.space, COMPLEX, parts, None, coeffs)
+
+
 def assert_matches_recursion(re, values):
     """The chain walk on the real ``re`` and the complex ``values`` against
-    the per-node recursion, in real mode and in both complex modes."""
+    the per-node recursion with its zero rows dropped, in real mode and in
+    both complex modes; complex fields are compared where their part is
+    nonzero and are 0 elsewhere."""
     sp = unit_space(re.shape[1])
     d = decompose_real(FnFamily(sp, REAL, re))
     parts, signs, counts = _reference_real(re)
-    assert_same_bytes(d.parts_matrix, parts + 0.0)
+    keep = np.any(parts != 0.0, axis=1)
+    assert_same_bytes(d.parts_matrix, parts[keep] + 0.0)
     assert not np.signbit(d.parts_matrix).any()
-    assert_same_bytes(d.signs, signs)
+    assert_same_bytes(d.signs, signs[:, keep])
     assert d.level_counts == counts
 
     for fs, ref_values in ((FnFamily(sp, COMPLEX, values), values),
                            (FnFamily(sp, REAL, re), re.astype(np.complex128))):
         d = decompose_complex(fs)
         parts, coeffs, counts = _reference_complex(ref_values)
-        assert_same_bytes(d.parts_matrix, parts)
+        keep = np.any(parts != 0.0, axis=1)
+        assert_same_bytes(d.parts_matrix, parts[keep])
         assert not np.signbit(d.parts_matrix).any()
-        assert_same_bytes(d.coeffs, coeffs)
+        assert_same_bytes(d.coeffs, np.where(parts[keep] != 0.0,
+                                             coeffs[:, keep], 0.0))
         assert d.level_counts == counts
 
 
 class TestChainMatchesRecursion:
-    """The chain walk reproduces the per-node recursion byte for byte:
-    signs, coefficient fields, complex parts (with the sign of every zero)
-    and the per-level counts.  Real parts match once every zero is read as
-    +0.0: the recursion writes -0.0 off the cells, the chain never does."""
+    """The chain walk reproduces the per-node recursion's nonzero rows byte
+    for byte: signs, coefficient fields on each part's support, complex
+    parts (with the sign of every zero) and the per-level counts.  Real
+    parts match once every zero is read as +0.0: the recursion writes -0.0
+    off the cells, the chain never does."""
 
     @given(st.integers(1, 5), st.integers(1, 12), st.data())
     @settings(deadline=None, max_examples=150)
@@ -308,14 +353,16 @@ class TestPrune:
     def test_removes_zero_parts_only(self):
         rng = rng_for(9)
         fs = random_family(rng, random_space(rng, 6), 3, REAL)
-        d = decompose_real(fs)
+        d = _dense_decomposition(fs, REAL)
         p = prune(d)
-        assert p.k <= d.k
+        assert p.k < d.k
         assert np.all(np.any(p.parts_matrix != 0.0, axis=1))
         assert verify_decomposition(p, fs).passed
-        # kept parts are bitwise untouched
+        # kept parts are bitwise untouched: those the chain builds
         keep = np.any(d.parts_matrix != 0.0, axis=1)
         assert np.array_equal(p.parts_matrix, d.parts_matrix[keep])
+        assert _decomposition_digest(p) == _decomposition_digest(
+            decompose_real(fs))
 
     def test_idempotent_when_nothing_to_prune(self):
         fs = FnFamily(unit_space(1), REAL, [[1.0]])
@@ -442,16 +489,15 @@ def _dense_refinement(d, eps=None):
 
 
 def _refinements(seed, count, mode):
-    """(decomposition, coefficients, refinement) triples of the exact and
-    the eps-net refinement of random families, every other decomposition
-    pruned."""
+    """(dense decomposition, coefficients, refinement) triples of the exact
+    and the eps-net refinement of random families, every other dense
+    decomposition pruned."""
     rng = rng_for(seed)
-    split = decompose_real if mode == REAL else decompose_complex
     for i in range(count):
         n = int(rng.integers(1, 6))
         fs = random_family(rng, random_space(rng, int(rng.integers(1, 13))),
                            n, mode)
-        d = split(fs)
+        d = _dense_decomposition(fs, mode)
         if i % 2:
             d = prune(d)
         yield d, _dense_coeffs(d), refine_to_constant_coeffs(fs, mode)
@@ -541,21 +587,6 @@ def _chain_family(data, mode, kinds=("uniform", "values", "signed zeros",
     return FnFamily(unit_space(atoms), mode, v)
 
 
-def _recursive_template(n):
-    """The real sign template as the parent recursion built it, cell by cell
-    (the reference of the level-at-a-time template)."""
-    signs = np.array([[1, -1]], dtype=np.int8)
-    for m in range(2, n + 1):
-        k_sub = signs.shape[1]
-        blocks = np.zeros((m, m, 2 * k_sub + 2), dtype=np.int8)
-        for i in range(m):
-            rest = np.arange(m) != i
-            blocks[i, i] = np.repeat([1, -1, 1, -1], [k_sub, k_sub, 1, 1])
-            blocks[i, rest, :2 * k_sub] = np.hstack([signs, signs])
-        signs = np.hstack(blocks)
-    return signs
-
-
 class TestChainPaths:
     """The cell refinements, read from each atom's chain, equal those of
     the dense decomposition, pruned or not, byte for byte."""
@@ -568,7 +599,7 @@ class TestChainPaths:
                                                  data):
         family_mode, mode = modes
         fs = _chain_family(data, family_mode)
-        d = (decompose_real if mode == REAL else decompose_complex)(fs)
+        d = _dense_decomposition(fs, mode)
         want = _dense_refinement(prune(d) if pruned else d, eps)
         got = (refine_to_constant_coeffs(fs, mode) if eps is None
                else eps_net_coeffs(fs, mode, eps))
@@ -579,8 +610,15 @@ class TestChainPaths:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_template_matches_cell_by_cell_recursion(self, n):
-        d = decompose_real(FnFamily(unit_space(1), REAL, np.ones((n, 1))))
-        assert_same_bytes(d.signs, _recursive_template(n))
+        # random member orders and signs on as many atoms as the real budget
+        # admits: each kept row's sign column and coefficient field are
+        # those the recursion builds cell by cell
+        rng = rng_for(n)
+        atoms = min(50, MAX_ENTRIES // preprune_count(n, REAL))
+        moduli = np.array([rng.permutation(n) + 1.0 for _ in range(atoms)]).T
+        re = moduli * rng.choice([-1.0, 1.0], size=(n, atoms))
+        phases = np.exp(1j * rng.uniform(0.0, 6.0, (n, atoms)))
+        assert_matches_recursion(re, re * phases)
 
     @given(st.sampled_from((REAL, COMPLEX)), st.data())
     @settings(deadline=None, max_examples=300)
@@ -1134,18 +1172,18 @@ class TestGoldenBytes:
     fields, pre-prune counts, cell refinements and one CLI report."""
 
     SEEDED = {
-        (REAL, 1): "66aecdf2e6b32e1191c02f82a7d36efe45331d957dec9be48227282e73130ef8",
-        (REAL, 7): "015ca6f9fb281a57ee8883253fcaee801671a1b6b6e420dc247c1b4e40191397",
-        (REAL, 50): "7423ac7e34bd9ab18d8b4895241769df968a362fdae4e54d5c67a45f99d1317b",
-        (COMPLEX, 1): "b13b4c48f5aa4d3ba1a9ec7f71ac1307fe7751d288fcfcd4b7e1dcaaa8b6e7e3",
-        (COMPLEX, 7): "8436a04617cc9f91b19cd218f03e946091121b09c15422199e5d37b4389fa2b2",
-        (COMPLEX, 50): "c43242f2166ebb57ccff22744b01a4fcc9696610f16c1f2bd97166d84b5cc688",
+        (REAL, 1): "e1a1ab64942f2344ac32b9a4609784988384f60ec23eb7aa5e779f6b518017b6",
+        (REAL, 7): "939c6e0bcca5b00a35034feb3651e7c2b48a891efc1d49425cb680fc439c24de",
+        (REAL, 50): "006d7e854b200305c69bd96dae60052471e36ee598b01acbce6ba18181fa6e28",
+        (COMPLEX, 1): "5e29e0ee8a6fcd76ce1a1afe6ec1ca3f051b620a8be0395072381031f4e5bd90",
+        (COMPLEX, 7): "9cf0b19fdd382a167081181a23d4019feeb7690c13445827c4212d8b0ed392cc",
+        (COMPLEX, 50): "0cc0d8068626dedbbb319bf8e09f9d2212ac89a71dc47d0262c4d606793617cf",
     }
     TIES = {
-        "real": "c27eb1a5e4da4e20b36d0bb722b4910cdf99d5182c57e234c23d683eb9bd24fc",
-        "complex": "d4f927c3b78dd76a4870972521a8e7a87f015d102afaa502c5cc4ab690c885f8",
+        "real": "eaf528d22c5d522cd88224b46f7c36d2f0a9436cdd27a86366c194e677a487d3",
+        "complex": "121d961a803df62f6408ddc5a6291dbdda3af5d6d2a3451dfe8cd0785c6b7f30",
         "real-as-complex":
-            "766af2f20e4cfee7f1a4156fba7b2f7b5eff8c9a9227088f18908c4029ad1763",
+            "458b57af7c393bab649d8051ede785a52aec587a0a90fe76c0d4ed230df0aa2b",
     }
     CELLS = {
         "real": "705df707392a72a1eef672bd56494fc2d0f6b7b31762923fdf9c2336ed7eaf6b",
@@ -1154,7 +1192,7 @@ class TestGoldenBytes:
         "ties-complex":
             "06c1fe28dec4441e850b696aa6a34b28725b49305e824621f141e0010dabf9cf",
     }
-    CLI_OUT = "867514a38f705aa217f595d7360b0b2bad35f043c566b3ff6e11106f40c66532"
+    CLI_OUT = "71e746f332cf39590dd983b0ad9383799b493dbd8bfb9d6d01661b963e4bfd40"
 
     @pytest.mark.parametrize("mode,atoms", sorted(SEEDED))
     def test_seeded_families(self, mode, atoms):
@@ -1192,7 +1230,7 @@ class TestGoldenBytes:
 
     # the same report in the other mode and through each refinement flag
     CLI_OUTS = {
-        (COMPLEX, ""): "e4f496d2db402d7c5eaa05beaeeb44265f30e25a45545711050739e760ba14b5",
+        (COMPLEX, ""): "002963fb70ff13a794769c59e5ae144c338259c071e4b5cd1e0e4983dd8e7b70",
         (COMPLEX, "--prune --cells"):
             "da250c319ad82fbe6a017709450899be501b0f3b119c28e3897da989962098dc",
         (COMPLEX, "--eps 0.1"):
@@ -1215,8 +1253,8 @@ class TestGoldenBytes:
 
 class TestRefinementBuildsNothingDense:
     """--cells and --eps documents are refined from the family and checked
-    by the refinement's own check: no dense decomposition is built, pruned
-    or verified, and the documents keep their bytes."""
+    by the refinement's own check: no decomposition is built or verified,
+    and the documents keep their bytes."""
 
     #: the pinned documents, and --eps 0.1 on the real family
     OUTS = {**TestGoldenBytes.CLI_OUTS,
@@ -1229,7 +1267,7 @@ class TestRefinementBuildsNothingDense:
     def test_refined_documents(self, tmp_path, monkeypatch, mode, flags):
         def dense(*args):
             raise AssertionError("a dense decomposition was built")
-        for name in ("decompose_real", "decompose_complex", "prune",
+        for name in ("decompose_real", "decompose_complex",
                      "verify_decomposition"):
             monkeypatch.setattr(cli, name, dense)
         fam = tmp_path / "fam.json"

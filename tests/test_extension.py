@@ -39,6 +39,15 @@ class TestSubspace:
             with pytest.raises(ValueError, match="basis elements are all zero"):
                 Subspace(sp, [[0.0, 0.0]])
 
+    def test_huge_entries_accepted_without_warning(self):
+        # the unscaled singular value sqrt(2) * 1.3e308 overflows to inf
+        sp = unit_space(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Subspace(sp, [[1.3e308, 1.3e308]]).dim == 1
+            with pytest.raises(ValueError, match="not linearly independent"):
+                Subspace(sp, [[1.3e308, 1.3e308], [1e308, 1e308]])
+
     def test_more_vectors_than_atoms_rejected(self):
         sp = unit_space(2)
         with pytest.raises(ValueError):

@@ -32,14 +32,21 @@ def space(n, prefix="a"):
     return MeasureSpace(tuple(f"{prefix}{i}" for i in range(n)), (1.0,) * n)
 
 
+#: complex entries as (real, imaginary) pairs whose modulus is finite, the
+#: domain of every complex-mode object
+finite_moduli = st.tuples(reals, reals).filter(
+    lambda p: math.isfinite(math.hypot(*p)))
+
+
 @st.composite
 def matrices(draw, rows, cols, mode=REAL):
-    re = np.array(draw(st.lists(reals, min_size=rows * cols,
-                                max_size=rows * cols))).reshape(rows, cols)
+    size = rows * cols
     if mode == REAL:
-        return re
-    im = np.array(draw(st.lists(reals, min_size=rows * cols,
-                                max_size=rows * cols))).reshape(rows, cols)
+        return np.array(draw(st.lists(reals, min_size=size,
+                                      max_size=size))).reshape(rows, cols)
+    entries = draw(st.lists(finite_moduli, min_size=size, max_size=size))
+    re, im = np.moveaxis(np.array(entries, dtype=np.float64).reshape(
+        rows, cols, 2), 2, 0)
     return re + 1j * im
 
 

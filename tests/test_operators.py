@@ -5,7 +5,7 @@ import pytest
 
 from l1lattice import (COMPLEX, REAL, FnFamily, KernelOperator, MeasureSpace,
                        SimpleFn, apply, check_grothendieck, d_norm, dominate,
-                       decompose_complex, decompose_real, eps_net_coeffs,
+                       eps_net_coeffs,
                        identity_operator, l1_norm, modulus, op_norm,
                        point_mass, preprune_count, proof_trace_complex,
                        proof_trace_real, zero_fn, zero_operator)
@@ -14,6 +14,7 @@ from l1lattice.operators import (INEQ_TOL, ProofTrace, _eq_step, _le_step,
                                  _pointwise_le, _triangle_steps, apply_matrix)
 from l1lattice.generate import (random_family, random_fn, random_operator,
                                 random_space, rng_for)
+from test_decompose import _dense_decomposition
 
 
 def unit_space(n, prefix="a"):
@@ -301,7 +302,7 @@ class TestProofTraceComplex:
 # ---------------------------------------------------------------------------
 
 def _dense_trace_real(t, fs, tol=INEQ_TOL):
-    d = decompose_real(fs)
+    d = _dense_decomposition(fs, REAL)
     nu_w = t.codomain.weight_array
     mu_w = t.domain.weight_array
     t_parts = np.abs(apply_matrix(t, d.parts_matrix))
@@ -330,7 +331,7 @@ def _dense_trace_real(t, fs, tol=INEQ_TOL):
 def _dense_refinement(fs, eps):
     """Every (cell, part) row of the refinement, zero or not, by cell, then
     by part, and the (n, rows) coefficient columns of all of them."""
-    d = decompose_complex(fs)
+    d = _dense_decomposition(fs, COMPLEX)
     cells = eps_net_coeffs(fs, COMPLEX, eps).cells
     mask = np.zeros((len(cells), d.space.size))
     for c, g in enumerate(cells):
