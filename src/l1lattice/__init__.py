@@ -8,8 +8,7 @@ from .core import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
 from .decompose import (CellDecomposition, Decomposition, decompose_complex,
                         decompose_real, eps_net_coeffs, optimal_k_search,
                         preprune_count, prune, refine_to_constant_coeffs,
-                        verify_cell_decomposition, verify_decomposition,
-                        verify_trace_counts)
+                        verify_cell_decomposition, verify_decomposition)
 from .extension import (ExtensionResult, RestrictedOperator, Subspace,
                         alpha_via_lp, check_condition_b,
                         verify_extension_theorem)

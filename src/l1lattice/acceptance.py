@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -17,9 +18,8 @@ import numpy as np
 
 from . import jsonio, lp, oracle
 from .core import COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn
-from .decompose import (COMPLEX_PREPRUNE, REAL_PREPRUNE, decompose_complex,
-                        decompose_real, optimal_k_search, preprune_count,
-                        verify_decomposition, verify_trace_counts)
+from .decompose import (decompose_complex, decompose_real, optimal_k_search,
+                        preprune_count, verify_decomposition)
 from .extension import verify_extension_theorem
 from .generate import (random_family, random_fn, random_operator,
                        random_restricted, random_space, random_subspace,
@@ -100,28 +100,46 @@ def criterion_1(seed: int, scale: float):
 
 @_criterion(2, "recursion part counts")
 def criterion_2(seed: int, scale: float):
-    """The recursion's part counts per level are exact and respect the
-    factorial growth bounds, and every decomposition has at most n nonzero
-    parts on every atom, as each atom's chain promises."""
+    """Each ``chain_family(n, mode)`` decomposes into exactly k(n) parts, n
+    per atom, and verifies: real n <= 4 (n = 5 is over the size budget) and
+    complex n <= 5.  Seeded random families, n <= 5, have at most n nonzero
+    parts per atom, and k(n) respects the bounds e^(1/2) 2^n n! and e n!."""
     rng = rng_for(seed + 202)
     ok = True
-    observed = {"real": [], "complex": []}
+    expected = {m: [preprune_count(n, m) for n in range(1, 6)]
+                for m in (REAL, COMPLEX)}
+    observed = {REAL: [], COMPLEX: []}
+    for mode, top in ((REAL, 4), (COMPLEX, 5)):
+        for n in range(1, top + 1):
+            fs = chain_family(n, mode)
+            d = decompose_real(fs) if mode == REAL else decompose_complex(fs)
+            observed[mode].append(d.k)
+            ok &= (d.k == expected[mode][n - 1] and verify_decomposition(d, fs).passed
+                   and bool(np.all(np.count_nonzero(d.parts_matrix, axis=0) == n)))
     for n in range(1, 6):
         space = random_space(rng, 6)
-        fs_r = random_family(rng, space, n, REAL)
-        fs_c = random_family(rng, space, n, COMPLEX)
-        for mode, d, expected in ((REAL, decompose_real(fs_r), REAL_PREPRUNE),
-                                  (COMPLEX, decompose_complex(fs_c),
-                                   COMPLEX_PREPRUNE)):
-            counts = d.level_counts
-            observed[mode].append(counts[0])
-            ok &= counts[0] == expected[n - 1] == preprune_count(n, mode)
-            ok &= verify_trace_counts(counts, mode)
+        for d in (decompose_real(random_family(rng, space, n, REAL)),
+                  decompose_complex(random_family(rng, space, n, COMPLEX))):
             ok &= bool(np.all(np.count_nonzero(d.parts_matrix, axis=0) <= n))
-        ok &= observed[REAL][-1] <= math.exp(0.5) * 2 ** n * math.factorial(n)
-        ok &= observed[COMPLEX][-1] <= math.e * math.factorial(n)
-    return ok, {"observed": observed, "expected_real": list(REAL_PREPRUNE),
-                "expected_complex": list(COMPLEX_PREPRUNE)}
+        ok &= expected[REAL][n - 1] <= math.exp(0.5) * 2 ** n * math.factorial(n)
+        ok &= expected[COMPLEX][n - 1] <= math.e * math.factorial(n)
+    return ok, {"observed": observed, "expected_real": expected[REAL],
+                "expected_complex": expected[COMPLEX]}
+
+
+def chain_family(n: int, mode: str) -> FnFamily:
+    """One unit-weight atom per chain of n members, every member order and,
+    in real mode, sign vector; the member taken at depth e has modulus n - e,
+    in complex mode times i^m for member m.  Each atom has n nonzero parts."""
+    # n minus each member's depth, one column per member order
+    moduli = n - np.argsort(list(itertools.permutations(range(n))), axis=1).T
+    if mode == REAL:
+        signs = np.array(list(itertools.product((1, -1), repeat=n))).T
+        values = (moduli[:, :, None] * signs[:, None, :]).reshape(n, -1)
+    else:
+        values = moduli * np.array([1, 1j, -1, -1j])[np.arange(n) % 4, None]
+    labels = [f"c{w}" for w in range(values.shape[1])]
+    return FnFamily(MeasureSpace(labels, [1.0] * len(labels)), mode, values)
 
 
 def pattern_family_n2() -> FnFamily:

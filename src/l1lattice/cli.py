@@ -133,8 +133,7 @@ def _cmd_decompose(args) -> int:
     residuals = (report.sum_residual, *report.recombination_residuals)
     worst = max(range(len(residuals)), key=residuals.__getitem__)
     _emit(args, jsonio.decomposition_to_json(d),
-          f"{d.k} parts, counts per level {list(d.level_counts)}, "
-          f"max residual {residuals[worst]:.2e} "
+          f"{d.k} parts, max residual {residuals[worst]:.2e} "
           f"at atom {report.worst_atoms[worst]}")
     return 0
 

@@ -17,7 +17,7 @@ sub-decomposition's signs (then 0) in the other rows, so the sign matrix
 depends on n alone.  In complex mode the cell's coefficients are the phase
 of f_i in row i and the sub-decomposition's coefficients (then 0) elsewhere.
 Every node of m functions emits the same number of parts, at rows
-0..k(m) - 1 of the node:
+0..k(m) - 1 of the node, ``preprune_count(m, mode)``:
 
     real     k(1) = 2,  k(m) = 2 m (k(m-1) + 1)   ->  2, 12, 78, 632, 6330
     complex  k(1) = 1,  k(m) = m (k(m-1) + 1)     ->  1, 4, 15, 64, 325
@@ -27,11 +27,11 @@ node, so it follows one chain, its members by decreasing modulus, ties to
 the lower index.  Its nonzero parts are the telescoping |f_s1| - |f_s2|,
 ..., |f_sn|, at rows fixed by each member's position among those left in
 the node (and by its sign in real mode); every other part is 0 there.  A
-decomposition keeps only the rows that are nonzero on some atom, in row
-order.  On the part row of depth e, the members taken at depths up to e
-have their sign or phase and every other member 0, so a kept row's sign
-column is read off any atom that reaches it, and its complex coefficients
-are written where the part is nonzero and are 0 elsewhere.
+decomposition keeps only the rows nonzero on some atom, in row order: all
+k(n) when atoms take every chain with nonzero steps.  On the part row of
+depth e, the members taken up to depth e have their sign or phase, every
+other member 0: a kept row's sign column is read off any atom reaching
+it, and its complex coefficients are 0 wherever the part is.
 
 Also here: pruning of hand-built decompositions, the invariant checker,
 the exhaustive minimal part-count search, and refinement to constant
@@ -86,10 +86,6 @@ MAX_CANDIDATES = 4_000
 #: [1, f(w)], took 3.4 s (0.017 ms each; same machine)
 MAX_LP_SOLVES = MAX_CANDIDATES * 50
 
-REAL_PREPRUNE = (2, 12, 78, 632, 6330)
-COMPLEX_PREPRUNE = (1, 4, 15, 64, 325)
-
-
 def preprune_count(n: int, mode: str) -> int:
     """Parts the recursion emits for an n-member family, zero rows included."""
     if n < 1:
@@ -105,17 +101,6 @@ def _node_sizes(n: int, mode: str) -> list[int]:
     return sizes
 
 
-def verify_trace_counts(counts: tuple[int, ...], mode: str) -> bool:
-    """Check per-level part counts, top level first, against the recursion
-    exactly: the level of m functions emits k(m) parts."""
-    m = len(counts)
-    for k, k_sub in zip(counts, counts[1:]):
-        if k != (2 * m if mode == REAL else m) * (k_sub + 1):
-            return False
-        m -= 1
-    return m == 1 and counts[-1] == (2 if mode == REAL else 1)
-
-
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Nonnegative parts plus recombination coefficients for one family.
@@ -124,8 +109,8 @@ class Decomposition:
     (n, k) matrix of entries in {-1, 0, 1}; in complex mode ``coeffs`` is the
     (n, k, atoms) array of per-atom coefficients of modulus 1 or 0.  The
     decompositions built here hold only the parts that are nonzero on some
-    atom, in the order of their rows among the recursion's k(n), and their
-    coefficient fields are 0 wherever their part is.
+    atom, in the order of their rows among the k(n) of ``preprune_count``,
+    and their coefficient fields are 0 wherever their part is.
     """
 
     space: MeasureSpace
@@ -141,12 +126,6 @@ class Decomposition:
     @property
     def n(self) -> int:
         return self.signs.shape[0] if self.signs is not None else self.coeffs.shape[0]
-
-    @property
-    def level_counts(self) -> tuple[int, ...]:
-        """Parts the recursion emits per level, zero rows included, top
-        first."""
-        return tuple(preprune_count(m, self.mode) for m in range(self.n, 0, -1))
 
     def recombined(self) -> np.ndarray:
         """The (n, atoms) matrix sum_j coeff_ij * h_j, one row per function."""
@@ -445,7 +424,7 @@ def _refinement(fs: FnFamily, mode: str, eps: float | None) -> CellDecomposition
     # the nonzero (cell, part) rows, keyed cell * k + part row and sorted;
     # a kept row's depth is the same on every atom of the cell, and in real
     # mode so are its signs
-    k = _node_sizes(n, mode)[n]
+    k = preprune_count(n, mode)
     index, _, parts, pick = _kept_rows(cell_of[w] * k + rows, w, heights,
                                        atoms)
     e, w = e[pick], w[pick]

@@ -474,8 +474,7 @@ def decomposition_to_json(d: Decomposition) -> dict:
     return {"spaces": {"mu": space_to_json(d.space)},
             "mode": d.mode,
             "parts": _rows_to_json("mu", REAL, d.parts_matrix),
-            "coeffs": coeffs,
-            "trace": {"pre_prune_counts": list(d.level_counts)}}
+            "coeffs": coeffs}
 
 
 def cell_decomposition_to_json(cd: CellDecomposition) -> dict:

@@ -33,7 +33,7 @@ INEQ_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """A matrix kernel between two finite atomic measure spaces."""
+    """A matrix kernel between two finite atomic measure spaces, of finite norm."""
 
     domain: MeasureSpace
     codomain: MeasureSpace
@@ -44,6 +44,12 @@ class KernelOperator:
         k = _as_mode_array(self.kernel, self.mode,
                            (self.codomain.size, self.domain.size),
                            "kernel entries")
+        with np.errstate(over="ignore"):
+            sums = self.codomain.weight_array @ np.abs(k)
+        if not np.all(np.isfinite(sums)):
+            j = int(np.argmin(np.isfinite(sums)))
+            raise ValueError(f"kernel column {j} (atom {self.domain.atoms[j]}) "
+                             f"has nu-weighted |K| sum {sums[j]}; the norm must be finite")
         object.__setattr__(self, "kernel", k)
 
 

@@ -3,6 +3,14 @@ database, so the suite is deterministic.  Hypothesis still writes its own
 caches (``.hypothesis/constants/`` and the like) into the gitignored
 ``.hypothesis/``.
 
+"The same examples" holds for one command line only.  Hypothesis 6.155
+mixes into its draws literal constants collected from the local modules
+imported so far, so the examples depend on which test files run: with
+Hypothesis 6.155.2, ``pytest tests/test_jsonio.py`` alone draws other
+examples than the full suite in 10 of that file's 66 tests (1e-07 where
+the full suite draws 0.5, say), each way the same on every run.  Repeat a
+failure with the command that showed it.
+
 The suite also runs on one OpenBLAS thread, as the benchmark and CI do:
 threaded LU rounds differently at different thread counts, and the byte
 pins of LP-backed reports were recorded on one thread.  OpenBLAS reads the

@@ -3,20 +3,22 @@ line per criterion (visible with ``pytest -s``), plus the byte-determinism
 check of two full CLI selftest runs."""
 
 import hashlib
+import itertools
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from l1lattice import REAL, acceptance
+from l1lattice import REAL, FnFamily, MeasureSpace, acceptance
 from l1lattice.decompose import Decomposition, verify_decomposition
 from l1lattice.generate import random_family, random_space, rng_for
 
 SEED = 7
-#: sha256 of the `selftest --seed 7` report
+#: sha256 of the `selftest --seed 7` report, re-pinned when criterion 2
+#: began reporting the parts of each chain family's decomposition
 SELFTEST_SHA256 = (
-    "f18e9fcac4215ec5ca231bbfc987c93c25bf1a2f6cd312b915c2905294e36138")
+    "300a57b0251fc8a436c18ec0e588cacf855bd653174a77cbd02ccb897ee99a7c")
 
 _caps = {1: 60.0, 3: 300.0, 8: 600.0}
 
@@ -49,9 +51,13 @@ def test_criterion_1_residual_tolerance(outcomes):
 
 
 def test_criterion_2_exact_iterates(outcomes):
+    # the parts each chain family's decomposition keeps: real n = 1..4,
+    # complex n = 1..5
     details = outcomes[2].details
-    assert details["observed"]["real"] == [2, 12, 78, 632, 6330]
+    assert details["observed"]["real"] == [2, 12, 78, 632]
     assert details["observed"]["complex"] == [1, 4, 15, 64, 325]
+    assert details["expected_real"] == [2, 12, 78, 632, 6330]
+    assert details["expected_complex"] == [1, 4, 15, 64, 325]
 
 
 def test_criterion_3_minimal_counts(outcomes):
@@ -113,4 +119,32 @@ def test_criterion_2_counts_the_nonzero_parts_on_each_atom(monkeypatch):
     d = acceptance.decompose_real(fs)
     assert verify_decomposition(d, fs).passed
     assert np.max(np.count_nonzero(d.parts_matrix, axis=0)) == 4
+    assert not acceptance.criterion_2(SEED).passed
+
+
+def test_criterion_2_counts_the_parts_the_chains_build(monkeypatch):
+    # a split that merges two parts with equal sign columns and disjoint
+    # supports: still a decomposition, with at most n nonzero parts on every
+    # atom, but with fewer parts than the recursion's k(n)
+    split = acceptance.decompose_real
+
+    def merged(fs):
+        d = split(fs)
+        support = d.parts_matrix != 0.0
+        for j, m in itertools.combinations(range(d.k), 2):
+            if (np.array_equal(d.signs[:, j], d.signs[:, m])
+                    and not np.any(support[j] & support[m])):
+                parts = np.delete(d.parts_matrix, m, axis=0)
+                parts[j] += d.parts_matrix[m]
+                return Decomposition(d.space, d.mode, parts,
+                                     np.delete(d.signs, m, axis=1), None)
+        return d
+
+    monkeypatch.setattr(acceptance, "decompose_real", merged)
+    # rows (+1, +1) of the chains 0+ 1+ and 1+ 0+ merge
+    fs = FnFamily(MeasureSpace(("a", "b"), (1.0, 1.0)), REAL,
+                  [[2.0, 1.0], [1.0, 2.0]])
+    d = acceptance.decompose_real(fs)
+    assert d.k == split(fs).k - 1 and verify_decomposition(d, fs).passed
+    assert np.max(np.count_nonzero(d.parts_matrix, axis=0)) == 2
     assert not acceptance.criterion_2(SEED).passed

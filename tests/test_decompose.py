@@ -16,14 +16,14 @@ from l1lattice import (COMPLEX, REAL, FnFamily, MeasureSpace, SimpleFn,
                        optimal_k_search, pos_neg_split, preprune_count,
                        prune, refine_to_constant_coeffs,
                        verify_cell_decomposition, verify_decomposition,
-                       verify_trace_counts, zero_fn)
+                       zero_fn)
 from l1lattice import cli, jsonio, oracle
-from l1lattice.acceptance import pattern_family_n2
+from l1lattice.acceptance import chain_family, pattern_family_n2
 from l1lattice.cli import main
 from l1lattice.core import MAX_ENTRIES, group_columns, unit_phases
-from l1lattice.decompose import (COMPLEX_PREPRUNE, MIN_NET_EPS, REAL_PREPRUNE,
-                                 CellDecomposition, Decomposition, OptimalKResult,
-                                 _face_masks, _net_points, _net_round)
+from l1lattice.decompose import (MIN_NET_EPS, CellDecomposition, Decomposition,
+                                 OptimalKResult, _face_masks, _net_points,
+                                 _net_round)
 from l1lattice.generate import random_family, random_space, rng_for
 from l1lattice.lp import LinearProgram
 
@@ -50,10 +50,10 @@ def unit_space(n):
 class TestPrepruneCounts:
     def test_iterates_match_recursion(self):
         # oracle: iterate k(1)=2, k(n)=2n(k+1) and k(1)=1, k(n)=n(k+1) by hand
-        assert tuple(preprune_count(n, REAL) for n in range(1, 6)) == REAL_PREPRUNE
-        assert tuple(preprune_count(n, COMPLEX) for n in range(1, 6)) == COMPLEX_PREPRUNE
-        assert REAL_PREPRUNE == (2, 12, 78, 632, 6330)
-        assert COMPLEX_PREPRUNE == (1, 4, 15, 64, 325)
+        assert ([preprune_count(n, REAL) for n in range(1, 6)]
+                == [2, 12, 78, 632, 6330])
+        assert ([preprune_count(n, COMPLEX) for n in range(1, 6)]
+                == [1, 4, 15, 64, 325])
 
     def test_factorial_growth_bounds(self):
         for n in range(1, 6):
@@ -73,7 +73,7 @@ class TestDecomposeReal:
         fs = FnFamily(sp, REAL, [[1.0, 0.0], [0.0, 1.0]])
         d = decompose_real(fs)
         # of the recursion's 12 rows, one is nonzero on each atom
-        assert d.level_counts == (12, 2) and d.k == 2
+        assert preprune_count(2, REAL) == 12 and d.k == 2
         report = verify_decomposition(d, fs)
         assert report.passed
         assert np.array_equal(d.parts_matrix.sum(axis=0), [1.0, 1.0])
@@ -95,8 +95,6 @@ class TestDecomposeReal:
         rng = rng_for(seed)
         fs = random_family(rng, random_space(rng, atoms), n, REAL)
         d = decompose_real(fs)
-        assert d.level_counts[0] == REAL_PREPRUNE[n - 1]
-        assert verify_trace_counts(d.level_counts, REAL)
         assert np.all(np.count_nonzero(d.parts_matrix, axis=0) <= n)
         report = verify_decomposition(d, fs)
         assert report.passed, report
@@ -115,7 +113,7 @@ class TestDecomposeComplex:
         sp = random_space(rng, 3)
         for n, k in ((2, 4), (3, 15)):
             d = decompose_complex(random_family(rng, sp, n, COMPLEX))
-            assert d.level_counts[0] == k and d.k <= n * sp.size
+            assert preprune_count(n, COMPLEX) == k and d.k <= n * sp.size
 
     def test_real_input_allowed(self):
         fs = FnFamily(unit_space(2), REAL, [[1.0, -2.0]])
@@ -129,8 +127,6 @@ class TestDecomposeComplex:
         rng = rng_for(seed)
         fs = random_family(rng, random_space(rng, atoms), n, COMPLEX)
         d = decompose_complex(fs)
-        assert d.level_counts[0] == COMPLEX_PREPRUNE[n - 1]
-        assert verify_trace_counts(d.level_counts, COMPLEX)
         assert np.all(np.count_nonzero(d.parts_matrix, axis=0) <= n)
         assert verify_decomposition(d, fs).passed
 
@@ -159,22 +155,21 @@ class TestNoDenseRows:
 
 
 def _reference_real(values):
-    """The per-node recursion, the reference of the chain walk: parts,
-    signs, and the part counts per level (every node of a level agrees)."""
+    """The per-node recursion, the reference of the chain walk: parts and
+    signs."""
     n = values.shape[0]
     if n == 1:
         parts = np.vstack(pos_neg_split(values[0]))
-        return parts, np.array([[1, -1]], dtype=np.int8), (2,)
+        return parts, np.array([[1, -1]], dtype=np.int8)
 
     cells = argmax_partition(values)
     orientation = np.array([1, -1, 1, -1], dtype=np.int8)
-    part_blocks, sign_blocks, child_counts = [], [], set()
+    part_blocks, sign_blocks = [], []
     for i in range(n):
         in_cell = cells == i
         rest = np.arange(n) != i
         sub = values[rest] * in_cell
-        sub_parts, sub_signs, counts = _reference_real(sub)
-        child_counts.add(counts)
+        sub_parts, sub_signs = _reference_real(sub)
         tau = np.max(np.abs(sub), axis=0)
         pos = in_cell & (values[i] >= 0.0)
         neg = in_cell & (values[i] < 0.0)
@@ -187,28 +182,25 @@ def _reference_real(values):
         block[rest, :2 * k_sub] = np.hstack([sub_signs, sub_signs])
         sign_blocks.append(block)
 
-    assert len(child_counts) == 1
-    parts = np.vstack(part_blocks)
-    return parts, np.hstack(sign_blocks), (parts.shape[0],) + child_counts.pop()
+    return np.vstack(part_blocks), np.hstack(sign_blocks)
 
 
 def _reference_complex(values):
-    """The complex counterpart of ``_reference_real``: parts, coefficient
-    fields and the part counts per level."""
+    """The complex counterpart of ``_reference_real``: parts and
+    coefficient fields."""
     n = values.shape[0]
     if n == 1:
         v = values[0]
-        return np.abs(v)[None, :], unit_phases(v)[None, None, :], (1,)
+        return np.abs(v)[None, :], unit_phases(v)[None, None, :]
 
     moduli = np.abs(values)
     cells = argmax_partition(values)
-    part_blocks, coeff_blocks, child_counts = [], [], set()
+    part_blocks, coeff_blocks = [], []
     for i in range(n):
         in_cell = cells == i
         rest = np.arange(n) != i
         sub = np.where(in_cell, values[rest], 0.0)
-        sub_parts, sub_coeffs, counts = _reference_complex(sub)
-        child_counts.add(counts)
+        sub_parts, sub_coeffs = _reference_complex(sub)
         tau = np.max(np.abs(sub), axis=0)
         part_blocks += [sub_parts, ((moduli[i] - tau) * in_cell)[None]]
         k_sub = sub_parts.shape[0]
@@ -217,10 +209,7 @@ def _reference_complex(values):
         block[rest, :k_sub] = sub_coeffs
         coeff_blocks.append(block)
 
-    assert len(child_counts) == 1
-    parts = np.vstack(part_blocks)
-    return (parts, np.concatenate(coeff_blocks, axis=1),
-            (parts.shape[0],) + child_counts.pop())
+    return np.vstack(part_blocks), np.concatenate(coeff_blocks, axis=1)
 
 
 def assert_same_bytes(got, want):
@@ -238,45 +227,45 @@ def _dense_decomposition(fs, mode):
     one of its k(n) rows kept and every real zero made +0.0: the dense
     reference of the chain paths."""
     if mode == REAL:
-        parts, signs, _ = _reference_real(fs.value_matrix)
+        parts, signs = _reference_real(fs.value_matrix)
         return Decomposition(fs.space, REAL, parts + 0.0, signs, None)
     values = fs.value_matrix.astype(np.complex128)
-    parts, coeffs, _ = _reference_complex(values)
+    parts, coeffs = _reference_complex(values)
     return Decomposition(fs.space, COMPLEX, parts, None, coeffs)
 
 
 def assert_matches_recursion(re, values):
     """The chain walk on the real ``re`` and the complex ``values`` against
-    the per-node recursion with its zero rows dropped, in real mode and in
-    both complex modes; complex fields are compared where their part is
-    nonzero and are 0 elsewhere."""
+    the per-node recursion, which emits k(n) rows, with its zero rows
+    dropped, in real mode and in both complex modes; complex fields are
+    compared where their part is nonzero and are 0 elsewhere."""
     sp = unit_space(re.shape[1])
     d = decompose_real(FnFamily(sp, REAL, re))
-    parts, signs, counts = _reference_real(re)
+    parts, signs = _reference_real(re)
+    assert parts.shape[0] == preprune_count(re.shape[0], REAL)
     keep = np.any(parts != 0.0, axis=1)
     assert_same_bytes(d.parts_matrix, parts[keep] + 0.0)
     assert not np.signbit(d.parts_matrix).any()
     assert_same_bytes(d.signs, signs[:, keep])
-    assert d.level_counts == counts
 
     for fs, ref_values in ((FnFamily(sp, COMPLEX, values), values),
                            (FnFamily(sp, REAL, re), re.astype(np.complex128))):
         d = decompose_complex(fs)
-        parts, coeffs, counts = _reference_complex(ref_values)
+        parts, coeffs = _reference_complex(ref_values)
+        assert parts.shape[0] == preprune_count(re.shape[0], COMPLEX)
         keep = np.any(parts != 0.0, axis=1)
         assert_same_bytes(d.parts_matrix, parts[keep])
         assert not np.signbit(d.parts_matrix).any()
         assert_same_bytes(d.coeffs, np.where(parts[keep] != 0.0,
                                              coeffs[:, keep], 0.0))
-        assert d.level_counts == counts
 
 
 class TestChainMatchesRecursion:
     """The chain walk reproduces the per-node recursion's nonzero rows byte
-    for byte: signs, coefficient fields on each part's support, complex
-    parts (with the sign of every zero) and the per-level counts.  Real
-    parts match once every zero is read as +0.0: the recursion writes -0.0
-    off the cells, the chain never does."""
+    for byte: signs, coefficient fields on each part's support and complex
+    parts (with the sign of every zero).  Real parts match once every zero
+    is read as +0.0: the recursion writes -0.0 off the cells, the chain
+    never does."""
 
     @given(st.integers(1, 5), st.integers(1, 12), st.data())
     @settings(deadline=None, max_examples=150)
@@ -312,6 +301,29 @@ class TestChainMatchesRecursion:
         assert "max residual 0.00e+00" in capsys.readouterr().out
         assert report.sum_residual == 0.0
         assert report.recombination_residuals == (0.0, 0.0)
+
+
+class TestChainFamilies:
+    """On the chain families of criterion 2 none of the per-node
+    recursion's k(n) rows is zero, and the chain walk keeps them all, byte
+    for byte: the chains reach every part row and drop none."""
+
+    @pytest.mark.parametrize("mode,n", [(REAL, n) for n in range(1, 5)]
+                             + [(COMPLEX, n) for n in range(1, 6)])
+    def test_every_row_of_the_recursion_is_kept(self, mode, n):
+        fs = chain_family(n, mode)
+        want = _dense_decomposition(fs, mode)
+        assert want.k == preprune_count(n, mode)
+        assert np.all(np.any(want.parts_matrix != 0.0, axis=1))
+        if mode == REAL:
+            d = decompose_real(fs)
+            assert_same_bytes(d.signs, want.signs)
+        else:
+            d = decompose_complex(fs)
+            assert_same_bytes(d.coeffs, np.where(want.parts_matrix != 0.0,
+                                                 want.coeffs, 0.0))
+        # the dense real parts are read with every zero +0.0
+        assert_same_bytes(d.parts_matrix, want.parts_matrix)
 
 
 class TestVerifyDecomposition:
@@ -1143,8 +1155,11 @@ def _sha(*items) -> str:
 
 
 def _decomposition_digest(d) -> str:
+    """The digest of the parts and the coefficients, with the recursion's
+    k(m) for m = n, ..., 1, which the pins were taken with."""
     coeffs = d.signs if d.signs is not None else d.coeffs
-    return _sha(d.parts_matrix, coeffs, d.level_counts)
+    return _sha(d.parts_matrix, coeffs,
+                [preprune_count(m, d.mode) for m in range(d.n, 0, -1)])
 
 
 def _cells_digest(cd) -> str:
@@ -1169,7 +1184,7 @@ def _golden_family(n, atoms, mode):
 class TestGoldenBytes:
     """Outputs are pinned byte for byte: parts (including the sign of each
     zero, which reaches the --out files), sign matrices, coefficient
-    fields, pre-prune counts, cell refinements and one CLI report."""
+    fields, cell refinements and the decompose documents."""
 
     SEEDED = {
         (REAL, 1): "e1a1ab64942f2344ac32b9a4609784988384f60ec23eb7aa5e779f6b518017b6",
@@ -1192,7 +1207,9 @@ class TestGoldenBytes:
         "ties-complex":
             "06c1fe28dec4441e850b696aa6a34b28725b49305e824621f141e0010dabf9cf",
     }
-    CLI_OUT = "71e746f332cf39590dd983b0ad9383799b493dbd8bfb9d6d01661b963e4bfd40"
+    # re-pinned when decompose documents lost their "trace" entry, the
+    # recursion's k(m) per level
+    CLI_OUT = "d76454a1b2a3d22463db05a661f5cac762448fa9868062b62199fe4dc5d9ec5f"
 
     @pytest.mark.parametrize("mode,atoms", sorted(SEEDED))
     def test_seeded_families(self, mode, atoms):
@@ -1230,7 +1247,7 @@ class TestGoldenBytes:
 
     # the same report in the other mode and through each refinement flag
     CLI_OUTS = {
-        (COMPLEX, ""): "002963fb70ff13a794769c59e5ae144c338259c071e4b5cd1e0e4983dd8e7b70",
+        (COMPLEX, ""): "0997f9d3ac289edab46660779159abace77157fe1a02776b3fc991e84279048c",
         (COMPLEX, "--prune --cells"):
             "da250c319ad82fbe6a017709450899be501b0f3b119c28e3897da989962098dc",
         (COMPLEX, "--eps 0.1"):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ class TestOpNorm:
     def test_zero(self):
         sp = unit_space(2)
         assert op_norm(zero_operator(sp, sp)) == 0.0
+
+    @pytest.mark.parametrize("mode", [REAL, COMPLEX])
+    def test_overflowing_column_sum_refused(self, mode):
+        # finite entries whose weighted column sum overflows: refused with
+        # no RuntimeWarning, while the largest finite sum is kept
+        sp = unit_space(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^kernel column 1 \(atom a1\) "
+                               r"has nu-weighted \|K\| sum inf; the norm must be "
+                               r"finite$"):
+                KernelOperator(sp, sp, [[1.0, 1.7e308], [1.0, 1.7e308]], mode)
+            t = KernelOperator(sp, sp, [[1.0, 8.5e307], [1.0, 8.5e307]], mode)
+        assert op_norm(t) == 1.7e308
 
     def test_supremum_attained_at_point_masses(self):
         # oracle: brute force over the extreme points +-delta_j / mu_j
